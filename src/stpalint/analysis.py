@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .model import (
+    AnalysisError,
     Context,
     Diagnostic,
     EntityKind,
@@ -24,10 +25,6 @@ from .model import (
 )
 
 DEFAULT_MAX_ROWS = 100_000
-
-
-class AnalysisError(ValueError):
-    """Precondition violation in an analysis operation."""
 
 
 @dataclass

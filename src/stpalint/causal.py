@@ -5,14 +5,22 @@ unsafe action itself (analyze the feedback path feeding its beliefs), or a
 correct action is issued but not followed (analyze the control path down to
 the process). Both walks drive the per-UCA checklist and validate where
 declared causal factors may sit.
+
+`walk_paths` lists the walks themselves, whose number can be exponential.
+`check` and `checklist` never list them: a CausalIndex derives on-path sets
+by reachability and checklists by a pruned traversal, once per model.
 """
 
 from __future__ import annotations
 
+import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .model import (
+    AnalysisError,
     CausalFactor,
     CfCategory,
     Diagnostic,
@@ -25,6 +33,8 @@ from .model import (
     UnsafeControlAction,
     FALLBACK_SPAN,
 )
+
+DEFAULT_MAX_WALKS = 100_000
 
 
 class PathDirection(Enum):
@@ -94,6 +104,10 @@ _PROMPTS: dict[CfCategory, str] = {
 }
 
 
+_PRESENTING = (CfCategory.PRESENTATION,)
+_SENSING = (CfCategory.SENSING_LIMITATION, CfCategory.SENSOR_OPERATION)
+
+
 def _is_network(entity: Entity) -> bool:
     # Network legs are ordinary sensors/actuators structurally; recognized by name.
     return "network" in entity.id.lower() or "network" in entity.label.lower()
@@ -125,59 +139,243 @@ def _control_successors(model: StpaModel) -> dict[str, list[str]]:
     return succs
 
 
+def _reach(start: str, step: dict[str, list[str]], blocked, stop=frozenset()) -> set[str]:
+    """`start` and every node reachable from it along `step`.
+
+    The search enters no `blocked` node and does not continue past a `stop`
+    node, so it finds exactly the nodes that some walk from `start` visits.
+    """
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node in stop:
+            continue
+        for nxt in step.get(node, ()):
+            if nxt not in seen and nxt not in blocked:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def _emit_walks(path, step, stop, categories, emitted, emit, backward: bool) -> None:
+    """Emit `categories(node, depth)` along every walk that extends `path`, in walk order.
+
+    A walk extends `path` along `step` until it reaches a `stop` node or no
+    neighbour off the walk is left, depth-first in adjacency order, exactly
+    as `walk_paths` lists them; `depth` is a node's index in the walk, and
+    each walk is emitted last node first when `backward`. Listing the walks
+    costs time exponential in their length. Instead, a neighbour is skipped
+    when every node reachable from it off the current path is already
+    emitted in the role it would have below it: each walk under that
+    neighbour would emit nothing new but the current path, so the current
+    path is emitted once in its place. The traversal descends only where
+    something is left to emit, so its cost is polynomial.
+    """
+    path = list(path)
+    base = len(path)
+    on_path = set(path)
+
+    def done(node: str, depth: int) -> bool:
+        return all((category, node) in emitted for category in categories(node, depth))
+
+    def emit_path() -> None:
+        depths = range(len(path) - 1, -1, -1) if backward else range(len(path))
+        for depth in depths:
+            for category in categories(path[depth], depth):
+                emit(category, path[depth])
+
+    def enter() -> Iterator[str]:
+        node = path[-1]
+        nexts = [] if node in stop else [n for n in step.get(node, ()) if n not in on_path]
+        if not nexts:
+            emit_path()  # a walk ends here
+        return iter(nexts)
+
+    stack = [enter()]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            if len(path) > base:
+                on_path.discard(path.pop())
+            continue
+        depth = len(path)
+        if done(child, depth) and all(
+            done(node, depth + 1) for node in _reach(child, step, on_path, stop) if node != child
+        ):
+            emit_path()
+        else:
+            path.append(child)
+            on_path.add(child)
+            stack.append(enter())
+
+
+def _open_loop_warning(uca: UnsafeControlAction) -> Diagnostic:
+    return Diagnostic(
+        Severity.WARNING,
+        "causal/open-loop",
+        f"controller {uca.source_controller} is open-loop: no feedback reaches it",
+        uca.span if uca.span is not None else FALLBACK_SPAN,
+    )
+
+
+class CausalIndex:
+    """The derived structures of one model, built once and shared by its UCAs.
+
+    Holds the entity and edge maps and the feedback-predecessor and
+    control-successor adjacency. On-path sets are memoized per (controller,
+    action) and checklists per (controller, action, wrong timing), the only
+    parts of a UCA they depend on. Nothing here lists walks.
+    """
+
+    def __init__(self, model: StpaModel):
+        self.model = model
+        self.entities = model.entity_ids()
+        self.edges = model.edge_ids()
+        self.preds = _feedback_predecessors(model)
+        self.succs = _control_successors(model)
+        self.processes = {
+            i for i, e in self.entities.items() if e.kind is EntityKind.CONTROLLED_PROCESS
+        }
+        self._on_path: dict[tuple[str, str], set[str]] = {}
+        self._checklists: dict[tuple[str, str, bool], list[ChecklistItem]] = {}
+
+    def open_loop(self) -> list[Diagnostic]:
+        """One `causal/open-loop` warning per UCA whose controller no feedback reaches."""
+        return [_open_loop_warning(u) for u in self.model.ucas if u.source_controller not in self.preds]
+
+    def on_path(self, uca: UnsafeControlAction) -> set[str]:
+        """The UCA's controller and every element of its feedback and control walks.
+
+        Found by reachability: a node lies on some walk exactly when a walk
+        prefix reaches it, because every prefix extends to a whole walk.
+        """
+        key = (uca.source_controller, uca.action)
+        ids = self._on_path.get(key)
+        if ids is None:
+            ids = _reach(uca.source_controller, self.preds, ())
+            edge = self.edges.get(uca.action)
+            if edge is not None:
+                chain = edge.chain()
+                ids.update(chain)
+                ids |= _reach(chain[-1], self.succs, set(chain), self.processes)
+            self._on_path[key] = ids
+        return ids
+
+    def checklist(self, uca: UnsafeControlAction) -> list[ChecklistItem]:
+        """The items `checklist(model, uca)` returns, computed once per key."""
+        key = (uca.source_controller, uca.action, uca.guide.category is GuideCategory.WRONG_TIMING)
+        if key not in self._checklists:
+            self._checklists[key] = self._checklist(*key)
+        return list(self._checklists[key])
+
+    def _checklist(self, controller: str, action: str, wrong_timing: bool) -> list[ChecklistItem]:
+        entities = self.entities
+        items: list[ChecklistItem] = []
+        emitted: set[tuple[CfCategory, str]] = set()
+
+        def emit(category: CfCategory, entity_id: str) -> None:
+            if (category, entity_id) in emitted:
+                return
+            emitted.add((category, entity_id))
+            label = entities[entity_id].label if entity_id in entities else entity_id
+            items.append(ChecklistItem(category, entity_id, _PROMPTS[category].format(label=label)))
+
+        def by_kind(entity_id: str, network: CfCategory, other: tuple[CfCategory, ...]):
+            ent = entities.get(entity_id)
+            if entity_id == controller or ent is None:
+                return ()
+            if ent.kind in (EntityKind.ENVIRONMENT, EntityKind.CONTROLLED_PROCESS):
+                return (CfCategory.PROCESS_DISTURBANCE,)
+            if ent.kind is EntityKind.CONTROLLER:
+                return (CfCategory.PRE_PROCESSING,)
+            if _is_network(ent):
+                return (network,)
+            return other
+
+        def feedback(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
+            if depth == 1:  # the element presenting directly to the controller
+                return by_kind(entity_id, CfCategory.TRANSMISSION_LOSS, _PRESENTING)
+            return by_kind(entity_id, CfCategory.TRANSMISSION_LOSS, _SENSING)
+
+        def timing(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
+            ent = entities.get(entity_id)
+            if ent is not None and ent.kind is EntityKind.ENVIRONMENT:
+                return ()  # reality itself carries no processing delay
+            return (CfCategory.TIMING_DELAY,)
+
+        def control(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
+            return by_kind(entity_id, CfCategory.CONTROL_PATH_TRANSMISSION, (CfCategory.ACTUATION_FAILURE,))
+
+        closed_loop = controller in self.preds
+        emit(CfCategory.MENTAL_MODEL_CONTENT, controller)
+        emit(CfCategory.MENTAL_MODEL_UPDATE, controller)
+        if closed_loop:
+            _emit_walks([controller], self.preds, (), feedback, emitted, emit, backward=True)
+        emit(CfCategory.CONTROL_ALGORITHM, controller)
+        if wrong_timing and closed_loop:
+            _emit_walks([controller], self.preds, (), timing, emitted, emit, backward=True)
+        edge = self.edges.get(action)
+        if edge is not None:
+            _emit_walks(edge.chain(), self.succs, self.processes, control, emitted, emit, backward=False)
+        return items
+
+
 def walk_paths(
-    model: StpaModel, uca: UnsafeControlAction
+    model: StpaModel, uca: UnsafeControlAction, *, max_walks: int = DEFAULT_MAX_WALKS
 ) -> tuple[list[PathWalk], list[Diagnostic]]:
     """Feedback walks into the UCA's controller and control walks along its action.
 
     Feedback walks run origin-first (an environment entity is a legal origin);
     control walks start at the controller, follow the UCA's own action edge,
     and continue until a controlled process or a dead end. Cycles are cut with
-    a per-path visited set.
+    a per-path visited set. The number of walks can grow exponentially with
+    the depth of the structure: more than `max_walks` raises AnalysisError.
+    `check` and `checklist` never list walks; they use CausalIndex.
     """
-    diags: list[Diagnostic] = []
-    entities = model.entity_ids()
+    index = CausalIndex(model)
     controller = uca.source_controller
+    walks: list[PathWalk] = []
 
-    preds = _feedback_predecessors(model)
-    feedback_walks: list[list[str]] = []
+    def record(direction: PathDirection, elements: list[str]) -> None:
+        if len(walks) == max_walks:
+            raise AnalysisError(
+                f"uca {uca.id} has more than {max_walks} walks; "
+                "simplify the feedback structure or raise the limit"
+            )
+        walks.append(PathWalk(uca.id, direction, elements))
+
+    preds = index.preds
 
     def extend_back(path: list[str]) -> None:
         # path is reversed: controller first
         node = path[-1]
         incoming = [p for p in preds.get(node, []) if p not in path]
         if not incoming:
-            feedback_walks.append(list(reversed(path)))
+            record(PathDirection.FEEDBACK_PATH, list(reversed(path)))
             return
         for pred in incoming:
             extend_back(path + [pred])
 
+    diags: list[Diagnostic] = []
     if controller in preds:
         extend_back([controller])
     else:
-        span = uca.span if uca.span is not None else FALLBACK_SPAN
-        diags.append(
-            Diagnostic(
-                Severity.WARNING,
-                "causal/open-loop",
-                f"controller {controller} is open-loop: no feedback reaches it",
-                span,
-            )
-        )
+        diags.append(_open_loop_warning(uca))
 
-    succs = _control_successors(model)
-    control_walks: list[list[str]] = []
-    action_edge = model.edge_ids().get(uca.action)
+    succs = index.succs
+    feedback_count = len(walks)
+    action_edge = index.edges.get(uca.action)
 
     def extend_forward(path: list[str]) -> None:
         node = path[-1]
-        ent = entities.get(node)
-        if ent is not None and ent.kind is EntityKind.CONTROLLED_PROCESS:
-            control_walks.append(path)
+        if node in index.processes:
+            record(PathDirection.CONTROL_PATH, path)
             return
         outgoing = [s for s in succs.get(node, []) if s not in path]
         if not outgoing:
-            control_walks.append(path)
+            record(PathDirection.CONTROL_PATH, path)
             return
         for succ in outgoing:
             extend_forward(path + [succ])
@@ -185,17 +383,14 @@ def walk_paths(
     if action_edge is not None:
         chain = action_edge.chain()
         # walk the action's own chain first, then continue from its target
-        ent = entities.get(chain[-1])
-        if ent is not None and ent.kind is EntityKind.CONTROLLED_PROCESS:
-            control_walks.append(chain)
+        if chain[-1] in index.processes:
+            record(PathDirection.CONTROL_PATH, chain)
         else:
             for succ in [s for s in succs.get(chain[-1], []) if s not in chain]:
                 extend_forward(chain + [succ])
-            if not control_walks:
-                control_walks.append(chain)
+            if len(walks) == feedback_count:
+                record(PathDirection.CONTROL_PATH, chain)
 
-    walks = [PathWalk(uca.id, PathDirection.FEEDBACK_PATH, w) for w in feedback_walks]
-    walks.extend(PathWalk(uca.id, PathDirection.CONTROL_PATH, w) for w in control_walks)
     return walks, diags
 
 
@@ -206,120 +401,42 @@ def checklist(model: StpaModel, uca: UnsafeControlAction) -> list[ChecklistItem]
     element, the controller's algorithm, timing prompts for wrong-timing
     UCAs, and finally the control walks.
     """
-    walks, _ = walk_paths(model, uca)
-    entities = model.entity_ids()
-    controller = uca.source_controller
-    controller_label = entities[controller].label if controller in entities else controller
-
-    items: list[ChecklistItem] = []
-    emitted: set[tuple[CfCategory, str]] = set()
-
-    def emit(category: CfCategory, entity_id: str) -> None:
-        if (category, entity_id) in emitted:
-            return
-        emitted.add((category, entity_id))
-        label = entities[entity_id].label if entity_id in entities else entity_id
-        items.append(ChecklistItem(category, entity_id, _PROMPTS[category].format(label=label)))
-
-    emit(CfCategory.MENTAL_MODEL_CONTENT, controller)
-    emit(CfCategory.MENTAL_MODEL_UPDATE, controller)
-
-    feedback_walks = [w for w in walks if w.direction is PathDirection.FEEDBACK_PATH]
-    control_walks = [w for w in walks if w.direction is PathDirection.CONTROL_PATH]
-
-    for walk in feedback_walks:
-        for idx, entity_id in enumerate(walk.elements):
-            if entity_id == controller:
-                continue
-            ent = entities.get(entity_id)
-            if ent is None:
-                continue
-            if ent.kind in (EntityKind.ENVIRONMENT, EntityKind.CONTROLLED_PROCESS):
-                emit(CfCategory.PROCESS_DISTURBANCE, entity_id)
-            elif ent.kind is EntityKind.CONTROLLER:
-                emit(CfCategory.PRE_PROCESSING, entity_id)
-            elif _is_network(ent):
-                emit(CfCategory.TRANSMISSION_LOSS, entity_id)
-            elif idx + 1 < len(walk.elements) and walk.elements[idx + 1] == controller:
-                # the element presenting directly to the controller
-                emit(CfCategory.PRESENTATION, entity_id)
-            else:
-                emit(CfCategory.SENSING_LIMITATION, entity_id)
-                emit(CfCategory.SENSOR_OPERATION, entity_id)
-
-    emit(CfCategory.CONTROL_ALGORITHM, controller)
-
-    if uca.guide.category is GuideCategory.WRONG_TIMING:
-        for walk in feedback_walks:
-            for entity_id in walk.elements:
-                ent = entities.get(entity_id)
-                if ent is not None and ent.kind is EntityKind.ENVIRONMENT:
-                    continue  # reality itself carries no processing delay
-                emit(CfCategory.TIMING_DELAY, entity_id)
-
-    for walk in control_walks:
-        for entity_id in walk.elements:
-            if entity_id == controller:
-                continue
-            ent = entities.get(entity_id)
-            if ent is None:
-                continue
-            if ent.kind in (EntityKind.ENVIRONMENT, EntityKind.CONTROLLED_PROCESS):
-                emit(CfCategory.PROCESS_DISTURBANCE, entity_id)
-            elif ent.kind is EntityKind.CONTROLLER:
-                emit(CfCategory.PRE_PROCESSING, entity_id)
-            elif _is_network(ent):
-                emit(CfCategory.CONTROL_PATH_TRANSMISSION, entity_id)
-            else:
-                emit(CfCategory.ACTUATION_FAILURE, entity_id)
-
-    return items
+    return CausalIndex(model).checklist(uca)
 
 
-def _on_path_ids(model: StpaModel, uca: UnsafeControlAction) -> set[str]:
-    walks, _ = walk_paths(model, uca)
-    ids = {uca.source_controller}
-    for walk in walks:
-        ids.update(walk.elements)
-    return ids
+_PUNCTUATION = re.compile(r"[^\w\s]|_")  # keeps what str.isalnum or str.isspace accepts
 
 
 def _normalize(text: str) -> str:
-    return " ".join("".join(ch for ch in text.lower() if ch.isalnum() or ch.isspace()).split())
+    return " ".join(_PUNCTUATION.sub("", text.lower()).split())
 
 
-def validate_cfs(model: StpaModel) -> list[Diagnostic]:
+def validate_cfs(model: StpaModel, index: CausalIndex | None = None) -> list[Diagnostic]:
     """Check declared causal factors against the walk structure.
 
     Errors for factors located off every walk of their UCAs, warnings for
     likely duplicates, and one info per checklist category a UCA leaves
-    unaddressed.
+    unaddressed. Pass the model's CausalIndex to share it with other checks.
     """
+    if index is None:
+        index = CausalIndex(model)
     diags: list[Diagnostic] = []
     ucas_by_id = model.uca_ids()
-    edges = model.edge_ids()
+    edges = index.edges
 
     def span(decl):
         return decl.span if decl.span is not None else FALLBACK_SPAN
 
-    on_path_cache: dict[str, set[str]] = {}
-
-    def on_path(uca_id: str) -> set[str]:
-        if uca_id not in on_path_cache:
-            on_path_cache[uca_id] = _on_path_ids(model, ucas_by_id[uca_id])
-        return on_path_cache[uca_id]
-
     for cf in model.causal_factors:
-        cited = [ref for ref in cf.ucas if ref in ucas_by_id]
-        if not cited:
+        on_path = [index.on_path(ucas_by_id[ref]) for ref in cf.ucas if ref in ucas_by_id]
+        if not on_path:
             continue
-        reachable: set[str] = set()
-        for ref in cited:
-            reachable.update(on_path(ref))
         located = cf.located_at
         edge = edges.get(located)
-        ok = located in reachable or (
-            edge is not None and edge.source in reachable and edge.target in reachable
+        ok = any(located in ids for ids in on_path) or (
+            edge is not None
+            and any(edge.source in ids for ids in on_path)
+            and any(edge.target in ids for ids in on_path)
         )
         if not ok:
             diags.append(
@@ -354,12 +471,11 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
         for ref in cf.ucas:
             declared.setdefault(ref, set()).add(cf.category)
     for uca in model.ucas:
-        expected = []
-        for item in checklist(model, uca):
-            if item.category not in expected:
-                expected.append(item.category)
-        missing = [c for c in expected if c not in declared.get(uca.id, set())]
-        for category in missing:
+        covered = declared.get(uca.id, set())
+        expected = dict.fromkeys(item.category for item in index.checklist(uca))
+        for category in expected:
+            if category in covered:
+                continue
             diags.append(
                 Diagnostic(
                     Severity.INFO,

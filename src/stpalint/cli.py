@@ -89,6 +89,9 @@ def _load(inputs: list[str]) -> tuple[StpaModel | None, list[Diagnostic]]:
         except OSError as err:
             print(f"stpalint: cannot read {name}: {err.strerror}", file=sys.stderr)
             return None, []
+        except UnicodeDecodeError:
+            print(f"stpalint: cannot read {name}: not valid UTF-8", file=sys.stderr)
+            return None, []
     model, diags = parse(sources)
     return model, diags
 
@@ -124,12 +127,17 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
     if args.command == "check":
-        diags = list(diags)
-        diags.extend(analysis.trace_closure(model))
-        for uca in model.ucas:
-            _, walk_diags = causal.walk_paths(model, uca)
-            diags.extend(walk_diags)
-        diags.extend(causal.validate_cfs(model))
+        index = causal.CausalIndex(model)
+        try:
+            diags = [
+                *diags,
+                *analysis.trace_closure(model),
+                *index.open_loop(),
+                *causal.validate_cfs(model, index),
+            ]
+        except analysis.AnalysisError as err:
+            print(f"stpalint: {err}", file=sys.stderr)
+            return EXIT_ERRORS
         _print_diagnostics(diags, sys.stderr)
         severities = {d.severity for d in diags}
         if Severity.ERROR in severities:

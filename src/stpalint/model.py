@@ -17,6 +17,10 @@ ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
 FALLBACK_SPAN: "SourceSpan"
 
 
+class AnalysisError(ValueError):
+    """Precondition violation in an analysis operation."""
+
+
 class EntityKind(Enum):
     CONTROLLER = "controller"
     SENSOR = "sensor"
@@ -455,11 +459,12 @@ def context_matches(partial: Context, concrete: Context) -> bool:
     """True iff every assignment in the partial context agrees with the concrete one.
 
     The empty partial context matches everything. A variable assigned in the
-    partial context but absent from the concrete one is a usage error.
+    partial context but absent from the concrete one is a usage error
+    (AnalysisError).
     """
     for var_id, value in partial.assignments.items():
         if var_id not in concrete.assignments:
-            raise ValueError(f"foreign variable: {var_id}")
+            raise AnalysisError(f"foreign variable: {var_id}")
         if concrete.assignments[var_id] != value:
             return False
     return True

@@ -396,10 +396,26 @@ class _FileParser:
         assignments: dict[str, str] = {}
         if self.match_keyword("context"):
             self.expect_punct("{")
+            first: dict[str, Token] = {}
             while self.peek() and self.peek().kind == "id":
-                var = self.advance().text
+                var_tok = self.advance()
                 self.expect_punct("=")
-                assignments[var] = self.expect_string("value label").text
+                value = self.expect_string("value label").text
+                if var_tok.text in first:
+                    # an error, not an override: the first value stays
+                    at = first[var_tok.text]
+                    self.diags.append(
+                        Diagnostic(
+                            Severity.ERROR,
+                            "parse/duplicate-context-variable",
+                            f"context variable {var_tok.text} is assigned more than once",
+                            self.span_from(var_tok),
+                            [("first assigned here", SourceSpan(self.path, at.line, at.col, at.end_line, at.end_col))],
+                        )
+                    )
+                    continue
+                first[var_tok.text] = var_tok
+                assignments[var_tok.text] = value
             self.expect_punct("}")
         self.expect_keyword("hazards")
         hazards = self.id_list()

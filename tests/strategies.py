@@ -131,3 +131,65 @@ def models(draw) -> StpaModel:
                 ControllerConstraint(f"CC-{i + 1}", draw(st.sampled_from(uca_ids)), draw(texts))
             )
     return m
+
+
+@st.composite
+def control_structures(draw) -> StpaModel:
+    """Random control structures for the causal analysis, valid or not.
+
+    Entities of every kind, some named as network legs; feedback and control
+    edges between any two of them, self-loops included, with via chains that
+    may name undeclared ids; UCAs on any edge or on a missing one, some with
+    a source controller other than the edge's source; causal factors with
+    near-duplicate descriptions. Walks stay few enough to list.
+    """
+    m = StpaModel()
+    for i in range(draw(st.integers(1, 7))):
+        kind = EntityKind.CONTROLLER if i == 0 else draw(st.sampled_from(list(EntityKind)))
+        entity_id = draw(st.sampled_from([f"N-{i}", f"Network-{i}"]))
+        label = draw(st.sampled_from([f"Node {i}", "Mobile NETWORK", "network uplink"]))
+        if all(e.id != entity_id for e in m.entities):
+            m.entities.append(Entity(entity_id, kind, label))
+    nodes = [e.id for e in m.entities] + ["Ghost"]
+    for j in range(draw(st.integers(0, 10))):
+        m.edges.append(
+            Edge(
+                f"F-{j}",
+                draw(st.sampled_from(list(EdgeKind))),
+                "edge",
+                draw(st.sampled_from(nodes)),
+                draw(st.sampled_from(nodes)),
+                draw(st.lists(st.sampled_from(nodes), max_size=2)),
+            )
+        )
+    edges = {e.id: e for e in m.edges}
+    uca_ids = [f"UCA-{i + 1}" for i in range(draw(st.integers(1, 4)))]
+    for uca_id in uca_ids:
+        action = draw(st.sampled_from(sorted(edges) + ["Missing"]))
+        controller = edges[action].source if action in edges else nodes[0]
+        if draw(st.integers(0, 4)) == 0:
+            controller = draw(st.sampled_from(nodes))
+        m.ucas.append(
+            UnsafeControlAction(
+                uca_id,
+                action,
+                controller,
+                GuideWord(draw(st.sampled_from(list(GuideCategory)))),
+                Context(),
+                ["H-1"],
+                "d",
+            )
+        )
+    from stpalint import CfCategory
+
+    for i in range(draw(st.integers(0, 5))):
+        m.causal_factors.append(
+            CausalFactor(
+                f"CF-{i + 1}",
+                draw(st.sampled_from(list(CfCategory))),
+                draw(st.sampled_from(nodes + sorted(edges))),
+                draw(st.lists(st.sampled_from(uca_ids + ["UCA-X"]), min_size=1, max_size=2, unique=True)),
+                draw(st.sampled_from(["Sensor fails", "sensor  fails!", "drops data", "drops_data"])),
+            )
+        )
+    return m

@@ -75,6 +75,17 @@ def test_missing_file_exits_3(tmp_path):
     assert "cannot read" in err
 
 
+def test_invalid_utf8_exits_3(tmp_path):
+    bad = tmp_path / "bad.stpa"
+    bad.write_bytes(b'loss L-1 "\xff"\n')
+    for command in (["check"], ["trace"], ["fmt"]):
+        code, out, err = run_cli([*command, str(bad)])
+        assert code == 3
+        assert out == ""
+        assert err == f"stpalint: cannot read {bad}: not valid UTF-8\n"
+    assert bad.read_bytes() == b'loss L-1 "\xff"\n'
+
+
 def test_report_command_on_broken_model_exits_3(tmp_path):
     bad = tmp_path / "bad.stpa"
     bad.write_text('hazard H-1 "h" leads_to [L-9]\n', encoding="utf-8")
@@ -235,6 +246,21 @@ def test_fmt_drops_comments_but_keeps_statements(tmp_path):
     assert src.read_text(encoding="utf-8") == (
         '# stpa model (canonical format)\n\nloss L-1 "spaced oddly"\n'
     )
+
+
+def test_fmt_leaves_a_repeated_context_variable_untouched(corpus_copy):
+    ucas = next(name for name in corpus_copy if name.endswith("ucas_brake.stpa"))
+    with open(ucas, encoding="utf-8") as f:
+        text = f.read()
+    assert 'context { Motion = "Moving"' in text
+    text = text.replace('context { Motion = "Moving"', 'context { Motion = "Stopped" Motion = "Moving"', 1)
+    with open(ucas, "w", encoding="utf-8") as f:
+        f.write(text)
+    code, _, err = run_cli(["fmt", *corpus_copy])
+    assert code == 3
+    assert "error[parse/duplicate-context-variable]" in err
+    with open(ucas, encoding="utf-8") as f:
+        assert f.read() == text
 
 
 # -- corpus loader ------------------------------------------------------------

@@ -66,6 +66,13 @@ def test_context_matches_foreign_variable_raises():
         context_matches(Context({"V-9": "on"}), Context({"V-1": "on"}))
 
 
+def test_context_matches_foreign_variable_raises_analysis_error():
+    from stpalint import AnalysisError
+
+    with pytest.raises(AnalysisError, match="foreign variable: V-9"):
+        context_matches(Context({"V-9": "on"}), Context({"V-1": "on"}))
+
+
 def test_duplicate_id_reported_once_per_duplicate():
     m = tiny_model()
     m.losses.append(Loss("L-1", "again"))

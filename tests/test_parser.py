@@ -161,3 +161,27 @@ def test_diagnostic_positions_are_one_based():
     _, diags = parse_one('loss L-1 "a"\nloss L-1 "b"\n')
     dup = next(d for d in diags if d.rule == "resolve/duplicate-id")
     assert dup.format().startswith("test.stpa:2:1: error[resolve/duplicate-id]:")
+
+
+def test_repeated_context_variable_is_an_error_at_the_second_assignment():
+    text = (
+        'loss L-1 "l"\nhazard H-1 "h" leads_to [L-1]\n'
+        'controller C-1 "c"\nprocess P-1 "p"\n'
+        'action AC-1 "cmd" from C-1 to P-1\n'
+        'variable Motion of C-1 "m" {"Stopped", "Moving"}\n'
+        'uca UCA-1 action = AC-1 guide = NotProvided '
+        'context { Motion = "Stopped" Motion = "Moving" } hazards [H-1] "d"\n'
+    )
+    model, diags = parse_one(text)
+    assert [d.rule for d in diags] == ["parse/duplicate-context-variable"]
+    diag = diags[0]
+    assert diag.severity is Severity.ERROR
+    assert diag.format() == (
+        "test.stpa:7:74: error[parse/duplicate-context-variable]: "
+        "context variable Motion is assigned more than once"
+    )
+    assert [(note, span.line_start, span.col_start) for note, span in diag.related] == [
+        ("first assigned here", 7, 55)
+    ]
+    # the statement is kept with its first value, so later references still resolve
+    assert model.ucas[0].context.assignments == {"Motion": "Stopped"}
