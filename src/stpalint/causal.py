@@ -230,7 +230,6 @@ class CausalIndex:
     """
 
     def __init__(self, model: StpaModel):
-        self.model = model
         self.entities = model.entity_ids()
         self.edges = model.edge_ids()
         self.preds = _feedback_predecessors(model)
@@ -240,10 +239,6 @@ class CausalIndex:
         }
         self._on_path: dict[tuple[str, str], set[str]] = {}
         self._checklists: dict[tuple[str, str, bool], list[ChecklistItem]] = {}
-
-    def open_loop(self) -> list[Diagnostic]:
-        """One `causal/open-loop` warning per UCA whose controller no feedback reaches."""
-        return [_open_loop_warning(u) for u in self.model.ucas if u.source_controller not in self.preds]
 
     def on_path(self, uca: UnsafeControlAction) -> set[str]:
         """The UCA's controller and every element of its feedback and control walks.
@@ -322,16 +317,14 @@ class CausalIndex:
         return items
 
 
-def walk_paths(
-    model: StpaModel, uca: UnsafeControlAction, *, max_walks: int = DEFAULT_MAX_WALKS
-) -> tuple[list[PathWalk], list[Diagnostic]]:
+def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWalk], list[Diagnostic]]:
     """Feedback walks into the UCA's controller and control walks along its action.
 
     Feedback walks run origin-first (an environment entity is a legal origin);
     control walks start at the controller, follow the UCA's own action edge,
     and continue until a controlled process or a dead end. Cycles are cut with
     a per-path visited set. The number of walks can grow exponentially with
-    the depth of the structure: more than `max_walks` raises AnalysisError.
+    the depth of the structure: more than DEFAULT_MAX_WALKS raises AnalysisError.
     `check` and `checklist` never list walks; they use CausalIndex.
     """
     index = CausalIndex(model)
@@ -339,10 +332,10 @@ def walk_paths(
     walks: list[PathWalk] = []
 
     def record(direction: PathDirection, elements: list[str]) -> None:
-        if len(walks) == max_walks:
+        if len(walks) == DEFAULT_MAX_WALKS:
             raise AnalysisError(
-                f"uca {uca.id} has more than {max_walks} walks; "
-                "simplify the feedback structure or raise the limit"
+                f"uca {uca.id} has more than {DEFAULT_MAX_WALKS} walks; "
+                "simplify the feedback structure"
             )
         walks.append(PathWalk(uca.id, direction, elements))
 
@@ -411,15 +404,14 @@ def _normalize(text: str) -> str:
     return " ".join(_PUNCTUATION.sub("", text.lower()).split())
 
 
-def validate_cfs(model: StpaModel, index: CausalIndex | None = None) -> list[Diagnostic]:
+def validate_cfs(model: StpaModel) -> list[Diagnostic]:
     """Check declared causal factors against the walk structure.
 
     Errors for factors located off every walk of their UCAs, warnings for
     likely duplicates, and one info per checklist category a UCA leaves
-    unaddressed. Pass the model's CausalIndex to share it with other checks.
+    unaddressed.
     """
-    if index is None:
-        index = CausalIndex(model)
+    index = CausalIndex(model)
     diags: list[Diagnostic] = []
     ucas_by_id = model.uca_ids()
     edges = index.edges

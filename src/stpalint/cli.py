@@ -127,13 +127,13 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
     if args.command == "check":
-        index = causal.CausalIndex(model)
+        preds = causal._feedback_predecessors(model)
         try:
             diags = [
                 *diags,
                 *analysis.trace_closure(model),
-                *index.open_loop(),
-                *causal.validate_cfs(model, index),
+                *(causal._open_loop_warning(u) for u in model.ucas if u.source_controller not in preds),
+                *causal.validate_cfs(model),
             ]
         except analysis.AnalysisError as err:
             print(f"stpalint: {err}", file=sys.stderr)

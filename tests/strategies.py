@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from stpalint import (
     ALLOWED_QUALIFIERS,
+    CfCategory,
     Context,
     Edge,
     EdgeKind,
@@ -113,8 +114,6 @@ def models(draw) -> StpaModel:
         )
 
     if uca_ids:
-        from stpalint import CfCategory
-
         entity_ids = [e.id for e in m.entities]
         for i in range(draw(st.integers(0, 3))):
             m.causal_factors.append(
@@ -180,7 +179,6 @@ def control_structures(draw) -> StpaModel:
                 "d",
             )
         )
-    from stpalint import CfCategory
 
     for i in range(draw(st.integers(0, 5))):
         m.causal_factors.append(

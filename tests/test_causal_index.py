@@ -47,9 +47,7 @@ def assert_matches_oracle(model):
         assert checklist(model, uca) == causal_oracle.checklist(model, uca), uca.id
         assert index.checklist(uca) == causal_oracle.checklist(model, uca), uca.id
         assert index.on_path(uca) == causal_oracle.on_path_ids(model, uca), uca.id
-    expected = causal_oracle.validate_cfs(model)
-    assert validate_cfs(model) == expected
-    assert validate_cfs(model, index) == expected
+    assert validate_cfs(model) == causal_oracle.validate_cfs(model)
 
 
 @relaxed
@@ -162,13 +160,15 @@ def test_complete_feedback_graph_of_nine_sensors_checklist_completes():
 # -- walk guard and errors -------------------------------------------------------
 
 
-def test_walk_guard_allows_exactly_the_limit(corpus):
+def test_walk_guard_allows_exactly_the_limit(corpus, monkeypatch):
     uca = corpus.uca_ids()["UCA-1"]
     walks, _ = walk_paths(corpus, uca)
     assert len(walks) == 4
-    assert walk_paths(corpus, uca, max_walks=4) == (walks, [])
+    monkeypatch.setattr(causal, "DEFAULT_MAX_WALKS", 4)
+    assert walk_paths(corpus, uca) == (walks, [])
+    monkeypatch.setattr(causal, "DEFAULT_MAX_WALKS", 3)
     with pytest.raises(AnalysisError, match="uca UCA-1 has more than 3 walks"):
-        walk_paths(corpus, uca, max_walks=3)
+        walk_paths(corpus, uca)
 
 
 def test_analysis_error_is_one_class():
