@@ -211,6 +211,39 @@ def _emit_walks(path, step, stop, categories, emitted, emit, backward: bool) -> 
             stack.append(enter())
 
 
+def _walks(path: list[str], step: dict[str, list[str]], stop) -> Iterator[list[str]]:
+    """Every walk that extends `path` along `step`, depth-first in adjacency order.
+
+    A walk ends at a `stop` node or where no neighbour off the walk is left.
+    The stack is explicit, so a walk may be longer than the recursion limit.
+    """
+    path = list(path)
+    base = len(path)
+    on_path = set(path)
+
+    def nexts() -> list[str]:
+        node = path[-1]
+        return [] if node in stop else [n for n in step.get(node, ()) if n not in on_path]
+
+    first = nexts()
+    if not first:
+        yield list(path)
+    stack = [iter(first)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            if len(path) > base:
+                on_path.discard(path.pop())
+            continue
+        path.append(child)
+        on_path.add(child)
+        children = nexts()
+        if not children:
+            yield list(path)
+        stack.append(iter(children))
+
+
 def _open_loop_warning(uca: UnsafeControlAction) -> Diagnostic:
     return Diagnostic(
         Severity.WARNING,
@@ -339,50 +372,17 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
             )
         walks.append(PathWalk(uca.id, direction, elements))
 
-    preds = index.preds
-
-    def extend_back(path: list[str]) -> None:
-        # path is reversed: controller first
-        node = path[-1]
-        incoming = [p for p in preds.get(node, []) if p not in path]
-        if not incoming:
-            record(PathDirection.FEEDBACK_PATH, list(reversed(path)))
-            return
-        for pred in incoming:
-            extend_back(path + [pred])
-
     diags: list[Diagnostic] = []
-    if controller in preds:
-        extend_back([controller])
+    if controller in index.preds:
+        for walk in _walks([controller], index.preds, ()):
+            record(PathDirection.FEEDBACK_PATH, walk[::-1])
     else:
         diags.append(_open_loop_warning(uca))
 
-    succs = index.succs
-    feedback_count = len(walks)
     action_edge = index.edges.get(uca.action)
-
-    def extend_forward(path: list[str]) -> None:
-        node = path[-1]
-        if node in index.processes:
-            record(PathDirection.CONTROL_PATH, path)
-            return
-        outgoing = [s for s in succs.get(node, []) if s not in path]
-        if not outgoing:
-            record(PathDirection.CONTROL_PATH, path)
-            return
-        for succ in outgoing:
-            extend_forward(path + [succ])
-
     if action_edge is not None:
-        chain = action_edge.chain()
-        # walk the action's own chain first, then continue from its target
-        if chain[-1] in index.processes:
-            record(PathDirection.CONTROL_PATH, chain)
-        else:
-            for succ in [s for s in succs.get(chain[-1], []) if s not in chain]:
-                extend_forward(chain + [succ])
-            if len(walks) == feedback_count:
-                record(PathDirection.CONTROL_PATH, chain)
+        for walk in _walks(action_edge.chain(), index.succs, index.processes):
+            record(PathDirection.CONTROL_PATH, walk)
 
     return walks, diags
 

@@ -4,14 +4,17 @@ Behaves like a compiler front end: diagnostics go to stderr in
 `file:line:col: severity[rule]: message` form, reports go to stdout (or
 --output), and the exit code reflects the worst diagnostic severity.
 
-Exit codes: 0 clean, 1 warnings only, 2 errors, 3 input unusable, 64 usage.
+Exit codes: 0 clean, 1 warnings only, 2 errors, 3 input unusable or output
+unwritable, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import analysis, causal, printer, report
@@ -81,26 +84,47 @@ def _print_diagnostics(diags: list[Diagnostic], stream) -> None:
             print(f"{span.file}:{span.line_start}:{span.col_start}: note: {message}", file=stream)
 
 
-def _load(inputs: list[str]) -> tuple[StpaModel | None, list[Diagnostic]]:
+class _Unusable(Exception):
+    """An input or output file cannot be used; the message goes to stderr, exit 3."""
+
+
+def _load(inputs: list[str]) -> tuple[StpaModel, list[Diagnostic]]:
     sources = []
     for name in inputs:
         try:
             sources.append((name, Path(name).read_text(encoding="utf-8")))
         except OSError as err:
-            print(f"stpalint: cannot read {name}: {err.strerror}", file=sys.stderr)
-            return None, []
+            raise _Unusable(f"cannot read {name}: {err.strerror}") from None
         except UnicodeDecodeError:
-            print(f"stpalint: cannot read {name}: not valid UTF-8", file=sys.stderr)
-            return None, []
-    model, diags = parse(sources)
-    return model, diags
+            raise _Unusable(f"cannot read {name}: not valid UTF-8") from None
+    return parse(sources)
 
 
-def _emit(text: str, output: Path | None) -> None:
+def _write(output: Path | None, text: str, replace: bool = False) -> None:
+    """Write `text` to stdout, or to `output`.
+
+    With `replace`, the text goes to a temporary file beside `output`, takes
+    over its permission bits and then replaces it, so a failed write leaves
+    `output` unchanged.
+    """
     if output is None:
         sys.stdout.write(text)
-    else:
-        output.write_text(text, encoding="utf-8")
+        return
+    try:
+        if not replace:
+            output.write_text(text, encoding="utf-8")
+            return
+        fd, tmp = tempfile.mkstemp(dir=output.parent, prefix=f".{output.name}.")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(text)
+            shutil.copymode(output, tmp)
+            os.replace(tmp, output)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise _Unusable(f"cannot write {output}: {err.strerror}") from None
 
 
 def _max_rows(args) -> int:
@@ -115,6 +139,67 @@ def _max_rows(args) -> int:
     return analysis.DEFAULT_MAX_ROWS
 
 
+def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
+    preds = causal._feedback_predecessors(model)
+    diags = [
+        *diags,
+        *analysis.trace_closure(model),
+        *(causal._open_loop_warning(u) for u in model.ucas if u.source_controller not in preds),
+        *causal.validate_cfs(model),
+    ]
+    _print_diagnostics(diags, sys.stderr)
+    severities = {d.severity for d in diags}
+    if Severity.ERROR in severities:
+        return EXIT_ERRORS
+    if Severity.WARNING in severities and not args.quiet_warnings:
+        return EXIT_WARNINGS
+    return EXIT_OK
+
+
+def _contexts(model: StpaModel, args) -> str:
+    table = analysis.build_context_table(model, args.controller, args.action, max_rows=_max_rows(args))
+    return report.render_context_csv(table)
+
+
+def _worksheet(model: StpaModel, args) -> str:
+    if args.format == "json":
+        return report.to_json(report.worksheet_to_dict(model, args.action))
+    return report.render_worksheet(model, args.action)
+
+
+def _trace(model: StpaModel, args) -> str:
+    if args.format == "json":
+        return report.render_json(model)
+    return report.render_trace_matrix(model)
+
+
+def _checklist(model: StpaModel, args) -> str:
+    uca = model.uca_ids().get(args.uca)
+    if uca is None:
+        raise _Unusable(f"unknown uca {args.uca}")
+    items = causal.checklist(model, uca)
+    if args.format == "json":
+        return report.to_json(report.checklist_to_dict(items, args.uca))
+    return report.render_checklist(items, args.uca)
+
+
+def _stats(model: StpaModel, args) -> str:
+    if args.format == "json":
+        return report.to_json(report.stats_to_dict(analysis.stats(model)))
+    return report.render_stats(model)
+
+
+# report command -> handler returning the text for stdout or --output
+_REPORTS = {
+    "contexts": _contexts,
+    "worksheet": _worksheet,
+    "trace": _trace,
+    "checklist": _checklist,
+    "graph": lambda model, args: report.render_graph(model),
+    "stats": _stats,
+}
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -122,107 +207,22 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
 
-    model, diags = _load(args.inputs)
-    if model is None:
-        return EXIT_INPUT
-
-    if args.command == "check":
-        preds = causal._feedback_predecessors(model)
-        try:
-            diags = [
-                *diags,
-                *analysis.trace_closure(model),
-                *(causal._open_loop_warning(u) for u in model.ucas if u.source_controller not in preds),
-                *causal.validate_cfs(model),
-            ]
-        except analysis.AnalysisError as err:
-            print(f"stpalint: {err}", file=sys.stderr)
-            return EXIT_ERRORS
-        _print_diagnostics(diags, sys.stderr)
-        severities = {d.severity for d in diags}
-        if Severity.ERROR in severities:
-            return EXIT_ERRORS
-        if Severity.WARNING in severities and not args.quiet_warnings:
-            return EXIT_WARNINGS
-        return EXIT_OK
-
-    # report commands need a usable model
-    errors = [d for d in diags if d.severity is Severity.ERROR]
-    if errors:
-        _print_diagnostics(errors, sys.stderr)
-        return EXIT_INPUT
-
     try:
-        if args.command == "contexts":
-            table = analysis.build_context_table(
-                model, args.controller, args.action, max_rows=_max_rows(args)
-            )
-            _emit(report.render_context_csv(table), args.output)
-        elif args.command == "worksheet":
-            if args.format == "json":
-                import json
-
-                payload = [
-                    u for u in report.model_to_dict(model)["ucas"] if u["action"] == args.action
-                ]
-                _emit(
-                    json.dumps(
-                        {"stpa_schema": report.SCHEMA_VERSION, "action": args.action, "ucas": payload},
-                        ensure_ascii=False,
-                        indent=2,
-                    )
-                    + "\n",
-                    args.output,
-                )
-            else:
-                _emit(report.render_worksheet(model, args.action), args.output)
-        elif args.command == "trace":
-            if args.format == "json":
-                _emit(report.render_json(model), args.output)
-            else:
-                _emit(report.render_trace_matrix(model), args.output)
-        elif args.command == "checklist":
-            uca = model.uca_ids().get(args.uca)
-            if uca is None:
-                print(f"stpalint: unknown uca {args.uca}", file=sys.stderr)
-                return EXIT_INPUT
-            items = causal.checklist(model, uca)
-            if args.format == "json":
-                import json
-
-                payload = [
-                    {"category": i.category.value, "located_at": i.located_at, "prompt": i.prompt}
-                    for i in items
-                ]
-                _emit(
-                    json.dumps(
-                        {"stpa_schema": report.SCHEMA_VERSION, "uca": args.uca, "items": payload},
-                        ensure_ascii=False,
-                        indent=2,
-                    )
-                    + "\n",
-                    args.output,
-                )
-            else:
-                _emit(report.render_checklist(items, args.uca), args.output)
-        elif args.command == "graph":
-            _emit(report.render_graph(model), args.output)
-        elif args.command == "stats":
-            if args.format == "json":
-                import json
-
-                _emit(
-                    json.dumps(report.stats_to_dict(analysis.stats(model)), ensure_ascii=False, indent=2)
-                    + "\n",
-                    args.output,
-                )
-            else:
-                _emit(report.render_stats(model), args.output)
-        elif args.command == "fmt":
+        model, diags = _load(args.inputs)
+        if args.command == "check":
+            return _check(model, diags, args)
+        errors = [d for d in diags if d.severity is Severity.ERROR]
+        if errors:  # the other commands need a usable model
+            _print_diagnostics(errors, sys.stderr)
+            return EXIT_INPUT
+        if args.command == "fmt":
             for name in args.inputs:
-                Path(name).write_text(printer.serialize_file(model, name), encoding="utf-8")
-        else:  # pragma: no cover
-            return EXIT_USAGE
+                _write(Path(name), printer.serialize_file(model, name), replace=True)
+        else:
+            _write(args.output, _REPORTS[args.command](model, args))
+    except _Unusable as err:
+        print(f"stpalint: {err}", file=sys.stderr)
+        return EXIT_INPUT
     except analysis.AnalysisError as err:
         print(f"stpalint: {err}", file=sys.stderr)
         return EXIT_ERRORS

@@ -158,8 +158,11 @@ class Entity:
     id: str
     kind: EntityKind
     label: str
-    in_system_boundary: bool = True
     span: SourceSpan | None = field(default=None, compare=False)
+
+    @property
+    def in_system_boundary(self) -> bool:
+        return self.kind is not EntityKind.ENVIRONMENT
 
 
 @dataclass
@@ -344,18 +347,6 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         for ref in sc.mitigates:
             if ref not in hazards:
                 diags.append(_error("resolve/unresolved-ref", f"unresolved hazard {ref}", sc))
-
-    for ent in model.entities:
-        outside = ent.kind is EntityKind.ENVIRONMENT
-        if ent.in_system_boundary == outside:
-            which = "outside" if outside else "inside"
-            diags.append(
-                _error(
-                    "resolve/boundary-mismatch",
-                    f"entity {ent.id} of kind {ent.kind.value} must be {which} the system boundary",
-                    ent,
-                )
-            )
 
     for edge in model.edges:
         if edge.source == edge.target:

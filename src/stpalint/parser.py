@@ -307,15 +307,7 @@ class _FileParser:
             kind = ENTITY_KEYWORDS[keyword]
             name = self.expect_id("entity id").text
             label = self.expect_string("label").text
-            builder.model.entities.append(
-                Entity(
-                    name,
-                    kind,
-                    label,
-                    in_system_boundary=kind is not EntityKind.ENVIRONMENT,
-                    span=self.span_from(start),
-                )
-            )
+            builder.model.entities.append(Entity(name, kind, label, span=self.span_from(start)))
         elif keyword in EDGE_KEYWORDS:
             kind = EDGE_KEYWORDS[keyword]
             name = self.expect_id("edge id").text

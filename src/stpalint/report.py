@@ -9,16 +9,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
+from enum import Enum
+from functools import cache
 
 from .analysis import ContextTable, ModelStats, stats
 from .causal import ChecklistItem
-from .model import (
-    EdgeKind,
-    EntityKind,
-    GuideCategory,
-    StpaModel,
-)
+from .model import Context, EdgeKind, EntityKind, GuideCategory, StpaModel
 
 SCHEMA_VERSION = 1
 
@@ -182,82 +179,64 @@ def check_dot(text: str) -> list[str]:
     return problems
 
 
+@cache
+def _json_names(cls: type) -> tuple[str, ...] | None:
+    """The keys of a dataclass's JSON object; None for any other type."""
+    if not is_dataclass(cls):
+        return None
+    derived = [name for name, attr in vars(cls).items() if isinstance(attr, property)]
+    return (*(f.name for f in fields(cls) if f.name != "span"), *derived)
+
+
+def _plain(value):
+    """JSON-ready copy of a model value.
+
+    Dataclasses become dicts field by field, without spans, followed by
+    their derived properties; enums become their values and contexts their
+    assignments.
+    """
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Context):
+        return dict(value.assignments)
+    names = _json_names(type(value))
+    if names is None:
+        return value
+    return {name: _plain(getattr(value, name)) for name in names}
+
+
+def _document(payload: dict) -> dict:
+    return {"stpa_schema": SCHEMA_VERSION, **payload}
+
+
+def to_json(document: dict) -> str:
+    """The text of a `--format json` document."""
+    return json.dumps(document, ensure_ascii=False, indent=2) + "\n"
+
+
 def model_to_dict(model: StpaModel) -> dict:
     """JSON-ready mirror of the model, field names one to one."""
+    return _document(_plain(model))
 
-    def ctx(context):
-        return dict(context.assignments)
 
-    return {
-        "stpa_schema": SCHEMA_VERSION,
-        "losses": [{"id": d.id, "description": d.description} for d in model.losses],
-        "hazards": [
-            {"id": d.id, "description": d.description, "leads_to": list(d.leads_to)}
-            for d in model.hazards
-        ],
-        "constraints": [
-            {"id": d.id, "description": d.description, "mitigates": list(d.mitigates)}
-            for d in model.constraints
-        ],
-        "entities": [
-            {
-                "id": d.id,
-                "kind": d.kind.value,
-                "label": d.label,
-                "in_system_boundary": d.in_system_boundary,
-            }
-            for d in model.entities
-        ],
-        "edges": [
-            {
-                "id": d.id,
-                "kind": d.kind.value,
-                "label": d.label,
-                "source": d.source,
-                "target": d.target,
-                "via": list(d.via),
-                "signals": list(d.signals),
-            }
-            for d in model.edges
-        ],
-        "variables": [
-            {"id": d.id, "owner": d.owner, "label": d.label, "values": list(d.values)}
-            for d in model.variables
-        ],
-        "ucas": [
-            {
-                "id": d.id,
-                "action": d.action,
-                "source_controller": d.source_controller,
-                "guide": {
-                    "category": d.guide.category.value,
-                    "qualifier": d.guide.qualifier.value if d.guide.qualifier else None,
-                },
-                "context": ctx(d.context),
-                "hazards": list(d.hazards),
-                "description": d.description,
-            }
-            for d in model.ucas
-        ],
-        "causal_factors": [
-            {
-                "id": d.id,
-                "category": d.category.value,
-                "located_at": d.located_at,
-                "ucas": list(d.ucas),
-                "description": d.description,
-            }
-            for d in model.causal_factors
-        ],
-        "controller_constraints": [
-            {"id": d.id, "derived_from": d.derived_from, "description": d.description}
-            for d in model.controller_constraints
-        ],
-    }
+def worksheet_to_dict(model: StpaModel, action: str) -> dict:
+    return _document({"action": action, "ucas": _plain(model.ucas_on(action))})
+
+
+def checklist_to_dict(items: list[ChecklistItem], uca_id: str) -> dict:
+    return _document({"uca": uca_id, "items": _plain(items)})
+
+
+def stats_to_dict(s: ModelStats) -> dict:
+    return _document(_plain(s))
 
 
 def render_json(model: StpaModel) -> str:
-    return json.dumps(model_to_dict(model), ensure_ascii=False, indent=2) + "\n"
+    return to_json(model_to_dict(model))
 
 
 def render_checklist(items: list[ChecklistItem], uca_id: str) -> str:
@@ -307,7 +286,3 @@ def render_stats(model: StpaModel) -> str:
     lines.append("")
     return "\n".join(lines)
 
-
-def stats_to_dict(s: ModelStats) -> dict:
-    payload = asdict(s)
-    return {"stpa_schema": SCHEMA_VERSION, **payload}

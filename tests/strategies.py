@@ -79,7 +79,7 @@ def models(draw) -> StpaModel:
         m.entities.append(Entity(f"A-{i + 1}", EntityKind.ACTUATOR, draw(labels)))
         via_pool.append(f"A-{i + 1}")
     if draw(st.booleans()):
-        m.entities.append(Entity("E-1", EntityKind.ENVIRONMENT, draw(labels), in_system_boundary=False))
+        m.entities.append(Entity("E-1", EntityKind.ENVIRONMENT, draw(labels)))
 
     def via():
         if not via_pool:

