@@ -8,6 +8,7 @@ category with the UCAs whose (partial) context matches the row.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .model import (
@@ -21,7 +22,6 @@ from .model import (
     StpaModel,
     UnsafeControlAction,
     FALLBACK_SPAN,
-    context_matches,
 )
 
 DEFAULT_MAX_ROWS = 100_000
@@ -101,6 +101,12 @@ def expand(partial: Context, variables: list[ProcessModelVariable]) -> list[Cont
         [partial.assignments[v.id]] if v.id in partial.assignments else v.values
         for v in variables
     ]
+    total = math.prod(len(pool) for pool in pools)
+    if total > DEFAULT_MAX_ROWS:
+        raise AnalysisError(
+            f"expansion of a partial context would have {total} rows "
+            f"(limit {DEFAULT_MAX_ROWS}); abstract the process-model variables"
+        )
     ids = [v.id for v in variables]
     return [Context(dict(zip(ids, combo))) for combo in itertools.product(*pools)]
 
@@ -112,27 +118,98 @@ def build_context_table(
     *,
     max_rows: int = DEFAULT_MAX_ROWS,
 ) -> ContextTable:
-    """One row per concrete context, marked with the matching UCAs per guide category."""
+    """One row per concrete context, marked with the matching UCAs per guide category.
+
+    Rows come in `enumerate_contexts` order, so a row's index is a mixed-radix
+    number over the domain sizes. Each UCA marks the rows its partial context
+    leaves free, listed by index, so the cost is rows plus marks, not
+    rows × UCAs.
+    """
     variables = model.variables_of(controller)
     if not variables:
         raise AnalysisError(f"no process model: controller {controller} owns no variables")
-    total = 1
-    for var in variables:
-        total *= len(var.values)
+    total = math.prod(len(var.values) for var in variables)
     if total > max_rows:
         raise AnalysisError(
             f"context table for {controller}/{action} would have {total} rows "
             f"(limit {max_rows}); abstract the process-model variables or raise the limit"
         )
-    ucas = [u for u in model.ucas_on(action) if u.source_controller == controller]
-    rows = []
-    for concrete in enumerate_contexts(variables):
-        marks: dict[GuideCategory, list[str]] = {}
-        for uca in ucas:
-            if context_matches(uca.context, concrete):
-                marks.setdefault(uca.guide.category, []).append(uca.id)
-        rows.append(ContextRow(concrete, marks))
+    contexts = enumerate_contexts(variables)
+    index = _row_index(variables)
+    # a table without rows (an empty domain) meets no UCA
+    ucas = [u for u in model.ucas_on(action) if u.source_controller == controller] if contexts else []
+    foreign = _first_foreign_variable(ucas, index)
+    if foreign is not None:
+        raise AnalysisError(f"foreign variable: {foreign}")
+    marks: list[dict[GuideCategory, list[str]]] = [{} for _ in contexts]
+    for uca in ucas:
+        category = uca.guide.category
+        for i in _matching_rows(uca.context, variables, index):
+            marks[i].setdefault(category, []).append(uca.id)
+    rows = [ContextRow(concrete, row_marks) for concrete, row_marks in zip(contexts, marks)]
     return ContextTable(controller, action, variables, rows)
+
+
+def _row_index(variables: list[ProcessModelVariable]) -> dict[str, tuple[int, dict[str, list[int]]]]:
+    """Per variable id: its stride in row order and every position of each value."""
+    index = {}
+    stride = 1
+    for var in reversed(variables):
+        positions: dict[str, list[int]] = {}
+        for position, value in enumerate(var.values):
+            positions.setdefault(value, []).append(position)
+        index[var.id] = (stride, positions)
+        stride *= len(var.values)
+    return index
+
+
+def _matching_rows(partial: Context, variables: list[ProcessModelVariable], index) -> list[int]:
+    """Ascending indices of the rows that agree with every assignment of `partial`.
+
+    A variable with one position adds a constant; the others multiply the
+    list, so the work is proportional to the rows returned.
+    """
+    fixed = partial.assignments
+    if not fixed.keys() <= index.keys():
+        return []  # foreign variable behind an out-of-domain value: no row agrees
+    base, spread = 0, []
+    for var in variables:
+        stride, positions = index[var.id]
+        if var.id in fixed:
+            offsets = [p * stride for p in positions.get(fixed[var.id], ())]
+        else:
+            offsets = range(0, stride * len(var.values), stride)
+        if len(offsets) == 1:
+            base += offsets[0]
+        else:
+            spread.append(offsets)
+    rows = [base]
+    for offsets in spread:
+        rows = [r + o for r in rows for o in offsets]
+    return rows
+
+
+def _first_foreign_variable(ucas: list[UnsafeControlAction], index) -> str | None:
+    """The foreign variable a row-by-row, UCA-by-UCA scan would meet first.
+
+    `context_matches` stops at the first assignment a row disagrees with, so
+    it meets a foreign variable only on rows that agree with every assignment
+    before it. The lowest such row puts each of those variables at the first
+    position of its value and every other variable at position 0.
+    """
+    first = None  # (row, variable id)
+    for uca in ucas:
+        row = 0
+        for var_id, value in uca.context.assignments.items():
+            if var_id not in index:
+                if first is None or row < first[0]:
+                    first = (row, var_id)
+                break
+            stride, positions = index[var_id]
+            if value not in positions:
+                break
+            row += positions[value][0] * stride
+    return None if first is None else first[1]
 
 
 def coverage_gaps(table: ContextTable, category: GuideCategory) -> list[Context]:

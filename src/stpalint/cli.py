@@ -34,6 +34,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="stpalint", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -49,7 +59,7 @@ def build_parser() -> _ArgumentParser:
     contexts = add("contexts", "emit the context table of one (controller, action) pair as CSV")
     contexts.add_argument("--controller", required=True)
     contexts.add_argument("--action", required=True)
-    contexts.add_argument("--max-rows", type=int, default=None, help="combinatorial guard override")
+    contexts.add_argument("--max-rows", type=_positive_int, default=None, help="combinatorial guard override")
     contexts.add_argument("--output", type=Path, default=None)
 
     worksheet = add("worksheet", "emit the guide-word worksheet of one action")
@@ -133,9 +143,13 @@ def _max_rows(args) -> int:
     env = os.environ.get("STPA_MAX_ROWS")
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             print(f"stpalint: ignoring non-numeric STPA_MAX_ROWS={env!r}", file=sys.stderr)
+        else:
+            if value > 0:
+                return value
+            print(f"stpalint: ignoring non-positive STPA_MAX_ROWS={env!r}", file=sys.stderr)
     return analysis.DEFAULT_MAX_ROWS
 
 

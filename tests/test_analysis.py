@@ -4,6 +4,7 @@ import pytest
 
 from stpalint import (
     AnalysisError,
+    analysis,
     Context,
     GuideCategory,
     ProcessModelVariable,
@@ -193,6 +194,35 @@ def test_contradicting_contexts_do_not_conflict():
     conflicts = detect_conflicts(m, "AC-1")
     assert [(c.uca_a, c.uca_b) for c in conflicts] == [("UCA-1", "UCA-2")]
     assert conflicts[0].shared == [Context({"V-1": "on"})]
+
+
+def test_expand_guard_at_the_row_limit(monkeypatch):
+    monkeypatch.setattr(analysis, "DEFAULT_MAX_ROWS", 4)
+    variables = [var("A", ["1", "2"]), var("B", ["x", "y", "z"])]
+    assert len(expand(Context({"B": "x"}), variables)) == 2
+    assert len(expand(Context({"A": "1"}), variables)) == 3
+    with pytest.raises(AnalysisError, match=r"would have 6 rows \(limit 4\)"):
+        expand(Context({}), variables)
+    monkeypatch.setattr(analysis, "DEFAULT_MAX_ROWS", 6)
+    assert expand(Context({}), variables) == enumerate_contexts(variables)
+
+
+def test_detect_conflicts_guard_stops_before_expanding(monkeypatch):
+    from stpalint import GuideWord, StpaModel, UnsafeControlAction
+
+    m = StpaModel()
+    m.variables.extend(var(f"V-{k}", ["lo", "hi"]) for k in range(22))
+    for uid, category in [("UCA-1", GuideCategory.NOT_PROVIDED), ("UCA-2", GuideCategory.PROVIDED_UNSAFE)]:
+        m.ucas.append(UnsafeControlAction(uid, "AC-1", "C-1", GuideWord(category), Context({}), ["H-1"], uid))
+    real_context = analysis.Context
+
+    def partial_only(assignments):
+        assert len(assignments) < 22, "a concrete context was built"
+        return real_context(assignments)
+
+    monkeypatch.setattr(analysis, "Context", partial_only)
+    with pytest.raises(AnalysisError, match=r"would have 4194304 rows \(limit 100000\)"):
+        detect_conflicts(m, "AC-1")
 
 
 # -- trace closure ------------------------------------------------------------

@@ -41,7 +41,9 @@ def test_check_corpus_exits_clean(corpus_args):
     assert out == ""
     # informational diagnostics still print
     assert "info[trace/uca-without-cf]" in err
-    assert "error" not in err and "warning" not in err
+    # input paths may contain any word, so look for the diagnostic tags only
+    for line in err.splitlines():
+        assert ": error[" not in line and ": warning[" not in line, line
 
 
 def test_check_reports_errors_with_positions(tmp_path):
@@ -184,6 +186,25 @@ def test_non_numeric_max_rows_env_is_ignored(corpus_args, monkeypatch):
     code, _, err = run_cli(["contexts", "--controller", "Operator", "--action", "BrakeCmd", *corpus_args])
     assert code == 0
     assert "ignoring non-numeric STPA_MAX_ROWS" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_max_rows_flag_is_a_usage_error(corpus_args, value):
+    code, out, err = run_cli(
+        ["contexts", "--controller", "Operator", "--action", "BrakeCmd", "--max-rows", value, *corpus_args]
+    )
+    assert code == 64
+    assert out == ""
+    assert f"argument --max-rows: must be positive: '{value}'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_max_rows_env_is_ignored(corpus_args, monkeypatch, value):
+    monkeypatch.setenv("STPA_MAX_ROWS", value)
+    code, out, err = run_cli(["contexts", "--controller", "Operator", "--action", "BrakeCmd", *corpus_args])
+    assert code == 0
+    assert err == f"stpalint: ignoring non-positive STPA_MAX_ROWS='{value}'\n"
+    assert out == (GOLDEN_DIR / "contexts_brake.csv").read_text(encoding="utf-8")
 
 
 # -- report formats -----------------------------------------------------------

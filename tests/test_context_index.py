@@ -1,0 +1,153 @@
+"""The indexed context table against the row-by-row oracle.
+
+`analysis_oracle` tests every row against every UCA with `context_matches`.
+The indexed `build_context_table` must give the same rows, the same marks in
+the same order, and the same `AnalysisError` message, on any input.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import analysis_oracle
+from stpalint import (
+    AnalysisError,
+    Context,
+    GuideCategory,
+    GuideWord,
+    ProcessModelVariable,
+    StpaModel,
+    UnsafeControlAction,
+    build_context_table,
+)
+from stpalint.report import render_context_csv
+
+CONTROLLER, ACTION = "C-1", "AC-1"
+VALUES = ["a", "b", "c"]
+FOREIGN = ["X", "W-0"]  # an undeclared id and a variable of another controller
+
+
+def outcome(build, model, **kwargs):
+    """The table with the insertion order of every row's marks, or the error message."""
+    try:
+        table = build(model, CONTROLLER, ACTION, **kwargs)
+    except AnalysisError as err:
+        return str(err)
+    return table, [list(row.marks.items()) for row in table.rows]
+
+
+def uca(uid, context, category=GuideCategory.NOT_PROVIDED, controller=CONTROLLER, action=ACTION):
+    return UnsafeControlAction(uid, action, controller, GuideWord(category), Context(context), ["H-1"], uid)
+
+
+@st.composite
+def table_inputs(draw):
+    """Models with duplicate ids, repeated values, empty domains and foreign variables."""
+    m = StpaModel()
+    ids = [f"V-{i}" for i in range(draw(st.integers(0, 4)))]
+    if len(ids) >= 2 and draw(st.integers(0, 4)) == 0:
+        ids[draw(st.integers(1, len(ids) - 1))] = ids[0]
+    for var_id in ids:
+        empty = draw(st.integers(0, 5)) == 5
+        values = [] if empty else draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            m.variables.append(ProcessModelVariable("W-0", "C-2", "other", ["a"]))
+        m.variables.append(ProcessModelVariable(var_id, CONTROLLER, var_id, values))
+    keys = st.sampled_from(sorted(set(ids)) + FOREIGN) if ids else st.sampled_from(FOREIGN)
+    # out-of-domain values and foreign ids land anywhere in the assignment order
+    pairs = st.lists(st.tuples(keys, st.sampled_from([*VALUES, "z"])), unique_by=lambda kv: kv[0], max_size=4)
+    for n in range(draw(st.integers(0, 6))):
+        m.ucas.append(
+            uca(
+                f"U-{n}",
+                dict(draw(pairs)),
+                draw(st.sampled_from(list(GuideCategory))),
+                draw(st.sampled_from([CONTROLLER, CONTROLLER, "C-2"])),
+                draw(st.sampled_from([ACTION, ACTION, "AC-2"])),
+            )
+        )
+    total = math.prod(len(v.values) for v in m.variables_of(CONTROLLER))
+    limit = draw(st.sampled_from([None, total, total - 1]))
+    return m, ({} if limit is None else {"max_rows": limit})
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_inputs())
+def test_indexed_table_equals_row_by_row_oracle(inputs):
+    m, kwargs = inputs
+    assert outcome(build_context_table, m, **kwargs) == outcome(analysis_oracle.build_context_table, m, **kwargs)
+
+
+def two_var_model(*ucas):
+    m = StpaModel()
+    m.variables.append(ProcessModelVariable("A", CONTROLLER, "A", ["a", "b"]))
+    m.variables.append(ProcessModelVariable("B", CONTROLLER, "B", ["a", "b", "c"]))
+    m.ucas.extend(ucas)
+    return m
+
+
+def test_foreign_variable_after_an_out_of_domain_value_is_never_met():
+    m = two_var_model(uca("U-1", {"A": "z", "X": "a"}), uca("U-2", {"B": "c"}))
+    table = build_context_table(m, CONTROLLER, ACTION)
+    assert [row.ucas_for(GuideCategory.NOT_PROVIDED) for row in table.rows] == [[], [], ["U-2"]] * 2
+    assert outcome(build_context_table, m) == outcome(analysis_oracle.build_context_table, m)
+
+
+def test_foreign_variable_met_first_in_row_major_order():
+    # U-1 meets X only on rows with B = "c" (row 2), U-2 meets W on row 0
+    m = two_var_model(uca("U-1", {"B": "c", "X": "a"}), uca("U-2", {"W": "a"}))
+    assert outcome(build_context_table, m) == "foreign variable: W"
+    assert outcome(analysis_oracle.build_context_table, m) == "foreign variable: W"
+    # on the same row the earlier UCA wins
+    m = two_var_model(uca("U-1", {"A": "a", "X": "a"}), uca("U-2", {"W": "a"}))
+    assert outcome(build_context_table, m) == "foreign variable: X"
+
+
+def test_empty_domain_meets_no_foreign_variable():
+    m = two_var_model(uca("U-1", {"X": "a"}))
+    m.variables[1].values = []
+    table = build_context_table(m, CONTROLLER, ACTION)
+    assert table.rows == []
+
+
+def test_repeated_value_marks_every_row_holding_it():
+    m = two_var_model(uca("U-1", {"B": "a"}))
+    m.variables[1].values = ["a", "b", "a"]
+    table = build_context_table(m, CONTROLLER, ACTION)
+    marked = [row.context.assignments for row in table.rows if row.ucas_for(GuideCategory.NOT_PROVIDED)]
+    assert marked == [{"A": "a", "B": "a"}] * 2 + [{"A": "b", "B": "a"}] * 2
+
+
+def test_row_guard_comes_before_the_duplicate_id_error():
+    m = two_var_model()
+    m.variables[1].id = "A"
+    with pytest.raises(AnalysisError, match=r"would have 6 rows \(limit 5\)"):
+        build_context_table(m, CONTROLLER, ACTION, max_rows=5)
+    with pytest.raises(AnalysisError, match="duplicate variable id A"):
+        build_context_table(m, CONTROLLER, ACTION, max_rows=6)
+
+
+def test_corpus_table_equals_oracle(corpus):
+    assert build_context_table(corpus, "Operator", "BrakeCmd") == analysis_oracle.build_context_table(
+        corpus, "Operator", "BrakeCmd"
+    )
+
+
+def test_generated_model_csv_equals_oracle():
+    """A model shaped like the benchmark's combinatorial one: binary variables, partial contexts."""
+    rng = random.Random(11)
+    m = StpaModel()
+    var_ids = [f"P{k:02d}" for k in range(11)]
+    m.variables.extend(ProcessModelVariable(v, "Planner", f"Planner var {v}", ["off", "on"]) for v in var_ids)
+    categories = list(GuideCategory)
+    for u in range(40):
+        fixed = sorted(rng.sample(var_ids, 3))
+        context = {v: rng.choice(["off", "on"]) for v in fixed}
+        m.ucas.append(uca(f"UP-{u + 1:02d}", context, rng.choice(categories), "Planner", "Plan"))
+    m.ucas.append(uca("UL-1", {}, GuideCategory.NOT_PROVIDED, "Pilot", "Plan"))
+    table = build_context_table(m, "Planner", "Plan")
+    assert len(table.rows) == 2**11
+    assert render_context_csv(table) == render_context_csv(analysis_oracle.build_context_table(m, "Planner", "Plan"))
