@@ -21,7 +21,7 @@ from .model import (
     Severity,
     StpaModel,
     UnsafeControlAction,
-    FALLBACK_SPAN,
+    span_of,
 )
 
 DEFAULT_MAX_ROWS = 100_000
@@ -255,9 +255,6 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
     """Cross-step linkage checks: every artifact should be reachable end to end."""
     diags: list[Diagnostic] = []
 
-    def span(decl):
-        return decl.span if decl.span is not None else FALLBACK_SPAN
-
     cited_hazards = {ref for uca in model.ucas for ref in uca.hazards}
     for hz in model.hazards:
         if hz.id not in cited_hazards:
@@ -266,7 +263,7 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
                     Severity.WARNING,
                     "trace/orphan-hazard",
                     f"hazard {hz.id} is not cited by any uca",
-                    span(hz),
+                    span_of(hz),
                 )
             )
     cited_losses = {ref for hz in model.hazards for ref in hz.leads_to}
@@ -277,7 +274,7 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
                     Severity.WARNING,
                     "trace/unreachable-loss",
                     f"loss {loss.id} unreachable: no hazard leads to it",
-                    span(loss),
+                    span_of(loss),
                 )
             )
     covered_ucas = {ref for cf in model.causal_factors for ref in cf.ucas}
@@ -288,7 +285,7 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
                     Severity.INFO,
                     "trace/uca-without-cf",
                     f"uca {uca.id} has no causal factor",
-                    span(uca),
+                    span_of(uca),
                 )
             )
     for sc in model.constraints:
@@ -298,7 +295,7 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
                     Severity.WARNING,
                     "trace/constraint-unlinked",
                     f"constraint {sc.id} mitigates no hazard cited by any uca",
-                    span(sc),
+                    span_of(sc),
                 )
             )
     ucas_by_id = model.uca_ids()
@@ -313,7 +310,7 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
                     Severity.ERROR,
                     "trace/cf-cross-controller",
                     f"causal factor {cf.id} cites ucas of different controllers ({listed})",
-                    span(cf),
+                    span_of(cf),
                 )
             )
     return diags

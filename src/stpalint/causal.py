@@ -31,7 +31,7 @@ from .model import (
     Severity,
     StpaModel,
     UnsafeControlAction,
-    FALLBACK_SPAN,
+    span_of,
 )
 
 DEFAULT_MAX_WALKS = 100_000
@@ -113,30 +113,23 @@ def _is_network(entity: Entity) -> bool:
     return "network" in entity.id.lower() or "network" in entity.label.lower()
 
 
-def _feedback_predecessors(model: StpaModel) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {}
+def _adjacency(model: StpaModel, kind: EdgeKind, *, reverse: bool) -> dict[str, list[str]]:
+    """Neighbours along the chains of every `kind` edge, in first-seen order.
+
+    Maps each node to its successors, or to its predecessors when `reverse`.
+    """
+    adjacent: dict[str, list[str]] = {}
     for edge in model.edges:
-        if edge.kind is not EdgeKind.FEEDBACK:
+        if edge.kind is not kind:
             continue
         chain = edge.chain()
         for a, b in zip(chain, chain[1:]):
-            bucket = preds.setdefault(b, [])
-            if a not in bucket:
-                bucket.append(a)
-    return preds
-
-
-def _control_successors(model: StpaModel) -> dict[str, list[str]]:
-    succs: dict[str, list[str]] = {}
-    for edge in model.edges:
-        if edge.kind is not EdgeKind.CONTROL_ACTION:
-            continue
-        chain = edge.chain()
-        for a, b in zip(chain, chain[1:]):
-            bucket = succs.setdefault(a, [])
+            if reverse:
+                a, b = b, a
+            bucket = adjacent.setdefault(a, [])
             if b not in bucket:
                 bucket.append(b)
-    return succs
+    return adjacent
 
 
 def _reach(start: str, step: dict[str, list[str]], blocked, stop=frozenset()) -> set[str]:
@@ -249,7 +242,7 @@ def _open_loop_warning(uca: UnsafeControlAction) -> Diagnostic:
         Severity.WARNING,
         "causal/open-loop",
         f"controller {uca.source_controller} is open-loop: no feedback reaches it",
-        uca.span if uca.span is not None else FALLBACK_SPAN,
+        span_of(uca),
     )
 
 
@@ -265,8 +258,8 @@ class CausalIndex:
     def __init__(self, model: StpaModel):
         self.entities = model.entity_ids()
         self.edges = model.edge_ids()
-        self.preds = _feedback_predecessors(model)
-        self.succs = _control_successors(model)
+        self.preds = _adjacency(model, EdgeKind.FEEDBACK, reverse=True)
+        self.succs = _adjacency(model, EdgeKind.CONTROL_ACTION, reverse=False)
         self.processes = {
             i for i, e in self.entities.items() if e.kind is EntityKind.CONTROLLED_PROCESS
         }
@@ -416,9 +409,6 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
     ucas_by_id = model.uca_ids()
     edges = index.edges
 
-    def span(decl):
-        return decl.span if decl.span is not None else FALLBACK_SPAN
-
     for cf in model.causal_factors:
         on_path = [index.on_path(ucas_by_id[ref]) for ref in cf.ucas if ref in ucas_by_id]
         if not on_path:
@@ -437,7 +427,7 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
                     "cf/off-path",
                     f"causal factor off-path: {cf.id} is located at {located}, "
                     f"which is on no walk of its ucas",
-                    span(cf),
+                    span_of(cf),
                 )
             )
 
@@ -453,8 +443,8 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
                     "cf/possible-duplicate",
                     f"causal factor {dup.id} duplicates {first.id} "
                     f"(same category, location {located}, near-identical description)",
-                    span(dup),
-                    [("first declared here", span(first))],
+                    span_of(dup),
+                    [("first declared here", span_of(first))],
                 )
             )
 
@@ -473,7 +463,7 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
                     Severity.INFO,
                     "cf/unaddressed-category",
                     f"uca {uca.id} has no causal factor in category {category.value}",
-                    span(uca),
+                    span_of(uca),
                 )
             )
     return diags

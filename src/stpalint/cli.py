@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from . import analysis, causal, printer, report
-from .model import Diagnostic, Severity, StpaModel
+from .model import Diagnostic, EdgeKind, Severity, StpaModel
 from .parser import parse
 
 EXIT_OK = 0
@@ -154,7 +154,7 @@ def _max_rows(args) -> int:
 
 
 def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
-    preds = causal._feedback_predecessors(model)
+    preds = causal._adjacency(model, EdgeKind.FEEDBACK, reverse=True)
     diags = [
         *diags,
         *analysis.trace_closure(model),

@@ -274,12 +274,13 @@ class StpaModel:
         return [u for u in self.ucas if u.action == action]
 
 
-def _span(decl) -> SourceSpan:
+def span_of(decl) -> SourceSpan:
+    """The declaration's source span, or `FALLBACK_SPAN` for one built in code."""
     return decl.span if decl.span is not None else FALLBACK_SPAN
 
 
 def _error(rule: str, message: str, decl, related=None) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, rule, message, _span(decl), related or [])
+    return Diagnostic(Severity.ERROR, rule, message, span_of(decl), related or [])
 
 
 def resolve(model: StpaModel) -> list[Diagnostic]:
@@ -315,7 +316,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
                         "resolve/duplicate-id",
                         f"duplicate id {decl.id}",
                         decl,
-                        [("first declared here", _span(first))],
+                        [("first declared here", span_of(first))],
                     )
                 )
             else:

@@ -1,6 +1,6 @@
 """Parser for the `.stpa` textual model format.
 
-Hand-written tokenizer and recursive-descent parser with statement-level
+A master-regex tokenizer and a recursive-descent parser with statement-level
 error recovery: on a syntax fault the parser reports a diagnostic and skips
 ahead to the next top-level keyword that starts a line. Parsing never
 fabricates declarations; every declaration in the output carries the span
@@ -9,6 +9,7 @@ of its source statement.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .model import (
@@ -54,7 +55,23 @@ TOP_KEYWORDS = (
     | set(EDGE_KEYWORDS)
 )
 
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+# The character after a backslash in a string -> the character it stands for.
+# Any other escaped character stands for itself. `printer.quote` inverts this.
+ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+_UNESCAPE = re.compile(r"\\(.)")
+
+# One alternative per lexeme; `tokenize` dispatches on the name that matched.
+# A string stops at its closing quote or at a newline; a backslash escapes
+# the next character, and a lone backslash before a newline or EOF is kept.
+_LEXEME = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<skip>[ \t\r]+|#[^\n]*)"
+    r'|(?P<string>"(?P<body>[^"\\\n]*(?:\\.?[^"\\\n]*)*)(?P<close>")?)'
+    r"|(?P<id>\w[\w-]*)"
+    r"|(?P<punct>[][{}=,])"
+    r"|(?P<other>.)"
+)
 
 
 @dataclass
@@ -63,9 +80,7 @@ class Token:
     text: str  # unescaped value for strings
     line: int
     col: int
-    end_line: int
     end_col: int
-    first_on_line: bool
 
 
 class _ParseError(Exception):
@@ -75,95 +90,48 @@ class _ParseError(Exception):
         self.token = token
 
 
+def _unescape(body: str) -> str:
+    if "\\" not in body:
+        return body
+    return _UNESCAPE.sub(lambda m: ESCAPES.get(m[1], m[1]), body)
+
+
 def tokenize(path: str, text: str, diags: list[Diagnostic]) -> list[Token]:
+    """Split `text` into tokens, reporting bad strings and characters to `diags`."""
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    line, col = 1, 1
-    first_on_line = True
-
-    def span_here(width: int = 1) -> SourceSpan:
-        return SourceSpan(path, line, col, line, col + width - 1)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            first_on_line = True
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            i += 1
-            col += 1
-            parts: list[str] = []
-            closed = False
-            while i < n and text[i] != "\n":
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                if c == "\\" and i + 1 < n and text[i + 1] != "\n":
-                    parts.append(_ESCAPES.get(text[i + 1], text[i + 1]))
-                    i += 2
-                    col += 2
-                    continue
-                parts.append(c)
-                i += 1
-                col += 1
-            if not closed:
+        col = m.start() - line_start + 1
+        end_col = m.end() - line_start
+        if kind == "string":
+            if m["close"] is None:
                 diags.append(
                     Diagnostic(
                         Severity.ERROR,
                         "parse/unterminated-string",
                         "unterminated string literal",
-                        SourceSpan(path, start_line, start_col, line, col - 1),
+                        SourceSpan(path, line, col, line, end_col),
                     )
                 )
-            tokens.append(
-                Token("string", "".join(parts), start_line, start_col, line, col - 1, first_on_line)
+            tokens.append(Token("string", _unescape(m["body"]), line, col, end_col))
+        elif kind == "other":
+            diags.append(
+                Diagnostic(
+                    Severity.ERROR,
+                    "parse/unexpected-character",
+                    f"unexpected character {m[0]!r}",
+                    SourceSpan(path, line, col, line, col),
+                )
             )
-            first_on_line = False
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            word = text[i:j]
-            width = j - i
-            tokens.append(
-                Token("id", word, start_line, start_col, line, col + width - 1, first_on_line)
-            )
-            i = j
-            col += width
-            first_on_line = False
-            continue
-        if ch in "[]{}=,":
-            tokens.append(Token("punct", ch, line, col, line, col, first_on_line))
-            i += 1
-            col += 1
-            first_on_line = False
-            continue
-        diags.append(
-            Diagnostic(
-                Severity.ERROR,
-                "parse/unexpected-character",
-                f"unexpected character {ch!r}",
-                span_here(),
-            )
-        )
-        i += 1
-        col += 1
+        else:
+            tokens.append(Token(kind, m[0], line, col, end_col))
     return tokens
 
 
@@ -212,8 +180,14 @@ class _FileParser:
         return self.advance()
 
     def match_keyword(self, word: str) -> bool:
+        return self._match("id", word)
+
+    def match_punct(self, ch: str) -> bool:
+        return self._match("punct", ch)
+
+    def _match(self, kind: str, text: str) -> bool:
         tok = self.peek()
-        if tok is not None and tok.kind == "id" and tok.text == word:
+        if tok is not None and tok.kind == kind and tok.text == text:
             self.advance()
             return True
         return False
@@ -221,27 +195,28 @@ class _FileParser:
     def id_list(self) -> list[str]:
         """Bracketed, comma-separated id list; empty list accepted (resolve flags it)."""
         self.expect_punct("[")
-        ids: list[str] = []
-        if not (self.peek() and self.peek().kind == "punct" and self.peek().text == "]"):
+        if self.match_punct("]"):
+            return []
+        ids = [self.expect_id("identifier").text]
+        while self.match_punct(","):
             ids.append(self.expect_id("identifier").text)
-            while self.peek() and self.peek().kind == "punct" and self.peek().text == ",":
-                self.advance()
-                ids.append(self.expect_id("identifier").text)
         self.expect_punct("]")
         return ids
 
     def string_list(self) -> list[str]:
         self.expect_punct("[")
         items = [self.expect_string("signal label").text]
-        while self.peek() and self.peek().kind == "punct" and self.peek().text == ",":
-            self.advance()
+        while self.match_punct(","):
             items.append(self.expect_string("signal label").text)
         self.expect_punct("]")
         return items
 
+    def token_span(self, tok: Token) -> SourceSpan:
+        return SourceSpan(self.path, tok.line, tok.col, tok.line, tok.end_col)
+
     def span_from(self, start: Token) -> SourceSpan:
         last = self.tokens[self.pos - 1] if self.pos > 0 else start
-        return SourceSpan(self.path, start.line, start.col, last.end_line, last.end_col)
+        return SourceSpan(self.path, start.line, start.col, last.line, last.end_col)
 
     # -- statements ---------------------------------------------------------
 
@@ -254,7 +229,7 @@ class _FileParser:
                         Severity.ERROR,
                         "parse/unknown-keyword",
                         f"expected a declaration keyword, found {tok.text!r}",
-                        SourceSpan(self.path, tok.line, tok.col, tok.end_line, tok.end_col),
+                        self.token_span(tok),
                     )
                 )
                 self.advance()
@@ -265,7 +240,7 @@ class _FileParser:
             except _ParseError as err:
                 at = err.token
                 span = (
-                    SourceSpan(self.path, at.line, at.col, at.end_line, at.end_col)
+                    self.token_span(at)
                     if at is not None
                     else SourceSpan(self.path, tok.line, tok.col, tok.line, tok.col)
                 )
@@ -279,9 +254,13 @@ class _FileParser:
         """Skip to the next top-level keyword that starts a line."""
         while not self.at_end():
             tok = self.peek()
-            if tok.kind == "id" and tok.text in TOP_KEYWORDS and tok.first_on_line:
+            if tok.kind == "id" and tok.text in TOP_KEYWORDS and self.starts_line():
                 return
             self.advance()
+
+    def starts_line(self) -> bool:
+        """Whether the next token is the first token on its line."""
+        return self.pos == 0 or self.tokens[self.pos - 1].line < self.tokens[self.pos].line
 
     def statement(self, keyword: str, builder: "_ModelBuilder") -> None:
         start = self.advance()
@@ -328,8 +307,7 @@ class _FileParser:
             label = self.expect_string("label").text
             self.expect_punct("{")
             values = [self.expect_string("value label").text]
-            while self.peek() and self.peek().kind == "punct" and self.peek().text == ",":
-                self.advance()
+            while self.match_punct(","):
                 values.append(self.expect_string("value label").text)
             self.expect_punct("}")
             builder.model.variables.append(
@@ -402,7 +380,7 @@ class _FileParser:
                             "parse/duplicate-context-variable",
                             f"context variable {var_tok.text} is assigned more than once",
                             self.span_from(var_tok),
-                            [("first assigned here", SourceSpan(self.path, at.line, at.col, at.end_line, at.end_col))],
+                            [("first assigned here", self.token_span(at))],
                         )
                     )
                     continue

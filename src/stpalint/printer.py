@@ -21,10 +21,11 @@ from .model import (
     UnsafeControlAction,
     resolve,
 )
+from .parser import ESCAPES
 
 HEADER = "# stpa model (canonical format)"
 
-_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_QUOTE = str.maketrans({char: "\\" + letter for letter, char in ESCAPES.items()})
 
 
 class UnresolvedModelError(ValueError):
@@ -36,7 +37,7 @@ class UnresolvedModelError(ValueError):
 
 
 def quote(text: str) -> str:
-    return '"' + "".join(_STRING_ESCAPES.get(ch, ch) for ch in text) + '"'
+    return '"' + text.translate(_QUOTE) + '"'
 
 
 def _id_list(ids: list[str]) -> str:

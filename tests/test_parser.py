@@ -4,8 +4,10 @@ from stpalint import (
     GuideCategory,
     GuideQualifier,
     Severity,
+    SourceSpan,
     parse,
 )
+from stpalint.parser import tokenize
 
 
 def parse_one(text, name="test.stpa"):
@@ -185,3 +187,48 @@ def test_repeated_context_variable_is_an_error_at_the_second_assignment():
     ]
     # the statement is kept with its first value, so later references still resolve
     assert model.ucas[0].context.assignments == {"Motion": "Stopped"}
+
+
+def lex(text):
+    diags = []
+    tokens = tokenize("test.stpa", text, diags)
+    return [(t.kind, t.text, t.line, t.col, t.end_col) for t in tokens], diags
+
+
+def test_lone_backslash_before_newline_is_kept_in_an_unterminated_string():
+    tokens, diags = lex('loss L-1 "a\\\nloss')
+    assert tokens[2] == ("string", "a\\", 1, 10, 12)
+    assert tokens[3] == ("id", "loss", 2, 1, 4)
+    assert [(d.rule, d.span) for d in diags] == [
+        ("parse/unterminated-string", SourceSpan("test.stpa", 1, 10, 1, 12))
+    ]
+
+
+def test_lone_backslash_at_end_of_file_is_kept_in_an_unterminated_string():
+    tokens, diags = lex('"a\\')
+    assert tokens == [("string", "a\\", 1, 1, 3)]
+    assert [(d.rule, d.span) for d in diags] == [
+        ("parse/unterminated-string", SourceSpan("test.stpa", 1, 1, 1, 3))
+    ]
+
+
+def test_tab_and_carriage_return_each_take_one_column():
+    tokens, diags = lex('\tloss\r L-1 "x"\r\n')
+    assert diags == []
+    assert [(t[1], t[3], t[4]) for t in tokens] == [("loss", 2, 5), ("L-1", 8, 10), ("x", 12, 14)]
+
+
+def test_form_feed_and_no_break_space_are_unexpected_characters():
+    tokens, diags = lex('\x0closs L-1\xa0"x"\n')
+    assert [t[1] for t in tokens] == ["loss", "L-1", "x"]
+    assert [(d.rule, d.message, d.span.col_start, d.span.col_end) for d in diags] == [
+        ("parse/unexpected-character", "unexpected character '\\x0c'", 1, 1),
+        ("parse/unexpected-character", "unexpected character '\\xa0'", 10, 10),
+    ]
+
+
+def test_recovery_stops_at_a_keyword_after_an_unexpected_character():
+    # `@` is no token, so `loss` is still the first token on its line
+    model, diags = parse_one('hazard H-1 "broken" leads_to\n@ loss L-2 "x"\n')
+    assert [d.rule for d in diags] == ["parse/unexpected-character", "parse/syntax"]
+    assert [l.id for l in model.losses] == ["L-2"]
