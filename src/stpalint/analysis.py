@@ -38,10 +38,17 @@ class ContextRow:
 
 @dataclass
 class ContextTable:
+    """One marks dict per row; row i's context is `enumerate_contexts(variables)[i]`."""
+
     controller: str
     action: str
     variables: list[ProcessModelVariable]
-    rows: list[ContextRow]
+    marks: list[dict[GuideCategory, list[str]]]
+
+    @property
+    def rows(self) -> list[ContextRow]:
+        """The rows with their contexts, built on each access."""
+        return [ContextRow(c, m) for c, m in zip(enumerate_contexts(self.variables), self.marks, strict=True)]
 
 
 @dataclass
@@ -76,16 +83,20 @@ def enumerate_contexts(variables: list[ProcessModelVariable]) -> list[Context]:
 
     The empty variable list yields exactly one empty context.
     """
-    seen = set()
-    for var in variables:
-        if var.id in seen:
-            raise AnalysisError(f"duplicate variable id {var.id}")
-        seen.add(var.id)
+    _require_unique_ids(variables)
     ids = [v.id for v in variables]
     return [
         Context(dict(zip(ids, combo)))
         for combo in itertools.product(*(v.values for v in variables))
     ]
+
+
+def _require_unique_ids(variables: list[ProcessModelVariable]) -> None:
+    seen = set()
+    for var in variables:
+        if var.id in seen:
+            raise AnalysisError(f"duplicate variable id {var.id}")
+        seen.add(var.id)
 
 
 def expand(partial: Context, variables: list[ProcessModelVariable]) -> list[Context]:
@@ -118,12 +129,12 @@ def build_context_table(
     *,
     max_rows: int = DEFAULT_MAX_ROWS,
 ) -> ContextTable:
-    """One row per concrete context, marked with the matching UCAs per guide category.
+    """One marks dict per concrete context: the matching UCAs per guide category.
 
     Rows come in `enumerate_contexts` order, so a row's index is a mixed-radix
     number over the domain sizes. Each UCA marks the rows its partial context
     leaves free, listed by index, so the cost is rows plus marks, not
-    rows × UCAs.
+    rows × UCAs, and no row's context is built.
     """
     variables = model.variables_of(controller)
     if not variables:
@@ -134,20 +145,19 @@ def build_context_table(
             f"context table for {controller}/{action} would have {total} rows "
             f"(limit {max_rows}); abstract the process-model variables or raise the limit"
         )
-    contexts = enumerate_contexts(variables)
+    _require_unique_ids(variables)
     index = _row_index(variables)
     # a table without rows (an empty domain) meets no UCA
-    ucas = [u for u in model.ucas_on(action) if u.source_controller == controller] if contexts else []
+    ucas = [u for u in model.ucas_on(action) if u.source_controller == controller] if total else []
     foreign = _first_foreign_variable(ucas, index)
     if foreign is not None:
         raise AnalysisError(f"foreign variable: {foreign}")
-    marks: list[dict[GuideCategory, list[str]]] = [{} for _ in contexts]
+    marks: list[dict[GuideCategory, list[str]]] = [{} for _ in range(total)]
     for uca in ucas:
         category = uca.guide.category
         for i in _matching_rows(uca.context, variables, index):
             marks[i].setdefault(category, []).append(uca.id)
-    rows = [ContextRow(concrete, row_marks) for concrete, row_marks in zip(contexts, marks)]
-    return ContextTable(controller, action, variables, rows)
+    return ContextTable(controller, action, variables, marks)
 
 
 def _row_index(variables: list[ProcessModelVariable]) -> dict[str, tuple[int, dict[str, list[int]]]]:
@@ -214,7 +224,8 @@ def _first_foreign_variable(ucas: list[UnsafeControlAction], index) -> str | Non
 
 def coverage_gaps(table: ContextTable, category: GuideCategory) -> list[Context]:
     """Rows never cited by any UCA under the given guide category, table order."""
-    return [row.context for row in table.rows if not row.ucas_for(category)]
+    contexts = enumerate_contexts(table.variables)
+    return [c for c, marks in zip(contexts, table.marks, strict=True) if not marks.get(category)]
 
 
 def detect_conflicts(model: StpaModel, action: str) -> list[Conflict]:

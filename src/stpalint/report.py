@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
@@ -65,17 +66,31 @@ def render_worksheet(model: StpaModel, action: str) -> str:
     return "\n".join(lines)
 
 
+# keyed by member name, so no cell calls the Python-level `Enum.__hash__`
+_COLUMN = {cat._name_: i for i, (cat, _) in enumerate(WORKSHEET_COLUMNS)}
+_UNMARKED = ("",) * len(WORKSHEET_COLUMNS)
+
+
+def _mark_cells(marks: dict[GuideCategory, list[str]]) -> tuple[str, ...]:
+    if not marks:
+        return _UNMARKED
+    cells = list(_UNMARKED)
+    for category, ucas in marks.items():
+        cells[_COLUMN[category._name_]] = " ".join(ucas)
+    return tuple(cells)
+
+
 def render_context_csv(table: ContextTable) -> str:
-    """Context table as CSV: variable columns, then one column per guide category."""
+    """Context table as CSV: variable columns, then one column per guide category.
+
+    The values are the product of the domains in row order; `marks` of another length raise `ValueError`.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = [v.label for v in table.variables] + [cat.value for cat, _ in WORKSHEET_COLUMNS]
-    writer.writerow(header)
-    for row in table.rows:
-        record = [row.context.assignments[v.id] for v in table.variables]
-        for cat, _ in WORKSHEET_COLUMNS:
-            record.append(" ".join(row.ucas_for(cat)))
-        writer.writerow(record)
+    writer.writerow([v.label for v in table.variables] + [cat.value for cat, _ in WORKSHEET_COLUMNS])
+    values = itertools.product(*(v.values for v in table.variables))
+    cells = map(_mark_cells, table.marks)
+    writer.writerows(combo + marks for combo, marks in zip(values, cells, strict=True))
     return buf.getvalue()
 
 
@@ -153,30 +168,6 @@ def render_graph(model: StpaModel) -> str:
             lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def check_dot(text: str) -> list[str]:
-    """Minimal DOT well-formedness check: balanced braces, edges over declared nodes.
-
-    Returns a list of problems; empty means well-formed enough to hand to dot.
-    """
-    problems = []
-    if text.count("{") != text.count("}"):
-        problems.append("unbalanced braces")
-    declared: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line.startswith('"'):
-            continue
-        parts = line.split('"')
-        if "->" in line:
-            ids = [parts[1], parts[3]] if len(parts) > 3 else []
-            for node in ids:
-                if node not in declared:
-                    problems.append(f"edge references undeclared node {node!r}")
-        elif len(parts) > 1:
-            declared.add(parts[1])
-    return problems
 
 
 @cache

@@ -1,14 +1,20 @@
-"""Row-by-row reference for the context table.
+"""Row-by-row references for the context table, its CSV and its gaps.
 
-This is the original `build_context_table`: it tests every row against every
-UCA with `context_matches`, so it costs rows × UCAs. It serves only as the
-oracle the indexed implementation in `stpalint.analysis` is compared with.
+`build_context_table` is the original one: it tests every row against every
+UCA with `context_matches`, so it costs rows × UCAs. `render_context_csv` and
+`coverage_gaps` are the original loops over `table.rows`. They serve only as
+the oracles the indexed implementations in `stpalint.analysis` and
+`stpalint.report` are compared with.
 """
 
 from __future__ import annotations
 
-from stpalint.analysis import DEFAULT_MAX_ROWS, ContextRow, ContextTable, enumerate_contexts
-from stpalint.model import AnalysisError, GuideCategory, StpaModel, context_matches
+import csv
+import io
+
+from stpalint.analysis import DEFAULT_MAX_ROWS, ContextTable, enumerate_contexts
+from stpalint.model import AnalysisError, Context, GuideCategory, StpaModel, context_matches
+from stpalint.report import WORKSHEET_COLUMNS
 
 
 def build_context_table(
@@ -30,11 +36,28 @@ def build_context_table(
             f"(limit {max_rows}); abstract the process-model variables or raise the limit"
         )
     ucas = [u for u in model.ucas_on(action) if u.source_controller == controller]
-    rows = []
+    table_marks = []
     for concrete in enumerate_contexts(variables):
         marks: dict[GuideCategory, list[str]] = {}
         for uca in ucas:
             if context_matches(uca.context, concrete):
                 marks.setdefault(uca.guide.category, []).append(uca.id)
-        rows.append(ContextRow(concrete, marks))
-    return ContextTable(controller, action, variables, rows)
+        table_marks.append(marks)
+    return ContextTable(controller, action, variables, table_marks)
+
+
+def render_context_csv(table: ContextTable) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = [v.label for v in table.variables] + [cat.value for cat, _ in WORKSHEET_COLUMNS]
+    writer.writerow(header)
+    for row in table.rows:
+        record = [row.context.assignments[v.id] for v in table.variables]
+        for cat, _ in WORKSHEET_COLUMNS:
+            record.append(" ".join(row.ucas_for(cat)))
+        writer.writerow(record)
+    return buf.getvalue()
+
+
+def coverage_gaps(table: ContextTable, category: GuideCategory) -> list[Context]:
+    return [row.context for row in table.rows if not row.ucas_for(category)]

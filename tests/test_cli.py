@@ -11,6 +11,7 @@ from stpalint import cli, load_corpus, parse
 from stpalint.corpus import CORPUS_FILES, corpus_paths
 
 from conftest import GOLDEN_DIR, REPO_ROOT
+from dot_check import check_dot
 
 
 def run_cli(argv):
@@ -256,8 +257,6 @@ def test_stats_json(corpus_args):
 
 
 def test_graph_command(corpus_args):
-    from stpalint.report import check_dot
-
     code, out, _ = run_cli(["graph", *corpus_args])
     assert code == 0
     assert check_dot(out) == []

@@ -2,14 +2,15 @@
 
 `analysis_oracle` tests every row against every UCA with `context_matches`.
 The indexed `build_context_table` must give the same rows, the same marks in
-the same order, and the same `AnalysisError` message, on any input.
+the same order, and the same `AnalysisError` message, on any input. Its CSV
+and coverage gaps must equal the old loops over `table.rows`.
 """
 
 import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import analysis_oracle
@@ -21,12 +22,18 @@ from stpalint import (
     ProcessModelVariable,
     StpaModel,
     UnsafeControlAction,
+    analysis,
     build_context_table,
+    coverage_gaps,
 )
+from stpalint.analysis import ContextTable
 from stpalint.report import render_context_csv
+
+from conftest import GOLDEN_DIR
 
 CONTROLLER, ACTION = "C-1", "AC-1"
 VALUES = ["a", "b", "c"]
+HOSTILE = [",", '"', "\n", "\r", " a", ""]  # labels and values that CSV must quote or keep
 FOREIGN = ["X", "W-0"]  # an undeclared id and a variable of another controller
 
 
@@ -52,13 +59,16 @@ def table_inputs(draw):
         ids[draw(st.integers(1, len(ids) - 1))] = ids[0]
     for var_id in ids:
         empty = draw(st.integers(0, 5)) == 5
-        values = [] if empty else draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=4))
+        values = [] if empty else draw(st.lists(st.sampled_from(VALUES + HOSTILE), min_size=1, max_size=4))
         if draw(st.booleans()):
             m.variables.append(ProcessModelVariable("W-0", "C-2", "other", ["a"]))
-        m.variables.append(ProcessModelVariable(var_id, CONTROLLER, var_id, values))
+        label = draw(st.sampled_from([var_id, *HOSTILE]))
+        m.variables.append(ProcessModelVariable(var_id, CONTROLLER, label, values))
     keys = st.sampled_from(sorted(set(ids)) + FOREIGN) if ids else st.sampled_from(FOREIGN)
     # out-of-domain values and foreign ids land anywhere in the assignment order
-    pairs = st.lists(st.tuples(keys, st.sampled_from([*VALUES, "z"])), unique_by=lambda kv: kv[0], max_size=4)
+    pairs = st.lists(
+        st.tuples(keys, st.sampled_from([*VALUES, *HOSTILE, "z"])), unique_by=lambda kv: kv[0], max_size=4
+    )
     for n in range(draw(st.integers(0, 6))):
         m.ucas.append(
             uca(
@@ -79,6 +89,54 @@ def table_inputs(draw):
 def test_indexed_table_equals_row_by_row_oracle(inputs):
     m, kwargs = inputs
     assert outcome(build_context_table, m, **kwargs) == outcome(analysis_oracle.build_context_table, m, **kwargs)
+
+
+def one_var_model(values, *ucas):
+    m = StpaModel()
+    m.variables.append(ProcessModelVariable("A", CONTROLLER, 'tricky, "label"\n', values))
+    m.ucas.extend(ucas)
+    return m
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_inputs())
+@example((one_var_model(HOSTILE, uca("U-1", {"A": "\r"}), uca("U-2", {}, GuideCategory.WRONG_TIMING)), {}))
+@example((one_var_model([], uca("U-1", {})), {}))
+def test_csv_and_gaps_equal_the_row_loop_oracle(inputs):
+    m, kwargs = inputs
+    try:
+        table = build_context_table(m, CONTROLLER, ACTION, **kwargs)
+    except AnalysisError:
+        return  # the error itself is compared with the oracle's above
+    expected = analysis_oracle.build_context_table(m, CONTROLLER, ACTION, **kwargs)
+    assert render_context_csv(table) == analysis_oracle.render_context_csv(expected)
+    for category in GuideCategory:
+        assert coverage_gaps(table, category) == analysis_oracle.coverage_gaps(expected, category)
+
+
+def test_zero_row_table_csv_is_the_header_only():
+    table = build_context_table(one_var_model([], uca("U-1", {})), CONTROLLER, ACTION)
+    assert table.marks == []
+    assert render_context_csv(table) == '"tricky, ""label""\n",NotProvided,ProvidedUnsafe,WrongTiming,WrongDuration\n'
+
+
+def test_csv_builds_no_row_context(corpus, monkeypatch):
+    def refuse(variables):
+        raise AssertionError("enumerate_contexts called")
+
+    monkeypatch.setattr(analysis, "enumerate_contexts", refuse)
+    table = build_context_table(corpus, "Operator", "BrakeCmd")
+    assert render_context_csv(table) == (GOLDEN_DIR / "contexts_brake.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("rows", [5, 7, 0])
+def test_marks_of_another_length_raise_instead_of_dropping_rows(rows):
+    variables = two_var_model().variables  # 6 rows
+    table = ContextTable(CONTROLLER, ACTION, variables, [{}] * rows)
+    with pytest.raises(ValueError):
+        render_context_csv(table)
+    with pytest.raises(ValueError):
+        table.rows
 
 
 def two_var_model(*ucas):
