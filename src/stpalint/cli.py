@@ -113,28 +113,32 @@ def _load(inputs: list[str]) -> tuple[StpaModel, list[Diagnostic]]:
 def _write(output: Path | None, text: str, replace: bool = False) -> None:
     """Write `text` to stdout, or to `output`.
 
-    With `replace`, the text goes to a temporary file beside `output`, takes
-    over its permission bits and then replaces it, so a failed write leaves
-    `output` unchanged.
+    With `replace`, the text goes to a temporary file beside the file that
+    `output` names (through any symlinks), takes over its permission bits
+    and then replaces it, so a failed write leaves the file unchanged.
     """
-    if output is None:
-        sys.stdout.write(text)
-        return
     try:
-        if not replace:
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        elif not replace:
             output.write_text(text, encoding="utf-8")
-            return
-        fd, tmp = tempfile.mkstemp(dir=output.parent, prefix=f".{output.name}.")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(text)
-            shutil.copymode(output, tmp)
-            os.replace(tmp, output)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        else:
+            target = output.resolve()
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as f:
+                    f.write(text)
+                shutil.copymode(target, tmp)
+                os.replace(tmp, target)
+            except BaseException:
+                os.unlink(tmp)
+                raise
     except OSError as err:
-        raise _Unusable(f"cannot write {output}: {err.strerror}") from None
+        if output is None:
+            # what is left in the buffer is flushed at exit, and must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _Unusable(f"cannot write {'<stdout>' if output is None else output}: {err.strerror}") from None
 
 
 def _max_rows(args) -> int:

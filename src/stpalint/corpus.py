@@ -4,6 +4,10 @@ The corpus transcribes a published remote-driving analysis: purpose
 declarations, the detailed control structure, the five process-model
 variables, the 17 brake-command UCAs and 30 causal factors. It doubles as
 golden test data and as the documentation example.
+
+`structure_abstract.stpa` is a Fig-3-level abstraction of the same system: a
+standalone alternative model, not merged with the detailed structure (the
+entity ids would collide), so `CORPUS_FILES` leaves it out.
 """
 
 from __future__ import annotations
@@ -21,24 +25,6 @@ CORPUS_FILES = [
     "ucas_brake.stpa",
     "causal_factors.stpa",
 ]
-
-# Fig-3-level abstraction of the same system; a standalone alternative model,
-# not merged with the detailed structure (the entity ids would collide).
-ABSTRACT_FILE = "structure_abstract.stpa"
-
-EXPECTED_COUNTS = {
-    "losses": 2,
-    "hazards": 4,
-    "constraints": 2,
-    "entities": 15,
-    "variables": 5,
-    "ucas": 17,
-    "causal_factors": 30,
-}
-
-BRAKE_ACTION = "BrakeCmd"
-OPERATOR = "Operator"
-
 
 def corpus_dir() -> Path:
     """Locate the corpus directory.

@@ -5,12 +5,17 @@ error recovery: on a syntax fault the parser reports a diagnostic and skips
 ahead to the next top-level keyword that starts a line. Parsing never
 fabricates declarations; every declaration in the output carries the span
 of its source statement.
+
+The syntax of the statements is defined only by `STATEMENTS`, one row per
+keyword: the parser reads a statement by walking its row's slots, and
+`printer` writes a declaration from the same slots.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple, NoReturn
 
 from .model import (
     CausalFactor,
@@ -36,24 +41,86 @@ from .model import (
     resolve,
 )
 
-ENTITY_KEYWORDS = {
-    "controller": EntityKind.CONTROLLER,
-    "sensor": EntityKind.SENSOR,
-    "actuator": EntityKind.ACTUATOR,
-    "process": EntityKind.CONTROLLED_PROCESS,
-    "environment": EntityKind.ENVIRONMENT,
-}
 
-EDGE_KEYWORDS = {
-    "action": EdgeKind.CONTROL_ACTION,
-    "feedback": EdgeKind.FEEDBACK,
-}
+class Field(NamedTuple):
+    """A slot that fills one field of the statement's dataclass."""
 
-TOP_KEYWORDS = (
-    {"loss", "hazard", "constraint", "variable", "uca", "cf", "controller_constraint"}
-    | set(ENTITY_KEYWORDS)
-    | set(EDGE_KEYWORDS)
-)
+    name: str
+    shape: str  # a key of `_FileParser.READ`: what the slot's tokens look like
+    what: str  # what the "expected ..." message for the slot names
+    keyword: str | None = None  # the word that introduces an optional slot
+
+
+class Statement(NamedTuple):
+    """The syntax of one statement keyword and the declaration it makes."""
+
+    section: str  # the `StpaModel` list the declaration goes to
+    cls: type
+    fixed: dict  # the fields that the keyword alone decides
+    slots: tuple  # `Field`s, literal words and "=", in source order
+
+
+# Slot shapes: "id"; "string"; "ids", `[a, b]`, maybe empty; "strings",
+# `["a", "b"]`; "values", `{"a", "b"}`; "category", a causal factor category;
+# "guide", a guide category with an optional `qualifier = Q`; "context",
+# `{ var = "value" ... }`. An optional slot whose keyword is absent takes
+# `ABSENT[shape]()`, and the printer omits a slot equal to that value.
+ABSENT = {"ids": list, "strings": list, "context": Context}
+
+_DESCRIPTION = Field("description", "string", "description")
+_LABEL = Field("label", "string", "label")
+
+
+def _ids(name: str, keyword: str | None = None) -> Field:
+    return Field(name, "ids", "identifier", keyword)
+
+
+STATEMENTS: dict[str, Statement] = {
+    "loss": Statement("losses", Loss, {}, (Field("id", "id", "loss id"), _DESCRIPTION)),
+    "hazard": Statement("hazards", Hazard, {}, (
+        Field("id", "id", "hazard id"), _DESCRIPTION, "leads_to", _ids("leads_to")
+    )),
+    "constraint": Statement("constraints", SystemConstraint, {}, (
+        Field("id", "id", "constraint id"), _DESCRIPTION, "mitigates", _ids("mitigates")
+    )),
+    **{
+        kind.value: Statement("entities", Entity, {"kind": kind}, (Field("id", "id", "entity id"), _LABEL))
+        for kind in EntityKind
+    },
+    **{
+        kind.value: Statement("edges", Edge, {"kind": kind}, (
+            Field("id", "id", "edge id"), _LABEL,
+            "from", Field("source", "id", "source entity id"),
+            "to", Field("target", "id", "target entity id"),
+            _ids("via", "via"),
+            Field("signals", "strings", "signal label", "signals"),
+        ))
+        for kind in EdgeKind
+    },
+    "variable": Statement("variables", ProcessModelVariable, {}, (
+        Field("id", "id", "variable id"), "of", Field("owner", "id", "owner entity id"), _LABEL,
+        Field("values", "values", "value label"),
+    )),
+    # the source controller is filled in from the action edge after all files parse
+    "uca": Statement("ucas", UnsafeControlAction, {"source_controller": ""}, (
+        Field("id", "id", "uca id"),
+        "action", "=", Field("action", "id", "action edge id"),
+        "guide", "=", Field("guide", "guide", "guide category"),
+        Field("context", "context", "value label", "context"),
+        "hazards", _ids("hazards"),
+        _DESCRIPTION,
+    )),
+    "cf": Statement("causal_factors", CausalFactor, {}, (
+        Field("id", "id", "causal factor id"),
+        "category", "=", Field("category", "category", "causal factor category"),
+        "at", Field("located_at", "id", "entity or edge id"),
+        "for", _ids("ucas"),
+        _DESCRIPTION,
+    )),
+    "controller_constraint": Statement("controller_constraints", ControllerConstraint, {}, (
+        Field("id", "id", "controller constraint id"), "from", Field("derived_from", "id", "uca id"), _DESCRIPTION
+    )),
+}
 
 # The character after a backslash in a string -> the character it stands for.
 # Any other escaped character stands for itself. `printer.quote` inverts this.
@@ -152,64 +219,29 @@ class _FileParser:
         self.pos += 1
         return tok
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def take(self, kind: str, text: str | None = None) -> Token | None:
+        """Consume and return the next token if it has `kind` (and `text`); else None."""
+        if self.pos < len(self.tokens):
+            tok = self.tokens[self.pos]
+            if tok.kind == kind and (text is None or tok.text == text):
+                self.pos += 1
+                return tok
+        return None
+
+    def fail(self, message: str) -> NoReturn:
+        raise _ParseError(message, self.peek())
 
     def expect_id(self, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "id":
-            raise _ParseError(f"expected {what}", tok)
-        return self.advance()
+        return self.take("id") or self.fail(f"expected {what}")
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "id" or tok.text != word:
-            raise _ParseError(f"expected keyword {word!r}", tok)
-        return self.advance()
+        return self.take("id", word) or self.fail(f"expected keyword {word!r}")
 
     def expect_string(self, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "string":
-            raise _ParseError(f"expected {what} string", tok)
-        return self.advance()
+        return self.take("string") or self.fail(f"expected {what} string")
 
     def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "punct" or tok.text != ch:
-            raise _ParseError(f"expected {ch!r}", tok)
-        return self.advance()
-
-    def match_keyword(self, word: str) -> bool:
-        return self._match("id", word)
-
-    def match_punct(self, ch: str) -> bool:
-        return self._match("punct", ch)
-
-    def _match(self, kind: str, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.kind == kind and tok.text == text:
-            self.advance()
-            return True
-        return False
-
-    def id_list(self) -> list[str]:
-        """Bracketed, comma-separated id list; empty list accepted (resolve flags it)."""
-        self.expect_punct("[")
-        if self.match_punct("]"):
-            return []
-        ids = [self.expect_id("identifier").text]
-        while self.match_punct(","):
-            ids.append(self.expect_id("identifier").text)
-        self.expect_punct("]")
-        return ids
-
-    def string_list(self) -> list[str]:
-        self.expect_punct("[")
-        items = [self.expect_string("signal label").text]
-        while self.match_punct(","):
-            items.append(self.expect_string("signal label").text)
-        self.expect_punct("]")
-        return items
+        return self.take("punct", ch) or self.fail(f"expected {ch!r}")
 
     def token_span(self, tok: Token) -> SourceSpan:
         return SourceSpan(self.path, tok.line, tok.col, tok.line, tok.end_col)
@@ -218,12 +250,90 @@ class _FileParser:
         last = self.tokens[self.pos - 1] if self.pos > 0 else start
         return SourceSpan(self.path, start.line, start.col, last.line, last.end_col)
 
+    # -- slot shapes --------------------------------------------------------
+
+    def read_id(self, what: str) -> str:
+        return self.expect_id(what).text
+
+    def read_string(self, what: str) -> str:
+        return self.expect_string(what).text
+
+    def read_ids(self, what: str) -> list[str]:
+        """Bracketed, comma-separated id list; empty list accepted (resolve flags it)."""
+        self.expect_punct("[")
+        if self.take("punct", "]"):
+            return []
+        ids = [self.read_id(what)]
+        while self.take("punct", ","):
+            ids.append(self.read_id(what))
+        self.expect_punct("]")
+        return ids
+
+    def read_strings(self, what: str, open_: str, close: str) -> list[str]:
+        """Comma-separated strings between `open_` and `close`; at least one."""
+        self.expect_punct(open_)
+        items = [self.read_string(what)]
+        while self.take("punct", ","):
+            items.append(self.read_string(what))
+        self.expect_punct(close)
+        return items
+
+    def read_enum(self, enum: type, what: str):
+        tok = self.expect_id(what)
+        try:
+            return enum(tok.text)
+        except ValueError:
+            raise _ParseError(f"unknown {what} {tok.text!r}", tok) from None
+
+    def read_guide(self, what: str) -> GuideWord:
+        category = self.read_enum(GuideCategory, what)
+        if not self.take("id", "qualifier"):
+            return GuideWord(category)
+        self.expect_punct("=")
+        return GuideWord(category, self.read_enum(GuideQualifier, "guide qualifier"))
+
+    def read_context(self, what: str) -> Context:
+        self.expect_punct("{")
+        assignments: dict[str, str] = {}
+        first: dict[str, Token] = {}
+        while var_tok := self.take("id"):
+            self.expect_punct("=")
+            value = self.read_string(what)
+            if var_tok.text in first:
+                # an error, not an override: the first value stays
+                at = first[var_tok.text]
+                self.diags.append(
+                    Diagnostic(
+                        Severity.ERROR,
+                        "parse/duplicate-context-variable",
+                        f"context variable {var_tok.text} is assigned more than once",
+                        self.span_from(var_tok),
+                        [("first assigned here", self.token_span(at))],
+                    )
+                )
+                continue
+            first[var_tok.text] = var_tok
+            assignments[var_tok.text] = value
+        self.expect_punct("}")
+        return Context(assignments)
+
+    # slot shape -> the method that reads a slot of that shape
+    READ = {
+        "id": read_id,
+        "string": read_string,
+        "ids": read_ids,
+        "strings": lambda self, what: self.read_strings(what, "[", "]"),
+        "values": lambda self, what: self.read_strings(what, "{", "}"),
+        "category": lambda self, what: self.read_enum(CfCategory, what),
+        "guide": read_guide,
+        "context": read_context,
+    }
+
     # -- statements ---------------------------------------------------------
 
-    def parse_into(self, builder: "_ModelBuilder") -> None:
-        while not self.at_end():
-            tok = self.peek()
-            if tok.kind != "id" or tok.text not in TOP_KEYWORDS:
+    def parse_into(self, model: StpaModel) -> None:
+        while (tok := self.peek()) is not None:
+            if tok.kind != "id" or tok.text not in STATEMENTS:
                 self.diags.append(
                     Diagnostic(
                         Severity.ERROR,
@@ -236,7 +346,7 @@ class _FileParser:
                 self.recover()
                 continue
             try:
-                self.statement(tok.text, builder)
+                self.statement(model)
             except _ParseError as err:
                 at = err.token
                 span = (
@@ -252,9 +362,8 @@ class _FileParser:
 
     def recover(self) -> None:
         """Skip to the next top-level keyword that starts a line."""
-        while not self.at_end():
-            tok = self.peek()
-            if tok.kind == "id" and tok.text in TOP_KEYWORDS and self.starts_line():
+        while (tok := self.peek()) is not None:
+            if tok.kind == "id" and tok.text in STATEMENTS and self.starts_line():
                 return
             self.advance()
 
@@ -262,161 +371,22 @@ class _FileParser:
         """Whether the next token is the first token on its line."""
         return self.pos == 0 or self.tokens[self.pos - 1].line < self.tokens[self.pos].line
 
-    def statement(self, keyword: str, builder: "_ModelBuilder") -> None:
+    def statement(self, model: StpaModel) -> None:
+        """Read the statement at a keyword by walking the keyword's `STATEMENTS` row."""
         start = self.advance()
-        if keyword == "loss":
-            name = self.expect_id("loss id").text
-            desc = self.expect_string("description").text
-            builder.model.losses.append(Loss(name, desc, span=self.span_from(start)))
-        elif keyword == "hazard":
-            name = self.expect_id("hazard id").text
-            desc = self.expect_string("description").text
-            self.expect_keyword("leads_to")
-            refs = self.id_list()
-            builder.model.hazards.append(Hazard(name, desc, refs, span=self.span_from(start)))
-        elif keyword == "constraint":
-            name = self.expect_id("constraint id").text
-            desc = self.expect_string("description").text
-            self.expect_keyword("mitigates")
-            refs = self.id_list()
-            builder.model.constraints.append(
-                SystemConstraint(name, desc, refs, span=self.span_from(start))
-            )
-        elif keyword in ENTITY_KEYWORDS:
-            kind = ENTITY_KEYWORDS[keyword]
-            name = self.expect_id("entity id").text
-            label = self.expect_string("label").text
-            builder.model.entities.append(Entity(name, kind, label, span=self.span_from(start)))
-        elif keyword in EDGE_KEYWORDS:
-            kind = EDGE_KEYWORDS[keyword]
-            name = self.expect_id("edge id").text
-            label = self.expect_string("label").text
-            self.expect_keyword("from")
-            source = self.expect_id("source entity id").text
-            self.expect_keyword("to")
-            target = self.expect_id("target entity id").text
-            via = self.id_list() if self.match_keyword("via") else []
-            signals = self.string_list() if self.match_keyword("signals") else []
-            builder.model.edges.append(
-                Edge(name, kind, label, source, target, via, signals, span=self.span_from(start))
-            )
-        elif keyword == "variable":
-            name = self.expect_id("variable id").text
-            self.expect_keyword("of")
-            owner = self.expect_id("owner entity id").text
-            label = self.expect_string("label").text
-            self.expect_punct("{")
-            values = [self.expect_string("value label").text]
-            while self.match_punct(","):
-                values.append(self.expect_string("value label").text)
-            self.expect_punct("}")
-            builder.model.variables.append(
-                ProcessModelVariable(name, owner, label, values, span=self.span_from(start))
-            )
-        elif keyword == "uca":
-            self.uca_statement(start, builder)
-        elif keyword == "cf":
-            name = self.expect_id("causal factor id").text
-            self.expect_keyword("category")
-            self.expect_punct("=")
-            cat_tok = self.expect_id("causal factor category")
-            try:
-                category = CfCategory(cat_tok.text)
-            except ValueError:
-                raise _ParseError(f"unknown causal factor category {cat_tok.text!r}", cat_tok) from None
-            self.expect_keyword("at")
-            located_at = self.expect_id("entity or edge id").text
-            self.expect_keyword("for")
-            ucas = self.id_list()
-            desc = self.expect_string("description").text
-            builder.model.causal_factors.append(
-                CausalFactor(name, category, located_at, ucas, desc, span=self.span_from(start))
-            )
-        elif keyword == "controller_constraint":
-            name = self.expect_id("controller constraint id").text
-            self.expect_keyword("from")
-            derived_from = self.expect_id("uca id").text
-            desc = self.expect_string("description").text
-            builder.model.controller_constraints.append(
-                ControllerConstraint(name, derived_from, desc, span=self.span_from(start))
-            )
-        else:  # pragma: no cover - dispatch covers all TOP_KEYWORDS
-            raise _ParseError(f"unhandled keyword {keyword!r}", start)
-
-    def uca_statement(self, start: Token, builder: "_ModelBuilder") -> None:
-        name = self.expect_id("uca id").text
-        self.expect_keyword("action")
-        self.expect_punct("=")
-        action = self.expect_id("action edge id").text
-        self.expect_keyword("guide")
-        self.expect_punct("=")
-        guide_tok = self.expect_id("guide category")
-        try:
-            category = GuideCategory(guide_tok.text)
-        except ValueError:
-            raise _ParseError(f"unknown guide category {guide_tok.text!r}", guide_tok) from None
-        qualifier = None
-        if self.match_keyword("qualifier"):
-            self.expect_punct("=")
-            qual_tok = self.expect_id("guide qualifier")
-            try:
-                qualifier = GuideQualifier(qual_tok.text)
-            except ValueError:
-                raise _ParseError(f"unknown guide qualifier {qual_tok.text!r}", qual_tok) from None
-        assignments: dict[str, str] = {}
-        if self.match_keyword("context"):
-            self.expect_punct("{")
-            first: dict[str, Token] = {}
-            while self.peek() and self.peek().kind == "id":
-                var_tok = self.advance()
-                self.expect_punct("=")
-                value = self.expect_string("value label").text
-                if var_tok.text in first:
-                    # an error, not an override: the first value stays
-                    at = first[var_tok.text]
-                    self.diags.append(
-                        Diagnostic(
-                            Severity.ERROR,
-                            "parse/duplicate-context-variable",
-                            f"context variable {var_tok.text} is assigned more than once",
-                            self.span_from(var_tok),
-                            [("first assigned here", self.token_span(at))],
-                        )
-                    )
-                    continue
-                first[var_tok.text] = var_tok
-                assignments[var_tok.text] = value
-            self.expect_punct("}")
-        self.expect_keyword("hazards")
-        hazards = self.id_list()
-        desc = self.expect_string("description").text
-        builder.ucas.append(
-            UnsafeControlAction(
-                name,
-                action,
-                "",  # source controller filled in from the action edge after all files parse
-                GuideWord(category, qualifier),
-                Context(assignments),
-                hazards,
-                desc,
-                span=self.span_from(start),
-            )
-        )
-
-
-class _ModelBuilder:
-    def __init__(self) -> None:
-        self.model = StpaModel()
-        self.ucas: list[UnsafeControlAction] = []
-
-    def finish(self) -> StpaModel:
-        edges = self.model.edge_ids()
-        for uca in self.ucas:
-            edge = edges.get(uca.action)
-            if edge is not None:
-                uca.source_controller = edge.source
-            self.model.ucas.append(uca)
-        return self.model
+        row = STATEMENTS[start.text]
+        fields = dict(row.fixed)
+        for slot in row.slots:
+            if slot.__class__ is str:
+                if slot == "=":
+                    self.expect_punct("=")
+                else:
+                    self.expect_keyword(slot)
+            elif slot.keyword is None or self.take("id", slot.keyword):
+                fields[slot.name] = self.READ[slot.shape](self, slot.what)
+            else:
+                fields[slot.name] = ABSENT[slot.shape]()
+        getattr(model, row.section).append(row.cls(**fields, span=self.span_from(start)))
 
 
 def parse(source_files: list[tuple[str, str]]) -> tuple[StpaModel, list[Diagnostic]]:
@@ -427,10 +397,15 @@ def parse(source_files: list[tuple[str, str]]) -> tuple[StpaModel, list[Diagnost
     returned model passes `resolve` cleanly.
     """
     diags: list[Diagnostic] = []
-    builder = _ModelBuilder()
+    model = StpaModel()
     for path, text in source_files:
         tokens = tokenize(path, text, diags)
-        _FileParser(path, tokens, diags).parse_into(builder)
-    model = builder.finish()
+        _FileParser(path, tokens, diags).parse_into(model)
+    # a UCA's action edge may be declared in any file
+    edges = model.edge_ids()
+    for uca in model.ucas:
+        edge = edges.get(uca.action)
+        if edge is not None:
+            uca.source_controller = edge.source
     diags.extend(resolve(model))
     return model, diags

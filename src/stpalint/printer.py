@@ -3,25 +3,18 @@
 `serialize` is the inverse of `parse` up to source spans: parsing the
 emitted text yields an equal model. Formatting is fixed (one statement per
 line, LF line endings) so output is diff-stable and `fmt` is idempotent.
+
+Each declaration is written from its keyword's row of `parser.STATEMENTS`,
+the same slots the parser reads; this module adds only how each slot shape
+is spelled.
 """
 
 from __future__ import annotations
 
-from .model import (
-    CausalFactor,
-    ControllerConstraint,
-    Diagnostic,
-    Edge,
-    Entity,
-    Hazard,
-    Loss,
-    ProcessModelVariable,
-    StpaModel,
-    SystemConstraint,
-    UnsafeControlAction,
-    resolve,
-)
-from .parser import ESCAPES
+from operator import attrgetter
+
+from .model import Diagnostic, StpaModel, resolve
+from .parser import ABSENT, ESCAPES, STATEMENTS, Statement
 
 HEADER = "# stpa model (canonical format)"
 
@@ -40,69 +33,60 @@ def quote(text: str) -> str:
     return '"' + text.translate(_QUOTE) + '"'
 
 
-def _id_list(ids: list[str]) -> str:
-    return "[" + ", ".join(ids) + "]"
+# slot shape -> the text of a slot's value
+_WRITE = {
+    "id": str,
+    "string": quote,
+    "ids": lambda ids: "[" + ", ".join(ids) + "]",
+    "strings": lambda items: "[" + ", ".join(map(quote, items)) + "]",
+    "values": lambda items: "{" + ", ".join(map(quote, items)) + "}",
+    "category": attrgetter("value"),
+    "guide": lambda guide: guide.category.value + (f" qualifier = {guide.qualifier.value}" if guide.qualifier else ""),
+    "context": lambda context: "{ " + " ".join(f"{k} = {quote(v)}" for k, v in context.assignments.items()) + " }",
+}
 
 
-def _stmt(decl) -> str:
-    if isinstance(decl, Loss):
-        return f"loss {decl.id} {quote(decl.description)}"
-    if isinstance(decl, Hazard):
-        return f"hazard {decl.id} {quote(decl.description)} leads_to {_id_list(decl.leads_to)}"
-    if isinstance(decl, SystemConstraint):
-        return f"constraint {decl.id} {quote(decl.description)} mitigates {_id_list(decl.mitigates)}"
-    if isinstance(decl, Entity):
-        return f"{decl.kind.value} {decl.id} {quote(decl.label)}"
-    if isinstance(decl, Edge):
-        parts = [
-            decl.kind.value,
-            decl.id,
-            quote(decl.label),
-            "from",
-            decl.source,
-            "to",
-            decl.target,
-        ]
-        if decl.via:
-            parts.append("via " + _id_list(decl.via))
-        if decl.signals:
-            parts.append("signals [" + ", ".join(quote(s) for s in decl.signals) + "]")
-        return " ".join(parts)
-    if isinstance(decl, ProcessModelVariable):
-        values = ", ".join(quote(v) for v in decl.values)
-        return f"variable {decl.id} of {decl.owner} {quote(decl.label)} {{{values}}}"
-    if isinstance(decl, UnsafeControlAction):
-        parts = [f"uca {decl.id} action = {decl.action} guide = {decl.guide.category.value}"]
-        if decl.guide.qualifier is not None:
-            parts.append(f"qualifier = {decl.guide.qualifier.value}")
-        if decl.context.assignments:
-            inner = " ".join(f"{k} = {quote(v)}" for k, v in decl.context.assignments.items())
-            parts.append("context { " + inner + " }")
-        parts.append("hazards " + _id_list(decl.hazards))
-        parts.append(quote(decl.description))
-        return " ".join(parts)
-    if isinstance(decl, CausalFactor):
-        return (
-            f"cf {decl.id} category = {decl.category.value} at {decl.located_at} "
-            f"for {_id_list(decl.ucas)} {quote(decl.description)}"
-        )
-    if isinstance(decl, ControllerConstraint):
-        return f"controller_constraint {decl.id} from {decl.derived_from} {quote(decl.description)}"
-    raise TypeError(f"not a declaration: {decl!r}")
+def _optional(keyword: str, write, absent):
+    return lambda value: "" if value == absent else f" {keyword} {write(value)}"
 
 
-def _sections(model: StpaModel):
-    return [
-        model.losses,
-        model.hazards,
-        model.constraints,
-        model.entities,
-        model.edges,
-        model.variables,
-        model.ucas,
-        model.causal_factors,
-        model.controller_constraints,
-    ]
+def _line_writer(keyword: str, row: Statement):
+    """A function that writes one declaration of `row` as one line.
+
+    Literal words go into a format template once; each field slot adds a
+    hole and the function that spells its value.
+    """
+    template = keyword
+    fields = []
+    for slot in row.slots:
+        if slot.__class__ is str:
+            template += " " + slot
+            continue
+        write = _WRITE[slot.shape]
+        if slot.keyword is None:
+            template += " {}"
+        else:
+            template += "{}"
+            write = _optional(slot.keyword, write, ABSENT[slot.shape]())
+        fields.append((attrgetter(slot.name), write))
+    return lambda decl: template.format(*[write(get(decl)) for get, write in fields])
+
+
+# (dataclass, fixed `kind` or None) -> its row's line writer; entities and edges have one row per kind
+_LINES = {(row.cls, row.fixed.get("kind")): _line_writer(keyword, row) for keyword, row in STATEMENTS.items()}
+_SECTIONS = dict.fromkeys(row.section for row in STATEMENTS.values())
+
+
+def _render(model: StpaModel, path: str | None) -> str:
+    lines = [HEADER]
+    for section in _SECTIONS:
+        decls = getattr(model, section)
+        if path is not None:
+            decls = [d for d in decls if d.span is not None and d.span.file == path]
+        if decls:
+            lines.append("")
+            lines.extend(_LINES[d.__class__, getattr(d, "kind", None)](d) for d in decls)
+    return "\n".join(lines) + "\n"
 
 
 def serialize(model: StpaModel, *, check: bool = True) -> str:
@@ -115,12 +99,7 @@ def serialize(model: StpaModel, *, check: bool = True) -> str:
         diags = resolve(model)
         if diags:
             raise UnresolvedModelError(diags)
-    lines = [HEADER]
-    for section in _sections(model):
-        if section:
-            lines.append("")
-            lines.extend(_stmt(decl) for decl in section)
-    return "\n".join(lines) + "\n"
+    return _render(model, None)
 
 
 def serialize_file(model: StpaModel, path: str) -> str:
@@ -128,10 +107,4 @@ def serialize_file(model: StpaModel, path: str) -> str:
 
     Used by `fmt` to rewrite one file of a multi-file model in place.
     """
-    lines = [HEADER]
-    for section in _sections(model):
-        picked = [d for d in section if d.span is not None and d.span.file == path]
-        if picked:
-            lines.append("")
-            lines.extend(_stmt(decl) for decl in picked)
-    return "\n".join(lines) + "\n"
+    return _render(model, path)

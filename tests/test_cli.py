@@ -3,6 +3,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -262,6 +264,33 @@ def test_graph_command(corpus_args):
     assert check_dot(out) == []
 
 
+def run_cli_process(argv, stdout):
+    """Run the CLI in a fresh interpreter whose stdout is `stdout`."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "stpalint.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_stdout_on_a_full_device_exits_3(corpus_args):
+    with open("/dev/full", "w") as full:
+        proc = run_cli_process(["stats", *corpus_args], full)
+    assert proc.returncode == 3
+    assert proc.stderr == b"stpalint: cannot write <stdout>: No space left on device\n"
+
+
+def test_stdout_on_a_closed_pipe_exits_3(corpus_args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli_process(["stats", *corpus_args], write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == b"stpalint: cannot write <stdout>: Broken pipe\n"
+
+
 # -- fmt ----------------------------------------------------------------------
 
 
@@ -290,6 +319,22 @@ def test_fmt_keeps_permission_bits(corpus_copy):
     code, _, _ = run_cli(["fmt", *corpus_copy])
     assert code == 0
     assert os.stat(corpus_copy[0]).st_mode & 0o777 == 0o640
+
+
+def test_fmt_writes_through_a_symlink(corpus_copy, tmp_path):
+    target = corpus_copy[0]
+    os.chmod(target, 0o640)
+    link = tmp_path / "link.stpa"
+    link.symlink_to(target)
+    expected = parse([(str(link), open(target, encoding="utf-8").read())])[0]
+    code, _, err = run_cli(["fmt", str(link), *corpus_copy[1:]])
+    assert (code, err) == (0, "")
+    assert os.readlink(link) == target
+    text = open(target, encoding="utf-8").read()
+    assert text.startswith("# stpa model (canonical format)\n")
+    assert parse([(str(link), text)])[0] == expected
+    assert os.stat(target).st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == sorted([*CORPUS_FILES, "link.stpa"])
 
 
 def test_fmt_write_failure_leaves_the_file_unchanged(corpus_copy, tmp_path, monkeypatch):

@@ -1,0 +1,111 @@
+"""The table-driven statement parser and printer against the hand-written oracle.
+
+`parser_oracle` reads and writes each statement kind with its own branch.
+`stpalint.parser` and `stpalint.printer` read and write every kind from the
+rows of `STATEMENTS`. On any text they must give the same model, the same
+spans and the same diagnostics, notes included; on any model, the same text.
+"""
+
+from dataclasses import fields
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import parser_oracle
+from stpalint import parser, printer
+from stpalint.corpus import corpus_dir
+from stpalint.model import SourceSpan, StpaModel
+from strategies import models
+
+_SECTIONS = [f.name for f in fields(StpaModel)]
+
+_CORPUS_LINES = sorted(
+    {line for path in corpus_dir().glob("*.stpa") for line in path.read_text(encoding="utf-8").splitlines()}
+)
+
+# Every keyword and literal word of the language, enum spellings valid and
+# not, ids, strings with escapes or no closing quote, punctuation, comments
+# and line ends, so that soups reach every slot and every recovery path.
+_WORDS = [
+    *parser.STATEMENTS,
+    *"leads_to mitigates from to via signals of action guide qualifier context hazards category at for".split(),
+    *"NotProvided WrongTiming TooEarly Excessive ActuationFailure Timing Bogus".split(),
+    *"L-1 H-1 C-1 P-1 AC-1 V-1 UCA-1 CF-1 _x 9".split(),
+    '"a"',
+    '"b \\" c"',
+    '"open',
+    '"tab\\t"',
+    *"= , [ ] { } @ #note",
+    "guide = WrongTiming",
+    "qualifier = TooLate",
+    "qualifier = Bogus",
+    "category = Bogus",
+    'context { V-1 = "a" V-1 = "b" }',
+]
+_SEPARATORS = [" ", " ", " ", "\n", "\r\n", "\t", ""]
+
+soups = st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPARATORS)), max_size=40).map(
+    lambda pairs: "".join(word + sep for word, sep in pairs)
+)
+corpus_texts = st.lists(st.sampled_from(_CORPUS_LINES), min_size=1, max_size=12).map("\n".join)
+generated_texts = models().map(parser_oracle.serialize)
+
+
+@st.composite
+def edited(draw, base):
+    """`base` text with a few spans deleted or replaced by a fragment."""
+    text = draw(base)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 12)))
+        insert = draw(st.sampled_from(["", *_WORDS, *_SEPARATORS]))
+        text = text[:start] + insert + text[end:]
+    return text
+
+
+texts = st.one_of(soups, edited(corpus_texts), edited(generated_texts))
+sources = st.lists(texts, min_size=1, max_size=3).map(lambda ts: [(f"f{i}.stpa", t) for i, t in enumerate(ts)])
+
+
+def spans(model):
+    return {section: [d.span for d in getattr(model, section)] for section in _SECTIONS}
+
+
+def assert_parse_matches_oracle(source_files):
+    model, diags = parser.parse(source_files)
+    expected, expected_diags = parser_oracle.parse(source_files)
+    assert model == expected
+    assert spans(model) == spans(expected)
+    assert diags == expected_diags
+    assert [(d.format(), d.related) for d in diags] == [(d.format(), d.related) for d in expected_diags]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sources)
+@example([("f0.stpa", 'uca U action = A guide = WrongTiming qualifier = TooEarly context { V = "a" V = "b" } hazards []')])
+@example([("f0.stpa", 'uca U action = A guide = NotProvided hazards [H-1] "d"'), ("f1.stpa", 'action A "a" from C to P')])
+@example([("f0.stpa", 'cf CF-1 category = Bogus at C for [U] "d"\nloss L-1 "ok"')])
+@example([("f0.stpa", 'uca U action = A guide = WrongTiming qualifier = Bogus hazards [H-1] "d"')])
+@example([("f0.stpa", 'action A "a" from C to P via [] signals []\nvariable V of C "v" {}')])
+def test_parse_matches_oracle(source_files):
+    assert_parse_matches_oracle(source_files)
+
+
+def test_parse_matches_oracle_on_corpus():
+    paths = sorted(corpus_dir().glob("*.stpa"))
+    assert len(paths) == 6
+    for path in paths:
+        assert_parse_matches_oracle([(str(path), path.read_text(encoding="utf-8"))])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models(), st.randoms(use_true_random=False))
+def test_printer_matches_oracle(model, random):
+    assert printer.serialize(model) == parser_oracle.serialize(model)
+    # spread the declarations over two files, leaving some without a span
+    for section in _SECTIONS:
+        for decl in getattr(model, section):
+            name = random.choice(["a.stpa", "b.stpa", None])
+            decl.span = None if name is None else SourceSpan(name, 1, 1, 1, 1)
+    for name in ["a.stpa", "b.stpa", "c.stpa"]:
+        assert printer.serialize_file(model, name) == parser_oracle.serialize_file(model, name)
