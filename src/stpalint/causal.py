@@ -8,7 +8,7 @@ declared causal factors may sit.
 
 `walk_paths` lists the walks themselves, whose number can be exponential.
 `check` and `checklist` never list them: a CausalIndex derives on-path sets
-by reachability and checklists by a pruned traversal, once per model.
+by reachability, and checklists by the same walk traversal with a prune test.
 """
 
 from __future__ import annotations
@@ -151,64 +151,13 @@ def _reach(start: str, step: dict[str, list[str]], blocked, stop=frozenset()) ->
     return seen
 
 
-def _emit_walks(path, step, stop, categories, emitted, emit, backward: bool) -> None:
-    """Emit `categories(node, depth)` along every walk that extends `path`, in walk order.
-
-    A walk extends `path` along `step` until it reaches a `stop` node or no
-    neighbour off the walk is left, depth-first in adjacency order, exactly
-    as `walk_paths` lists them; `depth` is a node's index in the walk, and
-    each walk is emitted last node first when `backward`. Listing the walks
-    costs time exponential in their length. Instead, a neighbour is skipped
-    when every node reachable from it off the current path is already
-    emitted in the role it would have below it: each walk under that
-    neighbour would emit nothing new but the current path, so the current
-    path is emitted once in its place. The traversal descends only where
-    something is left to emit, so its cost is polynomial.
-    """
-    path = list(path)
-    base = len(path)
-    on_path = set(path)
-
-    def done(node: str, depth: int) -> bool:
-        return all((category, node) in emitted for category in categories(node, depth))
-
-    def emit_path() -> None:
-        depths = range(len(path) - 1, -1, -1) if backward else range(len(path))
-        for depth in depths:
-            for category in categories(path[depth], depth):
-                emit(category, path[depth])
-
-    def enter() -> Iterator[str]:
-        node = path[-1]
-        nexts = [] if node in stop else [n for n in step.get(node, ()) if n not in on_path]
-        if not nexts:
-            emit_path()  # a walk ends here
-        return iter(nexts)
-
-    stack = [enter()]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-            if len(path) > base:
-                on_path.discard(path.pop())
-            continue
-        depth = len(path)
-        if done(child, depth) and all(
-            done(node, depth + 1) for node in _reach(child, step, on_path, stop) if node != child
-        ):
-            emit_path()
-        else:
-            path.append(child)
-            on_path.add(child)
-            stack.append(enter())
-
-
-def _walks(path: list[str], step: dict[str, list[str]], stop) -> Iterator[list[str]]:
+def _walks(path: list[str], step: dict[str, list[str]], stop, prune=None) -> Iterator[list[str]]:
     """Every walk that extends `path` along `step`, depth-first in adjacency order.
 
     A walk ends at a `stop` node or where no neighbour off the walk is left.
-    The stack is explicit, so a walk may be longer than the recursion limit.
+    Where `prune(child, path, on_path)` holds, the walks under `child` are
+    not entered and the current path is yielded once in their place. The
+    stack is explicit, so a walk may be longer than the recursion limit.
     """
     path = list(path)
     base = len(path)
@@ -229,12 +178,41 @@ def _walks(path: list[str], step: dict[str, list[str]], stop) -> Iterator[list[s
             if len(path) > base:
                 on_path.discard(path.pop())
             continue
+        if prune is not None and prune(child, path, on_path):
+            yield list(path)
+            continue
         path.append(child)
         on_path.add(child)
         children = nexts()
         if not children:
             yield list(path)
         stack.append(iter(children))
+
+
+def _emit_walks(path, step, stop, categories, emitted, emit, backward: bool) -> None:
+    """Emit `categories(node, depth)` along every walk of `_walks`, in walk order.
+
+    `depth` is a node's index in the walk, and a walk is emitted last node
+    first when `backward`. A neighbour is pruned when every node reachable
+    from it off the current path is already emitted in the role it would
+    have below it: each walk under it would emit nothing new but the current
+    path. `_walks` is lazy, so each prune test sees what the walks before it
+    emitted. So the traversal descends only where something is left to emit,
+    and costs polynomial time where listing the walks costs exponential.
+    """
+
+    def done(node: str, depth: int) -> bool:
+        return all((category, node) in emitted for category in categories(node, depth))
+
+    def prune(child: str, path: list[str], on_path: set[str]) -> bool:
+        return done(child, len(path)) and all(
+            done(node, len(path) + 1) for node in _reach(child, step, on_path, stop) if node != child
+        )
+
+    for walk in _walks(path, step, stop, prune):
+        for depth in range(len(walk) - 1, -1, -1) if backward else range(len(walk)):
+            for category in categories(walk[depth], depth):
+                emit(category, walk[depth])
 
 
 def _open_loop_warning(uca: UnsafeControlAction) -> Diagnostic:
@@ -244,6 +222,12 @@ def _open_loop_warning(uca: UnsafeControlAction) -> Diagnostic:
         f"controller {uca.source_controller} is open-loop: no feedback reaches it",
         span_of(uca),
     )
+
+
+def open_loop(model: StpaModel) -> list[Diagnostic]:
+    """One `causal/open-loop` warning per UCA whose controller no feedback reaches, in UCA order."""
+    preds = _adjacency(model, EdgeKind.FEEDBACK, reverse=True)
+    return [_open_loop_warning(uca) for uca in model.ucas if uca.source_controller not in preds]
 
 
 class CausalIndex:

@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from . import analysis, causal, printer, report
-from .model import Diagnostic, EdgeKind, Severity, StpaModel
+from .model import Diagnostic, Severity, StpaModel
 from .parser import parse
 
 EXIT_OK = 0
@@ -87,22 +87,40 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
-def _print_diagnostics(diags: list[Diagnostic], stream) -> None:
-    for diag in diags:
-        print(diag.format(), file=stream)
-        for message, span in diag.related:
-            print(f"{span.file}:{span.line_start}:{span.col_start}: note: {message}", file=stream)
-
-
 class _Unusable(Exception):
     """An input or output file cannot be used; the message goes to stderr, exit 3."""
+
+
+def _silence(stream) -> None:
+    """Point `stream` at os.devnull, so the flush of what is left in it at exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _tell(lines) -> None:
+    """Print `lines` to stderr; raise _Unusable if stderr cannot be written."""
+    try:
+        for line in lines:
+            print(line, file=sys.stderr)
+        sys.stderr.flush()
+    except OSError as err:
+        _silence(sys.stderr)
+        raise _Unusable(f"cannot write <stderr>: {err.strerror}") from None
+
+
+def _diagnostic_lines(diags: list[Diagnostic]):
+    for diag in diags:
+        yield diag.format()
+        for message, span in diag.related:
+            yield f"{span.file}:{span.line_start}:{span.col_start}: note: {message}"
 
 
 def _load(inputs: list[str]) -> tuple[StpaModel, list[Diagnostic]]:
     sources = []
     for name in inputs:
         try:
-            sources.append((name, Path(name).read_text(encoding="utf-8")))
+            sources.append((name, Path(name).read_text(encoding="utf-8-sig")))
         except OSError as err:
             raise _Unusable(f"cannot read {name}: {err.strerror}") from None
         except UnicodeDecodeError:
@@ -136,8 +154,7 @@ def _write(output: Path | None, text: str, replace: bool = False) -> None:
                 raise
     except OSError as err:
         if output is None:
-            # what is left in the buffer is flushed at exit, and must not fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _silence(sys.stdout)
         raise _Unusable(f"cannot write {'<stdout>' if output is None else output}: {err.strerror}") from None
 
 
@@ -149,23 +166,17 @@ def _max_rows(args) -> int:
         try:
             value = int(env)
         except ValueError:
-            print(f"stpalint: ignoring non-numeric STPA_MAX_ROWS={env!r}", file=sys.stderr)
+            _tell([f"stpalint: ignoring non-numeric STPA_MAX_ROWS={env!r}"])
         else:
             if value > 0:
                 return value
-            print(f"stpalint: ignoring non-positive STPA_MAX_ROWS={env!r}", file=sys.stderr)
+            _tell([f"stpalint: ignoring non-positive STPA_MAX_ROWS={env!r}"])
     return analysis.DEFAULT_MAX_ROWS
 
 
 def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
-    preds = causal._adjacency(model, EdgeKind.FEEDBACK, reverse=True)
-    diags = [
-        *diags,
-        *analysis.trace_closure(model),
-        *(causal._open_loop_warning(u) for u in model.ucas if u.source_controller not in preds),
-        *causal.validate_cfs(model),
-    ]
-    _print_diagnostics(diags, sys.stderr)
+    diags = [*diags, *analysis.trace_closure(model), *causal.open_loop(model), *causal.validate_cfs(model)]
+    _tell(_diagnostic_lines(diags))
     severities = {d.severity for d in diags}
     if Severity.ERROR in severities:
         return EXIT_ERRORS
@@ -231,7 +242,7 @@ def run(argv: list[str] | None = None) -> int:
             return _check(model, diags, args)
         errors = [d for d in diags if d.severity is Severity.ERROR]
         if errors:  # the other commands need a usable model
-            _print_diagnostics(errors, sys.stderr)
+            _tell(_diagnostic_lines(errors))
             return EXIT_INPUT
         if args.command == "fmt":
             for name in args.inputs:
@@ -239,12 +250,16 @@ def run(argv: list[str] | None = None) -> int:
         else:
             _write(args.output, _REPORTS[args.command](model, args))
     except _Unusable as err:
-        print(f"stpalint: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        code, failure = EXIT_INPUT, err
     except analysis.AnalysisError as err:
-        print(f"stpalint: {err}", file=sys.stderr)
-        return EXIT_ERRORS
-    return EXIT_OK
+        code, failure = EXIT_ERRORS, err
+    else:
+        return EXIT_OK
+    try:
+        _tell([f"stpalint: {failure}"])
+    except _Unusable:  # stderr cannot be written
+        return EXIT_INPUT
+    return code
 
 
 def main() -> None:

@@ -1,16 +1,29 @@
 """Enumeration-based reference for the causal analysis.
 
-These are the original implementations of `checklist`, the on-path set and
-`validate_cfs`: they list every walk with `walk_paths` and read the answer
-off the walks. They cost time exponential in the depth of the feedback
-structure, so they serve only as the oracle the indexed implementation in
-`stpalint.causal` is compared with.
+These are the original implementations of `walk_paths`, `checklist`, the
+on-path set and `validate_cfs`. The oracle lists every walk with its own
+depth-first loop, the one `stpalint.causal._walks` had before it took a
+prune test, and reads the answer off the walks. They cost time exponential
+in the depth of the feedback structure, so they serve only as the oracle the
+indexed implementation in `stpalint.causal` is compared with.
 """
 
 from __future__ import annotations
 
-from stpalint.causal import _PROMPTS, ChecklistItem, PathDirection, _is_network, walk_paths
+from typing import Iterator
+
+from stpalint.causal import (
+    _PROMPTS,
+    DEFAULT_MAX_WALKS,
+    CausalIndex,
+    ChecklistItem,
+    PathDirection,
+    PathWalk,
+    _is_network,
+    _open_loop_warning,
+)
 from stpalint.model import (
+    AnalysisError,
     CausalFactor,
     CfCategory,
     Diagnostic,
@@ -21,6 +34,75 @@ from stpalint.model import (
     UnsafeControlAction,
     FALLBACK_SPAN,
 )
+
+
+def _walks(path: list[str], step: dict[str, list[str]], stop) -> Iterator[list[str]]:
+    """Every walk that extends `path` along `step`, depth-first in adjacency order.
+
+    A walk ends at a `stop` node or where no neighbour off the walk is left.
+    The stack is explicit, so a walk may be longer than the recursion limit.
+    """
+    path = list(path)
+    base = len(path)
+    on_path = set(path)
+
+    def nexts() -> list[str]:
+        node = path[-1]
+        return [] if node in stop else [n for n in step.get(node, ()) if n not in on_path]
+
+    first = nexts()
+    if not first:
+        yield list(path)
+    stack = [iter(first)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            if len(path) > base:
+                on_path.discard(path.pop())
+            continue
+        path.append(child)
+        on_path.add(child)
+        children = nexts()
+        if not children:
+            yield list(path)
+        stack.append(iter(children))
+
+
+def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWalk], list[Diagnostic]]:
+    """Feedback walks into the UCA's controller and control walks along its action.
+
+    Feedback walks run origin-first (an environment entity is a legal origin);
+    control walks start at the controller, follow the UCA's own action edge,
+    and continue until a controlled process or a dead end. Cycles are cut with
+    a per-path visited set. The number of walks can grow exponentially with
+    the depth of the structure: more than DEFAULT_MAX_WALKS raises AnalysisError.
+    """
+    index = CausalIndex(model)
+    controller = uca.source_controller
+    walks: list[PathWalk] = []
+
+    def record(direction: PathDirection, elements: list[str]) -> None:
+        if len(walks) == DEFAULT_MAX_WALKS:
+            raise AnalysisError(
+                f"uca {uca.id} has more than {DEFAULT_MAX_WALKS} walks; "
+                "simplify the feedback structure"
+            )
+        walks.append(PathWalk(uca.id, direction, elements))
+
+    diags: list[Diagnostic] = []
+    if controller in index.preds:
+        for walk in _walks([controller], index.preds, ()):
+            record(PathDirection.FEEDBACK_PATH, walk[::-1])
+    else:
+        diags.append(_open_loop_warning(uca))
+
+    action_edge = index.edges.get(uca.action)
+    if action_edge is not None:
+        for walk in _walks(action_edge.chain(), index.succs, index.processes):
+            record(PathDirection.CONTROL_PATH, walk)
+
+    return walks, diags
 
 
 def checklist(model: StpaModel, uca: UnsafeControlAction) -> list[ChecklistItem]:

@@ -1,8 +1,9 @@
 """The indexed causal analysis against the enumeration-based oracle.
 
-`causal_oracle` lists every walk with `walk_paths` and reads checklists,
-on-path sets and `validate_cfs` diagnostics off them. The indexed code must
-give the same results, in the same order, without listing walks.
+`causal_oracle` lists every walk with its own `walk_paths` and reads
+checklists, on-path sets and `validate_cfs` diagnostics off them. The
+indexed code must give the same results, in the same order, without listing
+walks, and `causal.walk_paths` must list the oracle's walks and diagnostics.
 """
 
 import sys
@@ -44,6 +45,7 @@ relaxed = settings(max_examples=300, deadline=None, suppress_health_check=[Healt
 def assert_matches_oracle(model):
     index = CausalIndex(model)
     for uca in model.ucas:
+        assert walk_paths(model, uca) == causal_oracle.walk_paths(model, uca), uca.id
         assert checklist(model, uca) == causal_oracle.checklist(model, uca), uca.id
         assert index.checklist(uca) == causal_oracle.checklist(model, uca), uca.id
         assert index.on_path(uca) == causal_oracle.on_path_ids(model, uca), uca.id

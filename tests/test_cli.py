@@ -264,11 +264,11 @@ def test_graph_command(corpus_args):
     assert check_dot(out) == []
 
 
-def run_cli_process(argv, stdout):
-    """Run the CLI in a fresh interpreter whose stdout is `stdout`."""
+def run_cli_process(argv, stdout, stderr=subprocess.PIPE):
+    """Run the CLI in a fresh interpreter whose stdout is `stdout` and whose stderr is `stderr`."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, "-m", "stpalint.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60
+        [sys.executable, "-m", "stpalint.cli", *argv], stdout=stdout, stderr=stderr, env=env, timeout=60
     )
 
 
@@ -289,6 +289,53 @@ def test_stdout_on_a_closed_pipe_exits_3(corpus_args):
         os.close(write_end)
     assert proc.returncode == 3
     assert proc.stderr == b"stpalint: cannot write <stdout>: Broken pipe\n"
+
+
+@pytest.fixture(params=["clean", "errors", "unknown-uca"])
+def stderr_argv(request, corpus_args, tmp_path):
+    """A command line that writes to stderr: a clean check, a check with errors, a failing checklist."""
+    if request.param == "errors":
+        bad = tmp_path / "bad.stpa"
+        bad.write_text('hazard H-1 "h" leads_to [L-9]\n', encoding="utf-8")
+        return ["check", str(bad)]
+    if request.param == "unknown-uca":
+        return ["checklist", "--uca", "NOPE", *corpus_args]
+    return ["check", *corpus_args]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_stderr_on_a_full_device_exits_3(stderr_argv):
+    with open("/dev/full", "w") as full:
+        proc = run_cli_process(stderr_argv, subprocess.PIPE, full)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+
+
+def test_stderr_on_a_closed_pipe_exits_3(stderr_argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli_process(stderr_argv, subprocess.PIPE, write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+
+
+def test_a_byte_order_mark_is_accepted_and_fmt_drops_it(tmp_path, monkeypatch):
+    for path in corpus_paths():
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir(exist_ok=True)
+            (tmp_path / name / path.name).write_bytes(prefix + path.read_bytes())
+    results, formatted = {}, {}
+    for name in ("plain", "bom"):
+        monkeypatch.chdir(tmp_path / name)
+        results[name] = run_cli(["check", *CORPUS_FILES])
+        assert run_cli(["fmt", *CORPUS_FILES])[0] == 0
+        formatted[name] = {f: (tmp_path / name / f).read_bytes() for f in CORPUS_FILES}
+    assert results["bom"] == results["plain"]
+    assert formatted["bom"] == formatted["plain"]
+    assert not any(text.startswith(b"\xef\xbb\xbf") for text in formatted["bom"].values())
 
 
 # -- fmt ----------------------------------------------------------------------
