@@ -17,7 +17,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import analysis, causal, printer, report
+from . import analysis, causal
 from .model import Diagnostic, Severity, StpaModel
 from .parser import parse
 
@@ -99,10 +99,9 @@ def _silence(stream) -> None:
 
 
 def _tell(lines) -> None:
-    """Print `lines` to stderr; raise _Unusable if stderr cannot be written."""
+    """Write `lines` to stderr in one write; raise _Unusable if stderr cannot be written."""
     try:
-        for line in lines:
-            print(line, file=sys.stderr)
+        sys.stderr.write("".join(f"{line}\n" for line in lines))
         sys.stderr.flush()
     except OSError as err:
         _silence(sys.stderr)
@@ -186,23 +185,31 @@ def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
 
 
 def _contexts(model: StpaModel, args) -> str:
+    from . import report
+
     table = analysis.build_context_table(model, args.controller, args.action, max_rows=_max_rows(args))
     return report.render_context_csv(table)
 
 
 def _worksheet(model: StpaModel, args) -> str:
+    from . import report
+
     if args.format == "json":
         return report.to_json(report.worksheet_to_dict(model, args.action))
     return report.render_worksheet(model, args.action)
 
 
 def _trace(model: StpaModel, args) -> str:
+    from . import report
+
     if args.format == "json":
         return report.render_json(model)
     return report.render_trace_matrix(model)
 
 
 def _checklist(model: StpaModel, args) -> str:
+    from . import report
+
     uca = model.uca_ids().get(args.uca)
     if uca is None:
         raise _Unusable(f"unknown uca {args.uca}")
@@ -212,19 +219,28 @@ def _checklist(model: StpaModel, args) -> str:
     return report.render_checklist(items, args.uca)
 
 
+def _graph(model: StpaModel, args) -> str:
+    from . import report
+
+    return report.render_graph(model)
+
+
 def _stats(model: StpaModel, args) -> str:
+    from . import report
+
     if args.format == "json":
         return report.to_json(report.stats_to_dict(analysis.stats(model)))
     return report.render_stats(model)
 
 
-# report command -> handler returning the text for stdout or --output
+# report command -> handler returning the text for stdout or --output; each
+# handler imports `report` itself, so `check` and `fmt` never load it
 _REPORTS = {
     "contexts": _contexts,
     "worksheet": _worksheet,
     "trace": _trace,
     "checklist": _checklist,
-    "graph": lambda model, args: report.render_graph(model),
+    "graph": _graph,
     "stats": _stats,
 }
 
@@ -245,6 +261,8 @@ def run(argv: list[str] | None = None) -> int:
             _tell(_diagnostic_lines(errors))
             return EXIT_INPUT
         if args.command == "fmt":
+            from . import printer
+
             for name in args.inputs:
                 _write(Path(name), printer.serialize_file(model, name), replace=True)
         else:

@@ -6,6 +6,11 @@ ahead to the next top-level keyword that starts a line. Parsing never
 fabricates declarations; every declaration in the output carries the span
 of its source statement.
 
+The tokenizer makes one regex match per lexeme, blanks in front included,
+and each token is a plain tuple `(kind, text, line, col, end_col)`: a large
+model has tens of thousands of tokens, and a tuple is the cheapest object
+that holds one.
+
 The syntax of the statements is defined only by `STATEMENTS`, one row per
 keyword: the parser reads a statement by walking its row's slots, and
 `printer` writes a declaration from the same slots.
@@ -14,7 +19,6 @@ keyword: the parser reads a statement by walking its row's slots, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
 from .model import (
@@ -123,38 +127,56 @@ STATEMENTS: dict[str, Statement] = {
 }
 
 # The character after a backslash in a string -> the character it stands for.
-# Any other escaped character stands for itself. `printer.quote` inverts this.
+# Any other escaped character stands for itself. `quote` inverts this.
 ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 _UNESCAPE = re.compile(r"\\(.)")
+_QUOTE = str.maketrans({char: "\\" + letter for letter, char in ESCAPES.items()})
 
-# One alternative per lexeme; `tokenize` dispatches on the name that matched.
-# A string stops at its closing quote or at a newline; a backslash escapes
-# the next character, and a lone backslash before a newline or EOF is kept.
+
+def quote(text: str) -> str:
+    """`text` as a string literal that reads back as `text`."""
+    return '"' + text.translate(_QUOTE) + '"'
+
+
+# One alternative per lexeme, each after the blanks in front of it;
+# `tokenize` dispatches on the name that matched, and blanks before the end
+# of the text match no name. A string stops at its closing quote or at a
+# newline; a backslash escapes the next character, and a lone backslash
+# before a newline or EOF is kept.
 _LEXEME = re.compile(
+    r"[ \t\r]*(?:"
     r"(?P<newline>\n)"
-    r"|(?P<skip>[ \t\r]+|#[^\n]*)"
+    r"|(?P<comment>#[^\n]*)"
     r'|(?P<string>"(?P<body>[^"\\\n]*(?:\\.?[^"\\\n]*)*)(?P<close>")?)'
     r"|(?P<id>\w[\w-]*)"
     r"|(?P<punct>[][{}=,])"
     r"|(?P<other>.)"
+    r"|\Z)"
 )
 
-
-@dataclass
-class Token:
-    kind: str  # "id", "string", "punct"
-    text: str  # unescaped value for strings
-    line: int
-    col: int
-    end_col: int
+# A token is a tuple (kind, text, line, col, end_col): kind is "id", "string"
+# or "punct", text is the unescaped value of a string, and the columns are
+# those of the token's first and last characters.
+Token = tuple[str, str, int, int, int]
 
 
 class _ParseError(Exception):
+    """A syntax fault at `token`, None at the end of the file; `message` is complete."""
+
     def __init__(self, message: str, token: Token | None):
         super().__init__(message)
         self.message = message
         self.token = token
+
+
+def _found(tok: Token | None) -> str:
+    """The end of an "expected ..." message: the token that was found instead."""
+    if tok is None:
+        return " at end of file"
+    if tok[0] == "string":
+        return f", found string {quote(tok[1])}"
+    return f", found {tok[1]!r}"
 
 
 def _unescape(body: str) -> str:
@@ -169,15 +191,16 @@ def tokenize(path: str, text: str, diags: list[Diagnostic]) -> list[Token]:
     line, line_start = 1, 0
     for m in _LEXEME.finditer(text):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        if kind == "newline":
+        if kind == "id" or kind == "punct":
+            start = m.start(kind) - line_start
+            word = m[kind]
+            tokens.append((kind, word, line, start + 1, start + len(word)))
+        elif kind == "newline":
             line += 1
             line_start = m.end()
-            continue
-        col = m.start() - line_start + 1
-        end_col = m.end() - line_start
-        if kind == "string":
+        elif kind == "string":
+            start, end = m.span(kind)
+            col, end_col = start - line_start + 1, end - line_start
             if m["close"] is None:
                 diags.append(
                     Diagnostic(
@@ -187,18 +210,18 @@ def tokenize(path: str, text: str, diags: list[Diagnostic]) -> list[Token]:
                         SourceSpan(path, line, col, line, end_col),
                     )
                 )
-            tokens.append(Token("string", _unescape(m["body"]), line, col, end_col))
+            tokens.append(("string", _unescape(m["body"]), line, col, end_col))
         elif kind == "other":
+            col = m.start(kind) - line_start + 1
             diags.append(
                 Diagnostic(
                     Severity.ERROR,
                     "parse/unexpected-character",
-                    f"unexpected character {m[0]!r}",
+                    f"unexpected character {m[kind]!r}",
                     SourceSpan(path, line, col, line, col),
                 )
             )
-        else:
-            tokens.append(Token(kind, m[0], line, col, end_col))
+        # a comment, or the blanks at the end of the text, makes no token
     return tokens
 
 
@@ -223,13 +246,14 @@ class _FileParser:
         """Consume and return the next token if it has `kind` (and `text`); else None."""
         if self.pos < len(self.tokens):
             tok = self.tokens[self.pos]
-            if tok.kind == kind and (text is None or tok.text == text):
+            if tok[0] == kind and (text is None or tok[1] == text):
                 self.pos += 1
                 return tok
         return None
 
     def fail(self, message: str) -> NoReturn:
-        raise _ParseError(message, self.peek())
+        tok = self.peek()
+        raise _ParseError(message + _found(tok), tok)
 
     def expect_id(self, what: str) -> Token:
         return self.take("id") or self.fail(f"expected {what}")
@@ -244,19 +268,20 @@ class _FileParser:
         return self.take("punct", ch) or self.fail(f"expected {ch!r}")
 
     def token_span(self, tok: Token) -> SourceSpan:
-        return SourceSpan(self.path, tok.line, tok.col, tok.line, tok.end_col)
+        _, _, line, col, end_col = tok
+        return SourceSpan(self.path, line, col, line, end_col)
 
     def span_from(self, start: Token) -> SourceSpan:
         last = self.tokens[self.pos - 1] if self.pos > 0 else start
-        return SourceSpan(self.path, start.line, start.col, last.line, last.end_col)
+        return SourceSpan(self.path, start[2], start[3], last[2], last[4])
 
     # -- slot shapes --------------------------------------------------------
 
     def read_id(self, what: str) -> str:
-        return self.expect_id(what).text
+        return self.expect_id(what)[1]
 
     def read_string(self, what: str) -> str:
-        return self.expect_string(what).text
+        return self.expect_string(what)[1]
 
     def read_ids(self, what: str) -> list[str]:
         """Bracketed, comma-separated id list; empty list accepted (resolve flags it)."""
@@ -281,9 +306,9 @@ class _FileParser:
     def read_enum(self, enum: type, what: str):
         tok = self.expect_id(what)
         try:
-            return enum(tok.text)
+            return enum(tok[1])
         except ValueError:
-            raise _ParseError(f"unknown {what} {tok.text!r}", tok) from None
+            raise _ParseError(f"unknown {what} {tok[1]!r}", tok) from None
 
     def read_guide(self, what: str) -> GuideWord:
         category = self.read_enum(GuideCategory, what)
@@ -299,21 +324,21 @@ class _FileParser:
         while var_tok := self.take("id"):
             self.expect_punct("=")
             value = self.read_string(what)
-            if var_tok.text in first:
+            var = var_tok[1]
+            if var in first:
                 # an error, not an override: the first value stays
-                at = first[var_tok.text]
                 self.diags.append(
                     Diagnostic(
                         Severity.ERROR,
                         "parse/duplicate-context-variable",
-                        f"context variable {var_tok.text} is assigned more than once",
+                        f"context variable {var} is assigned more than once",
                         self.span_from(var_tok),
-                        [("first assigned here", self.token_span(at))],
+                        [("first assigned here", self.token_span(first[var]))],
                     )
                 )
                 continue
-            first[var_tok.text] = var_tok
-            assignments[var_tok.text] = value
+            first[var] = var_tok
+            assignments[var] = value
         self.expect_punct("}")
         return Context(assignments)
 
@@ -333,12 +358,12 @@ class _FileParser:
 
     def parse_into(self, model: StpaModel) -> None:
         while (tok := self.peek()) is not None:
-            if tok.kind != "id" or tok.text not in STATEMENTS:
+            if tok[0] != "id" or tok[1] not in STATEMENTS:
                 self.diags.append(
                     Diagnostic(
                         Severity.ERROR,
                         "parse/unknown-keyword",
-                        f"expected a declaration keyword, found {tok.text!r}",
+                        "expected a declaration keyword" + _found(tok),
                         self.token_span(tok),
                     )
                 )
@@ -352,29 +377,26 @@ class _FileParser:
                 span = (
                     self.token_span(at)
                     if at is not None
-                    else SourceSpan(self.path, tok.line, tok.col, tok.line, tok.col)
+                    else SourceSpan(self.path, tok[2], tok[3], tok[2], tok[3])
                 )
-                found = f", found {at.text!r}" if at is not None else " at end of file"
-                self.diags.append(
-                    Diagnostic(Severity.ERROR, "parse/syntax", err.message + found, span)
-                )
+                self.diags.append(Diagnostic(Severity.ERROR, "parse/syntax", err.message, span))
                 self.recover()
 
     def recover(self) -> None:
         """Skip to the next top-level keyword that starts a line."""
         while (tok := self.peek()) is not None:
-            if tok.kind == "id" and tok.text in STATEMENTS and self.starts_line():
+            if tok[0] == "id" and tok[1] in STATEMENTS and self.starts_line():
                 return
             self.advance()
 
     def starts_line(self) -> bool:
         """Whether the next token is the first token on its line."""
-        return self.pos == 0 or self.tokens[self.pos - 1].line < self.tokens[self.pos].line
+        return self.pos == 0 or self.tokens[self.pos - 1][2] < self.tokens[self.pos][2]
 
     def statement(self, model: StpaModel) -> None:
         """Read the statement at a keyword by walking the keyword's `STATEMENTS` row."""
         start = self.advance()
-        row = STATEMENTS[start.text]
+        row = STATEMENTS[start[1]]
         fields = dict(row.fixed)
         for slot in row.slots:
             if slot.__class__ is str:

@@ -14,11 +14,9 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .model import Diagnostic, StpaModel, resolve
-from .parser import ABSENT, ESCAPES, STATEMENTS, Statement
+from .parser import ABSENT, STATEMENTS, Statement, quote
 
 HEADER = "# stpa model (canonical format)"
-
-_QUOTE = str.maketrans({char: "\\" + letter for letter, char in ESCAPES.items()})
 
 
 class UnresolvedModelError(ValueError):
@@ -27,10 +25,6 @@ class UnresolvedModelError(ValueError):
     def __init__(self, diagnostics: list[Diagnostic]):
         super().__init__(f"model does not resolve: {len(diagnostics)} diagnostic(s)")
         self.diagnostics = diagnostics
-
-
-def quote(text: str) -> str:
-    return '"' + text.translate(_QUOTE) + '"'
 
 
 # slot shape -> the text of a slot's value

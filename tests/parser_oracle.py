@@ -15,6 +15,7 @@ written. They serve only as the oracles those modules are compared with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from stpalint import parser
 from stpalint.model import (
@@ -170,15 +171,36 @@ TOP_KEYWORDS = (
 )
 
 
+class _Tok(NamedTuple):
+    """A token of `stpalint.parser.tokenize`, a plain tuple there, read by field name."""
+
+    kind: str
+    text: str
+    line: int
+    col: int
+    end_col: int
+
+
 class _ParseError(Exception):
-    def __init__(self, message: str, token: parser.Token | None):
+    def __init__(self, message: str, token: _Tok | None):
         super().__init__(message)
         self.message = message
         self.token = token
 
 
+def _expected(message: str, tok: _Tok | None) -> _ParseError:
+    """An "expected ..." error that names the token found instead."""
+    if tok is None:
+        found = " at end of file"
+    elif tok.kind == "string":
+        found = f", found string {quote(tok.text)}"
+    else:
+        found = f", found {tok.text!r}"
+    return _ParseError(message + found, tok)
+
+
 class _FileParser:
-    def __init__(self, path: str, tokens: list[parser.Token], diags: list[Diagnostic]):
+    def __init__(self, path: str, tokens: list[_Tok], diags: list[Diagnostic]):
         self.path = path
         self.tokens = tokens
         self.pos = 0
@@ -186,10 +208,10 @@ class _FileParser:
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> parser.Token | None:
+    def peek(self) -> _Tok | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def advance(self) -> parser.Token:
+    def advance(self) -> _Tok:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -197,28 +219,28 @@ class _FileParser:
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def expect_id(self, what: str) -> parser.Token:
+    def expect_id(self, what: str) -> _Tok:
         tok = self.peek()
         if tok is None or tok.kind != "id":
-            raise _ParseError(f"expected {what}", tok)
+            raise _expected(f"expected {what}", tok)
         return self.advance()
 
-    def expect_keyword(self, word: str) -> parser.Token:
+    def expect_keyword(self, word: str) -> _Tok:
         tok = self.peek()
         if tok is None or tok.kind != "id" or tok.text != word:
-            raise _ParseError(f"expected keyword {word!r}", tok)
+            raise _expected(f"expected keyword {word!r}", tok)
         return self.advance()
 
-    def expect_string(self, what: str) -> parser.Token:
+    def expect_string(self, what: str) -> _Tok:
         tok = self.peek()
         if tok is None or tok.kind != "string":
-            raise _ParseError(f"expected {what} string", tok)
+            raise _expected(f"expected {what} string", tok)
         return self.advance()
 
-    def expect_punct(self, ch: str) -> parser.Token:
+    def expect_punct(self, ch: str) -> _Tok:
         tok = self.peek()
         if tok is None or tok.kind != "punct" or tok.text != ch:
-            raise _ParseError(f"expected {ch!r}", tok)
+            raise _expected(f"expected {ch!r}", tok)
         return self.advance()
 
     def match_keyword(self, word: str) -> bool:
@@ -253,10 +275,10 @@ class _FileParser:
         self.expect_punct("]")
         return items
 
-    def token_span(self, tok: parser.Token) -> SourceSpan:
+    def token_span(self, tok: _Tok) -> SourceSpan:
         return SourceSpan(self.path, tok.line, tok.col, tok.line, tok.end_col)
 
-    def span_from(self, start: parser.Token) -> SourceSpan:
+    def span_from(self, start: _Tok) -> SourceSpan:
         last = self.tokens[self.pos - 1] if self.pos > 0 else start
         return SourceSpan(self.path, start.line, start.col, last.line, last.end_col)
 
@@ -270,7 +292,7 @@ class _FileParser:
                     Diagnostic(
                         Severity.ERROR,
                         "parse/unknown-keyword",
-                        f"expected a declaration keyword, found {tok.text!r}",
+                        _expected("expected a declaration keyword", tok).message,
                         self.token_span(tok),
                     )
                 )
@@ -286,10 +308,7 @@ class _FileParser:
                     if at is not None
                     else SourceSpan(self.path, tok.line, tok.col, tok.line, tok.col)
                 )
-                found = f", found {at.text!r}" if at is not None else " at end of file"
-                self.diags.append(
-                    Diagnostic(Severity.ERROR, "parse/syntax", err.message + found, span)
-                )
+                self.diags.append(Diagnostic(Severity.ERROR, "parse/syntax", err.message, span))
                 self.recover()
 
     def recover(self) -> None:
@@ -385,7 +404,7 @@ class _FileParser:
         else:  # pragma: no cover - dispatch covers all TOP_KEYWORDS
             raise _ParseError(f"unhandled keyword {keyword!r}", start)
 
-    def uca_statement(self, start: parser.Token, builder: "_ModelBuilder") -> None:
+    def uca_statement(self, start: _Tok, builder: "_ModelBuilder") -> None:
         name = self.expect_id("uca id").text
         self.expect_keyword("action")
         self.expect_punct("=")
@@ -408,7 +427,7 @@ class _FileParser:
         assignments: dict[str, str] = {}
         if self.match_keyword("context"):
             self.expect_punct("{")
-            first: dict[str, parser.Token] = {}
+            first: dict[str, _Tok] = {}
             while self.peek() and self.peek().kind == "id":
                 var_tok = self.advance()
                 self.expect_punct("=")
@@ -465,7 +484,7 @@ def parse(source_files: list[tuple[str, str]]) -> tuple[StpaModel, list[Diagnost
     diags: list[Diagnostic] = []
     builder = _ModelBuilder()
     for path, text in source_files:
-        tokens = parser.tokenize(path, text, diags)
+        tokens = [_Tok(*t) for t in parser.tokenize(path, text, diags)]
         _FileParser(path, tokens, diags).parse_into(builder)
     model = builder.finish()
     diags.extend(resolve(model))

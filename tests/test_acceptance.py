@@ -4,6 +4,7 @@ import io
 import math
 import shutil
 import time
+from pathlib import Path
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
@@ -208,9 +209,9 @@ def test_criterion_7_determinism(capsys, tmp_path):
             shutil.copy(path, tmp_path / path.name)
         copies = [str(tmp_path / name) for name in CORPUS_FILES]
         run_cli(["fmt", *copies])
-        once = [open(c, encoding="utf-8").read() for c in copies]
+        once = [Path(c).read_text(encoding="utf-8") for c in copies]
         run_cli(["fmt", *copies])
-        assert [open(c, encoding="utf-8").read() for c in copies] == once
+        assert [Path(c).read_text(encoding="utf-8") for c in copies] == once
 
         goldens = {
             "worksheet_brake.md": ["worksheet", "--action", "BrakeCmd", *CORPUS_ARGS],

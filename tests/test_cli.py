@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -344,19 +345,19 @@ def test_a_byte_order_mark_is_accepted_and_fmt_drops_it(tmp_path, monkeypatch):
 def test_fmt_rewrites_in_place_and_is_idempotent(corpus_copy):
     code, _, _ = run_cli(["fmt", *corpus_copy])
     assert code == 0
-    first = {name: open(name, encoding="utf-8").read() for name in corpus_copy}
+    first = {name: Path(name).read_text(encoding="utf-8") for name in corpus_copy}
     assert all(text.startswith("# stpa model (canonical format)\n") for text in first.values())
     code, _, _ = run_cli(["fmt", *corpus_copy])
     assert code == 0
-    second = {name: open(name, encoding="utf-8").read() for name in corpus_copy}
+    second = {name: Path(name).read_text(encoding="utf-8") for name in corpus_copy}
     assert first == second
 
 
 def test_fmt_preserves_model_meaning(corpus_copy):
-    before, diags = parse([(n, open(n, encoding="utf-8").read()) for n in corpus_copy])
+    before, diags = parse([(n, Path(n).read_text(encoding="utf-8")) for n in corpus_copy])
     assert diags == []
     run_cli(["fmt", *corpus_copy])
-    after, diags = parse([(n, open(n, encoding="utf-8").read()) for n in corpus_copy])
+    after, diags = parse([(n, Path(n).read_text(encoding="utf-8")) for n in corpus_copy])
     assert diags == []
     assert after == before
 
@@ -373,11 +374,11 @@ def test_fmt_writes_through_a_symlink(corpus_copy, tmp_path):
     os.chmod(target, 0o640)
     link = tmp_path / "link.stpa"
     link.symlink_to(target)
-    expected = parse([(str(link), open(target, encoding="utf-8").read())])[0]
+    expected = parse([(str(link), Path(target).read_text(encoding="utf-8"))])[0]
     code, _, err = run_cli(["fmt", str(link), *corpus_copy[1:]])
     assert (code, err) == (0, "")
     assert os.readlink(link) == target
-    text = open(target, encoding="utf-8").read()
+    text = Path(target).read_text(encoding="utf-8")
     assert text.startswith("# stpa model (canonical format)\n")
     assert parse([(str(link), text)])[0] == expected
     assert os.stat(target).st_mode & 0o777 == 0o640
@@ -385,7 +386,7 @@ def test_fmt_writes_through_a_symlink(corpus_copy, tmp_path):
 
 
 def test_fmt_write_failure_leaves_the_file_unchanged(corpus_copy, tmp_path, monkeypatch):
-    before = {name: open(name, "rb").read() for name in corpus_copy}
+    before = {name: Path(name).read_bytes() for name in corpus_copy}
 
     def refuse(src, dst):
         raise PermissionError(errno.EACCES, "Permission denied")
@@ -395,7 +396,7 @@ def test_fmt_write_failure_leaves_the_file_unchanged(corpus_copy, tmp_path, monk
     assert code == 3
     assert out == ""
     assert err == f"stpalint: cannot write {corpus_copy[0]}: Permission denied\n"
-    assert {name: open(name, "rb").read() for name in corpus_copy} == before
+    assert {name: Path(name).read_bytes() for name in corpus_copy} == before
     assert sorted(os.listdir(tmp_path)) == sorted(CORPUS_FILES)
 
 

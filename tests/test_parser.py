@@ -192,7 +192,7 @@ def test_repeated_context_variable_is_an_error_at_the_second_assignment():
 def lex(text):
     diags = []
     tokens = tokenize("test.stpa", text, diags)
-    return [(t.kind, t.text, t.line, t.col, t.end_col) for t in tokens], diags
+    return [tuple(t) for t in tokens], diags
 
 
 def test_lone_backslash_before_newline_is_kept_in_an_unterminated_string():
@@ -232,3 +232,81 @@ def test_recovery_stops_at_a_keyword_after_an_unexpected_character():
     model, diags = parse_one('hazard H-1 "broken" leads_to\n@ loss L-2 "x"\n')
     assert [d.rule for d in diags] == ["parse/unexpected-character", "parse/syntax"]
     assert [l.id for l in model.losses] == ["L-2"]
+
+
+# -- what a syntax error says it found ----------------------------------------
+
+
+def test_a_string_found_for_a_punctuation_is_named_as_a_string():
+    _, diags = parse_one('hazard H-1 "x" leads_to "L-1"\n')
+    assert [d.format() for d in diags] == [
+        "test.stpa:1:25: error[parse/syntax]: expected '[', found string \"L-1\""
+    ]
+
+
+def test_a_string_at_the_top_level_is_named_as_a_string_with_its_escapes():
+    _, diags = parse_one('"say \\"hi\\"" loss L-1 "x"\n')
+    assert [d.format() for d in diags] == [
+        'test.stpa:1:1: error[parse/unknown-keyword]: expected a declaration keyword, found string "say \\"hi\\""'
+    ]
+
+
+def test_an_unknown_causal_factor_category_is_named_once():
+    _, diags = parse_one('cf CF-1 category = Nope at X for [U] "d"\n')
+    assert [d.format() for d in diags] == [
+        "test.stpa:1:20: error[parse/syntax]: unknown causal factor category 'Nope'"
+    ]
+
+
+def test_an_unknown_guide_category_is_named_once():
+    _, diags = parse_one('uca U action = A guide = Sideways hazards [H-1] "d"\n')
+    assert [d.format() for d in diags] == [
+        "test.stpa:1:26: error[parse/syntax]: unknown guide category 'Sideways'"
+    ]
+
+
+def test_an_unknown_guide_qualifier_is_named_once():
+    _, diags = parse_one('uca U action = A guide = WrongTiming qualifier = Soon hazards [H-1] "d"\n')
+    assert [d.format() for d in diags] == [
+        "test.stpa:1:50: error[parse/syntax]: unknown guide qualifier 'Soon'"
+    ]
+
+
+# -- blanks in front of a lexeme ----------------------------------------------
+
+
+def test_blanks_before_the_end_of_the_text_make_no_token():
+    assert lex("loss \t\r ") == ([("id", "loss", 1, 1, 4)], [])
+    assert lex(" \t") == ([], [])
+    assert lex("") == ([], [])
+
+
+def test_blanks_before_a_comment_make_no_token():
+    assert lex("loss \t# note\n  L-1") == ([("id", "loss", 1, 1, 4), ("id", "L-1", 2, 3, 5)], [])
+
+
+def test_blanks_before_an_unexpected_character_are_skipped():
+    tokens, diags = lex("loss \t@")
+    assert tokens == [("id", "loss", 1, 1, 4)]
+    assert [(d.rule, d.span) for d in diags] == [
+        ("parse/unexpected-character", SourceSpan("test.stpa", 1, 7, 1, 7))
+    ]
+
+
+def test_blanks_before_an_unterminated_string_at_end_of_file():
+    tokens, diags = lex('loss  "abc')
+    assert tokens == [("id", "loss", 1, 1, 4), ("string", "abc", 1, 7, 10)]
+    assert [(d.rule, d.span) for d in diags] == [
+        ("parse/unterminated-string", SourceSpan("test.stpa", 1, 7, 1, 10))
+    ]
+
+
+def test_columns_after_leading_tabs():
+    tokens, diags = lex('\t\tloss\t"x"\n\tL-1 =')
+    assert diags == []
+    assert tokens == [
+        ("id", "loss", 1, 3, 6),
+        ("string", "x", 1, 8, 10),
+        ("id", "L-1", 2, 2, 4),
+        ("punct", "=", 2, 6, 6),
+    ]

@@ -55,7 +55,7 @@ def starts_line_flags(tokens):
 def assert_matches_oracle(text):
     tokens, diags = _lex(parser, text)
     expected, expected_diags = _lex(parser_oracle, text)
-    assert [(t.kind, t.text, t.line, t.col, t.end_col) for t in tokens] == [
+    assert [tuple(t) for t in tokens] == [
         (t.kind, t.text, t.line, t.col, t.end_col) for t in expected
     ]
     assert all(t.end_line == t.line for t in expected)
