@@ -225,9 +225,15 @@ def _open_loop_warning(uca: UnsafeControlAction) -> Diagnostic:
 
 
 def open_loop(model: StpaModel) -> list[Diagnostic]:
-    """One `causal/open-loop` warning per UCA whose controller no feedback reaches, in UCA order."""
+    """One `causal/open-loop` warning per UCA whose controller no feedback reaches, in UCA order.
+
+    A UCA without a source controller, one whose action names no edge, gets
+    none: `resolve` already reports its dangling action.
+    """
     preds = _adjacency(model, EdgeKind.FEEDBACK, reverse=True)
-    return [_open_loop_warning(uca) for uca in model.ucas if uca.source_controller not in preds]
+    return [
+        _open_loop_warning(uca) for uca in model.ucas if uca.source_controller and uca.source_controller not in preds
+    ]
 
 
 class CausalIndex:

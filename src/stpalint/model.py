@@ -248,20 +248,11 @@ class StpaModel:
     causal_factors: list[CausalFactor] = field(default_factory=list)
     controller_constraints: list[ControllerConstraint] = field(default_factory=list)
 
-    def loss_ids(self) -> dict[str, Loss]:
-        return {d.id: d for d in self.losses}
-
-    def hazard_ids(self) -> dict[str, Hazard]:
-        return {d.id: d for d in self.hazards}
-
     def entity_ids(self) -> dict[str, Entity]:
         return {d.id: d for d in self.entities}
 
     def edge_ids(self) -> dict[str, Edge]:
         return {d.id: d for d in self.edges}
-
-    def variable_ids(self) -> dict[str, ProcessModelVariable]:
-        return {d.id: d for d in self.variables}
 
     def uca_ids(self) -> dict[str, UnsafeControlAction]:
         return {d.id: d for d in self.ucas}
@@ -283,6 +274,20 @@ def _error(rule: str, message: str, decl, related=None) -> Diagnostic:
     return Diagnostic(Severity.ERROR, rule, message, span_of(decl), related or [])
 
 
+# Each model section and the kind name its diagnostics use.
+_KINDS = {
+    "losses": "loss",
+    "hazards": "hazard",
+    "constraints": "constraint",
+    "entities": "entity",
+    "edges": "edge",
+    "variables": "variable",
+    "ucas": "uca",
+    "causal_factors": "causal factor",
+    "controller_constraints": "controller constraint",
+}
+
+
 def resolve(model: StpaModel) -> list[Diagnostic]:
     """Check id uniqueness, reference closure and structural invariants.
 
@@ -291,18 +296,9 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
 
-    kinds = [
-        ("loss", model.losses),
-        ("hazard", model.hazards),
-        ("constraint", model.constraints),
-        ("entity", model.entities),
-        ("edge", model.edges),
-        ("variable", model.variables),
-        ("uca", model.ucas),
-        ("causal factor", model.causal_factors),
-        ("controller constraint", model.controller_constraints),
-    ]
-    for kind_name, decls in kinds:
+    ids: dict[str, dict] = {}
+    for section, kind_name in _KINDS.items():
+        decls = getattr(model, section)
         seen: dict[str, object] = {}
         for decl in decls:
             if not decl.id or not ID_PATTERN.match(decl.id):
@@ -321,13 +317,23 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
                 )
             else:
                 seen[decl.id] = decl
+        # A duplicated id resolves to its last declaration.
+        ids[section] = {d.id: d for d in decls}
 
-    losses = model.loss_ids()
-    hazards = model.hazard_ids()
-    entities = model.entity_ids()
-    edges = model.edge_ids()
-    variables = model.variable_ids()
-    ucas = model.uca_ids()
+    def refs(decl, values, section: str, required: str | None = None) -> None:
+        """Flag an empty list if `required` names the citing kind, then each dangling id."""
+        kind_name = _KINDS[section]
+        if required and not values:
+            diags.append(
+                _error("resolve/empty-ref-list", f"{required} must reference at least one {kind_name}", decl)
+            )
+        for ref in values:
+            if ref not in ids[section]:
+                diags.append(_error("resolve/unresolved-ref", f"unresolved {kind_name} {ref}", decl))
+
+    entities = ids["entities"]
+    edges = ids["edges"]
+    variables = ids["variables"]
 
     for loss in model.losses:
         if not loss.description:
@@ -336,25 +342,15 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
     for hz in model.hazards:
         if not hz.description:
             diags.append(_error("resolve/empty-description", f"hazard {hz.id} has an empty description", hz))
-        if not hz.leads_to:
-            diags.append(_error("resolve/empty-ref-list", "hazard must reference at least one loss", hz))
-        for ref in hz.leads_to:
-            if ref not in losses:
-                diags.append(_error("resolve/unresolved-ref", f"unresolved loss {ref}", hz))
+        refs(hz, hz.leads_to, "losses", "hazard")
 
     for sc in model.constraints:
-        if not sc.mitigates:
-            diags.append(_error("resolve/empty-ref-list", "constraint must reference at least one hazard", sc))
-        for ref in sc.mitigates:
-            if ref not in hazards:
-                diags.append(_error("resolve/unresolved-ref", f"unresolved hazard {ref}", sc))
+        refs(sc, sc.mitigates, "hazards", "constraint")
 
     for edge in model.edges:
         if edge.source == edge.target:
             diags.append(_error("resolve/self-loop", f"edge {edge.id} connects {edge.source} to itself", edge))
-        for ref in (edge.source, edge.target):
-            if ref not in entities:
-                diags.append(_error("resolve/unresolved-ref", f"unresolved entity {ref}", edge))
+        refs(edge, (edge.source, edge.target), "entities")
         for ref in edge.via:
             ent = entities.get(ref)
             if ent is None:
@@ -379,10 +375,9 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
             seen_values.add(value)
 
     for uca in model.ucas:
+        refs(uca, (uca.action,), "edges")
         edge = edges.get(uca.action)
-        if edge is None:
-            diags.append(_error("resolve/unresolved-ref", f"unresolved edge {uca.action}", uca))
-        else:
+        if edge is not None:
             if edge.kind is not EdgeKind.CONTROL_ACTION:
                 diags.append(
                     _error("resolve/not-a-control-action", f"uca {uca.id} must reference a control action edge", uca)
@@ -425,24 +420,15 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
                         uca,
                     )
                 )
-        if not uca.hazards:
-            diags.append(_error("resolve/empty-ref-list", "uca must reference at least one hazard", uca))
-        for ref in uca.hazards:
-            if ref not in hazards:
-                diags.append(_error("resolve/unresolved-ref", f"unresolved hazard {ref}", uca))
+        refs(uca, uca.hazards, "hazards", "uca")
 
     for cf in model.causal_factors:
         if cf.located_at not in entities and cf.located_at not in edges:
             diags.append(_error("resolve/unresolved-ref", f"unresolved entity or edge {cf.located_at}", cf))
-        if not cf.ucas:
-            diags.append(_error("resolve/empty-ref-list", "causal factor must reference at least one uca", cf))
-        for ref in cf.ucas:
-            if ref not in ucas:
-                diags.append(_error("resolve/unresolved-ref", f"unresolved uca {ref}", cf))
+        refs(cf, cf.ucas, "ucas", "causal factor")
 
     for cc in model.controller_constraints:
-        if cc.derived_from not in ucas:
-            diags.append(_error("resolve/unresolved-ref", f"unresolved uca {cc.derived_from}", cc))
+        refs(cc, (cc.derived_from,), "ucas")
 
     return diags
 

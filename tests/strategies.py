@@ -1,6 +1,8 @@
-"""Hypothesis strategies for random valid models and variable sets."""
+"""Hypothesis strategies for random models, valid or hostile, and variable sets."""
 
 from __future__ import annotations
+
+from dataclasses import fields, replace
 
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ from stpalint import (
     SystemConstraint,
     UnsafeControlAction,
 )
-from stpalint.model import CausalFactor, ControllerConstraint
+from stpalint.model import CausalFactor, ControllerConstraint, SourceSpan
 
 # Escapable controls are included on purpose so round-trips cover them.
 _chars = st.one_of(
@@ -190,4 +192,68 @@ def control_structures(draw) -> StpaModel:
                 draw(st.sampled_from(["Sensor fails", "sensor  fails!", "drops data", "drops_data"])),
             )
         )
+    return m
+
+
+_SECTIONS = [f.name for f in fields(StpaModel)]
+_REF_LISTS = {
+    "hazards": "leads_to",
+    "constraints": "mitigates",
+    "edges": "via",
+    "ucas": "hazards",
+    "causal_factors": "ucas",
+}
+_REF_VALUES = {
+    "edges": ("source", "target"),
+    "variables": ("owner",),
+    "ucas": ("action", "source_controller"),
+    "causal_factors": ("located_at",),
+    "controller_constraints": ("derived_from",),
+}
+_BAD_IDS = ("", "-1", "a b", "x.y", "Ω")
+
+
+@st.composite
+def hostile_models(draw) -> StpaModel:
+    """`models()` or `control_structures()` broken by one to six mutations.
+
+    A mutation duplicates a declaration, gives one a sibling's id or a bad or
+    empty id, empties a reference list or adds a dangling id to it, or points
+    a source, target, owner, action, source controller, located_at or
+    derived_from at nothing. Most models then give each declaration a span of
+    its own, so a diagnostic that blames the wrong declaration shows.
+    """
+    m = draw(st.one_of(models(), control_structures()))
+    for _ in range(draw(st.integers(1, 6))):
+        section = draw(st.sampled_from([s for s in _SECTIONS if getattr(m, s)]))
+        decls = getattr(m, section)
+        i = draw(st.integers(0, len(decls) - 1))
+        decl = decls[i]
+        ops = ["duplicate", "sibling-id", "bad-id"]
+        if section in _REF_LISTS:
+            ops += ["empty-list", "dangling-list"]
+        if section in _REF_VALUES:
+            ops.append("dangling-value")
+        op = draw(st.sampled_from(ops))
+        if op == "duplicate":
+            decls.insert(draw(st.integers(0, len(decls))), replace(decl))
+        elif op == "sibling-id":
+            decls[i] = replace(decl, id=draw(st.sampled_from(decls)).id)
+        elif op == "bad-id":
+            decls[i] = replace(decl, id=draw(st.sampled_from(_BAD_IDS)))
+        elif op == "empty-list":
+            decls[i] = replace(decl, **{_REF_LISTS[section]: []})
+        elif op == "dangling-list":
+            name = _REF_LISTS[section]
+            decls[i] = replace(decl, **{name: [*getattr(decl, name), "Ghost-1"]})
+        else:
+            name = draw(st.sampled_from(_REF_VALUES[section]))
+            decls[i] = replace(decl, **{name: draw(st.sampled_from(["Ghost-1", ""]))})
+    if draw(st.integers(0, 3)):
+        line = 0
+        for section in _SECTIONS:
+            decls = getattr(m, section)
+            for i, decl in enumerate(decls):
+                line += 1
+                decls[i] = replace(decl, span=SourceSpan("hostile.stpa", line, 1, line, 9))
     return m

@@ -74,6 +74,24 @@ def test_check_warning_exit_code_and_quiet_flag(tmp_path):
     assert code == 0
 
 
+def test_check_reports_no_open_loop_for_a_uca_whose_action_names_no_edge(tmp_path):
+    src = tmp_path / "dangling.stpa"
+    src.write_text(
+        'loss L-1 "l"\nhazard H-1 "h" leads_to [L-1]\n'
+        'uca U-1 action = A guide = NotProvided hazards [H-1] "d"\n',
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(["check", str(src)])
+    assert code == 2
+    assert f"{src}:3:1: error[resolve/unresolved-ref]: unresolved edge A" in err
+    assert "causal/open-loop" not in err
+
+
+def test_check_abstract_structure_alone_is_clean():
+    code, out, err = run_cli(["check", str(REPO_ROOT / "corpus" / "structure_abstract.stpa")])
+    assert (code, out, err) == (0, "", "")
+
+
 # -- exit codes ---------------------------------------------------------------
 
 

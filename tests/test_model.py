@@ -1,6 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+
+import resolve_oracle
 
 from stpalint import (
     ALLOWED_QUALIFIERS,
@@ -24,6 +27,7 @@ from stpalint import (
 from stpalint.model import CausalFactor, CfCategory
 
 from conftest import tiny_model
+from strategies import hostile_models
 
 
 def rules(diags):
@@ -192,3 +196,19 @@ def test_diagnostic_format_shape():
     assert diag.severity is Severity.ERROR
     # no parse spans on a programmatic model: fallback position
     assert diag.format() == "<model>:1:1: error[resolve/empty-ref-list]: hazard must reference at least one loss"
+
+
+def test_a_duplicated_id_resolves_to_its_last_declaration():
+    m = tiny_model()
+    m.edges.append(Edge("AC-1", EdgeKind.FEEDBACK, "Again", "P-1", "C-1"))
+    assert rules(resolve(m)) == [
+        "resolve/duplicate-id",
+        "resolve/not-a-control-action",
+        "resolve/uca-source-mismatch",
+    ]
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hostile_models())
+def test_resolve_matches_the_oracle_on_hostile_models(model):
+    assert resolve(model) == resolve_oracle.resolve(model)

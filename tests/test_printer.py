@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from stpalint import StpaModel, UnresolvedModelError, parse, serialize
 from stpalint.printer import quote, serialize_file
 
-from conftest import tiny_model
+from conftest import REPO_ROOT, tiny_model
 from strategies import models
 
 
@@ -26,6 +26,13 @@ def test_serialize_empty_model():
 def test_round_trip_tiny_model():
     m = tiny_model()
     assert reparse(m) == m
+
+
+def test_round_trip_abstract_structure():
+    path = REPO_ROOT / "corpus" / "structure_abstract.stpa"
+    model, diags = parse([(str(path), path.read_text(encoding="utf-8"))])
+    assert diags == [], [d.format() for d in diags]
+    assert reparse(model) == model
 
 
 def test_round_trip_preserves_declaration_order():
