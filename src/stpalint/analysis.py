@@ -38,12 +38,29 @@ class ContextRow:
 
 @dataclass
 class ContextTable:
-    """One marks dict per row; row i's context is `enumerate_contexts(variables)[i]`."""
+    """The rows each UCA marks; row i's context is `enumerate_contexts(variables)[i]`."""
 
     controller: str
     action: str
     variables: list[ProcessModelVariable]
-    marks: list[dict[GuideCategory, list[str]]]
+    hits: list[tuple[GuideCategory, str, list[int]]]  # (category, UCA id, ascending rows) per marking UCA, UCA order
+
+    def checked_size(self) -> int:
+        """The number of rows; ValueError if a hit names a row outside `range` of it."""
+        total = math.prod(len(v.values) for v in self.variables)
+        for _, uca_id, rows in self.hits:
+            if rows and (min(rows) < 0 or max(rows) >= total):
+                raise ValueError(f"uca {uca_id} marks a row outside the {total} rows of the table")
+        return total
+
+    @property
+    def marks(self) -> list[dict[GuideCategory, list[str]]]:
+        """One dict per row, the UCAs that mark it per guide category, built on each access."""
+        marks: list[dict[GuideCategory, list[str]]] = [{} for _ in range(self.checked_size())]
+        for category, uca_id, rows in self.hits:
+            for i in rows:
+                marks[i].setdefault(category, []).append(uca_id)
+        return marks
 
     @property
     def rows(self) -> list[ContextRow]:
@@ -129,12 +146,12 @@ def build_context_table(
     *,
     max_rows: int = DEFAULT_MAX_ROWS,
 ) -> ContextTable:
-    """One marks dict per concrete context: the matching UCAs per guide category.
+    """The rows each UCA of the pair marks, by index: the table's `hits`.
 
     Rows come in `enumerate_contexts` order, so a row's index is a mixed-radix
-    number over the domain sizes. Each UCA marks the rows its partial context
-    leaves free, listed by index, so the cost is rows plus marks, not
-    rows × UCAs, and no row's context is built.
+    number over the domain sizes. Each UCA lists the rows its partial context
+    leaves free, so the cost is one step per (UCA, matching row) pair, not
+    rows × UCAs, and no row is built.
     """
     variables = model.variables_of(controller)
     if not variables:
@@ -152,12 +169,8 @@ def build_context_table(
     foreign = _first_foreign_variable(ucas, index)
     if foreign is not None:
         raise AnalysisError(f"foreign variable: {foreign}")
-    marks: list[dict[GuideCategory, list[str]]] = [{} for _ in range(total)]
-    for uca in ucas:
-        category = uca.guide.category
-        for i in _matching_rows(uca.context, variables, index):
-            marks[i].setdefault(category, []).append(uca.id)
-    return ContextTable(controller, action, variables, marks)
+    hits = [(u.guide.category, u.id, rows) for u in ucas if (rows := _matching_rows(u.context, variables, index))]
+    return ContextTable(controller, action, variables, hits)
 
 
 def _row_index(variables: list[ProcessModelVariable]) -> dict[str, tuple[int, dict[str, list[int]]]]:

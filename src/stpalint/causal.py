@@ -359,7 +359,7 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
     if controller in index.preds:
         for walk in _walks([controller], index.preds, ()):
             record(PathDirection.FEEDBACK_PATH, walk[::-1])
-    else:
+    elif controller:  # an action that names no edge has no controller to warn about
         diags.append(_open_loop_warning(uca))
 
     action_edge = index.edges.get(uca.action)

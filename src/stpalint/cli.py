@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import analysis, causal
@@ -127,25 +128,27 @@ def _load(inputs: list[str]) -> tuple[StpaModel, list[Diagnostic]]:
     return parse(sources)
 
 
-def _write(output: Path | None, text: str, replace: bool = False) -> None:
-    """Write `text` to stdout, or to `output`.
+def _write(output: Path | None, text: str | Iterable[str], replace: bool = False) -> None:
+    """Write `text`, or each string it yields, to stdout, or to `output`.
 
     With `replace`, the text goes to a temporary file beside the file that
     `output` names (through any symlinks), takes over its permission bits
     and then replaces it, so a failed write leaves the file unchanged.
     """
+    chunks = [text] if isinstance(text, str) else text
     try:
         if output is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         elif not replace:
-            output.write_text(text, encoding="utf-8")
+            with output.open("w", encoding="utf-8") as f:
+                f.writelines(chunks)
         else:
             target = output.resolve()
             fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    f.write(text)
+                    f.writelines(chunks)
                 shutil.copymode(target, tmp)
                 os.replace(tmp, target)
             except BaseException:
@@ -184,11 +187,11 @@ def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
     return EXIT_OK
 
 
-def _contexts(model: StpaModel, args) -> str:
+def _contexts(model: StpaModel, args) -> Iterable[str]:
     from . import report
 
     table = analysis.build_context_table(model, args.controller, args.action, max_rows=_max_rows(args))
-    return report.render_context_csv(table)
+    return report.context_csv_lines(table)
 
 
 def _worksheet(model: StpaModel, args) -> str:
@@ -233,8 +236,8 @@ def _stats(model: StpaModel, args) -> str:
     return report.render_stats(model)
 
 
-# report command -> handler returning the text for stdout or --output; each
-# handler imports `report` itself, so `check` and `fmt` never load it
+# report command -> handler returning the text, or its lines, for stdout or
+# --output; each imports `report` itself, so `check` and `fmt` never load it
 _REPORTS = {
     "contexts": _contexts,
     "worksheet": _worksheet,

@@ -10,6 +10,7 @@ import csv
 import io
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
@@ -66,32 +67,44 @@ def render_worksheet(model: StpaModel, action: str) -> str:
     return "\n".join(lines)
 
 
-# keyed by member name, so no cell calls the Python-level `Enum.__hash__`
+# keyed by member name, so no hit calls the Python-level `Enum.__hash__`
 _COLUMN = {cat._name_: i for i, (cat, _) in enumerate(WORKSHEET_COLUMNS)}
-_UNMARKED = ("",) * len(WORKSHEET_COLUMNS)
+# the characters that make `csv.writer` quote a field; whether a lone "\r" is
+# one of them has changed between Python versions, so the writer is asked
+_CSV_SPECIALS = ',"\n\r' if csv.writer(io.StringIO(), lineterminator="\n").writerow(["\r"]) > 2 else ',"\n'
 
 
-def _mark_cells(marks: dict[GuideCategory, list[str]]) -> tuple[str, ...]:
-    if not marks:
-        return _UNMARKED
-    cells = list(_UNMARKED)
-    for category, ucas in marks.items():
-        cells[_COLUMN[category._name_]] = " ".join(ucas)
-    return tuple(cells)
+def _quote(field: str) -> str:
+    """`field` as `csv.writer` writes it with `QUOTE_MINIMAL`."""
+    return '"' + field.replace('"', '""') + '"' if any(c in field for c in _CSV_SPECIALS) else field
+
+
+def context_csv_lines(table: ContextTable) -> Iterator[str]:
+    """Context table as CSV lines: variable columns, then one column per guide category.
+
+    The cells are filled column by column from the hits; each line joins a
+    product of the quoted domain values with its cells. A hit outside the
+    table raises `ValueError` before the first line.
+    """
+    total = table.checked_size()
+    columns: list[list] = [[None] * total for _ in WORKSHEET_COLUMNS]  # None: no id yet
+    for category, uca_id, rows in table.hits:
+        column = columns[_COLUMN[category._name_]]
+        for i in rows:
+            cell = column[i]
+            column[i] = uca_id if cell is None else f"{cell} {uca_id}"
+    columns = [[cell or "" for cell in column] for column in columns]
+    if any(_quote(uca_id) != uca_id for _, uca_id, _ in table.hits):  # rare, so only then is every cell quoted
+        columns = [list(map(_quote, column)) for column in columns]
+    header = ",".join(map(_quote, [v.label for v in table.variables] + [cat.value for cat, _ in WORKSHEET_COLUMNS]))
+    values = itertools.product(*([_quote(value) + "," for value in v.values] for v in table.variables))
+    lines = map("{}{}\n".format, map("".join, values), map(",".join, zip(*columns)))
+    return itertools.chain([header + "\n"], lines)
 
 
 def render_context_csv(table: ContextTable) -> str:
-    """Context table as CSV: variable columns, then one column per guide category.
-
-    The values are the product of the domains in row order; `marks` of another length raise `ValueError`.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([v.label for v in table.variables] + [cat.value for cat, _ in WORKSHEET_COLUMNS])
-    values = itertools.product(*(v.values for v in table.variables))
-    cells = map(_mark_cells, table.marks)
-    writer.writerows(combo + marks for combo, marks in zip(values, cells, strict=True))
-    return buf.getvalue()
+    """The text of `context_csv_lines`."""
+    return "".join(context_csv_lines(table))
 
 
 def _matrix(title: str, row_ids: list[str], col_ids: list[str], linked) -> list[str]:

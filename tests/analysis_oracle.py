@@ -1,10 +1,11 @@
 """Row-by-row references for the context table, its CSV and its gaps.
 
 `build_context_table` is the original one: it tests every row against every
-UCA with `context_matches`, so it costs rows × UCAs. `render_context_csv` and
-`coverage_gaps` are the original loops over `table.rows`. They serve only as
-the oracles the indexed implementations in `stpalint.analysis` and
-`stpalint.report` are compared with.
+UCA with `context_matches`, so it costs rows × UCAs, and it returns the table
+of the hits it found together with its own marks dict per row.
+`render_context_csv` and `coverage_gaps` are the original loops over
+`table.rows`. They serve only as the oracles the indexed implementations in
+`stpalint.analysis` and `stpalint.report` are compared with.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def build_context_table(
     action: str,
     *,
     max_rows: int = DEFAULT_MAX_ROWS,
-) -> ContextTable:
+) -> tuple[ContextTable, list[dict[GuideCategory, list[str]]]]:
     variables = model.variables_of(controller)
     if not variables:
         raise AnalysisError(f"no process model: controller {controller} owns no variables")
@@ -37,13 +38,16 @@ def build_context_table(
         )
     ucas = [u for u in model.ucas_on(action) if u.source_controller == controller]
     table_marks = []
-    for concrete in enumerate_contexts(variables):
+    hit_rows: list[list[int]] = [[] for _ in ucas]
+    for i, concrete in enumerate(enumerate_contexts(variables)):
         marks: dict[GuideCategory, list[str]] = {}
-        for uca in ucas:
+        for uca, rows in zip(ucas, hit_rows):
             if context_matches(uca.context, concrete):
                 marks.setdefault(uca.guide.category, []).append(uca.id)
+                rows.append(i)
         table_marks.append(marks)
-    return ContextTable(controller, action, variables, table_marks)
+    hits = [(uca.guide.category, uca.id, rows) for uca, rows in zip(ucas, hit_rows) if rows]
+    return ContextTable(controller, action, variables, hits), table_marks
 
 
 def render_context_csv(table: ContextTable) -> str:

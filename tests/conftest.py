@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sys
 from pathlib import Path
 
@@ -57,4 +58,33 @@ def tiny_model() -> StpaModel:
             "controller does not act while on",
         )
     )
+    return m
+
+
+def planner_model() -> StpaModel:
+    """A model shaped like the benchmark's combinatorial one: binary variables, partial contexts.
+
+    `Planner` owns 11 variables (2^11 contexts) and 40 UCAs on `Plan`, each
+    fixing three variables; one more UCA on `Plan` names `Pilot` as its
+    controller, so no table of `Planner` may show it (and the model does
+    not resolve until it is dropped).
+    """
+    rng = random.Random(11)
+    m = StpaModel()
+    m.losses.append(Loss("L-1", "loss of mission"))
+    m.hazards.append(Hazard("H-1", "unsafe plan", ["L-1"]))
+    m.entities.append(Entity("Planner", EntityKind.CONTROLLER, "Planner"))
+    m.entities.append(Entity("Process", EntityKind.CONTROLLED_PROCESS, "Process"))
+    m.edges.append(Edge("Plan", EdgeKind.CONTROL_ACTION, "Plan", "Planner", "Process", []))
+    var_ids = [f"P{k:02d}" for k in range(11)]
+    m.variables.extend(ProcessModelVariable(v, "Planner", f"Planner var {v}", ["off", "on"]) for v in var_ids)
+    categories = list(GuideCategory)
+
+    def uca(uid, controller, context, category):
+        return UnsafeControlAction(uid, "Plan", controller, GuideWord(category), Context(context), ["H-1"], "d")
+
+    for u in range(40):
+        context = {v: rng.choice(["off", "on"]) for v in sorted(rng.sample(var_ids, 3))}
+        m.ucas.append(uca(f"UP-{u + 1:02d}", "Planner", context, rng.choice(categories)))
+    m.ucas.append(uca("UL-1", "Pilot", {}, GuideCategory.NOT_PROVIDED))
     return m

@@ -3,6 +3,7 @@ from stpalint import (
     Severity,
     checklist,
     validate_cfs,
+    parse,
     walk_paths,
 )
 from stpalint.model import CausalFactor, CfCategory
@@ -38,6 +39,20 @@ def test_open_loop_controller_warns():
     assert [d.rule for d in diags] == ["causal/open-loop"]
     assert diags[0].severity is Severity.WARNING
     assert not [w for w in walks if w.direction is PathDirection.FEEDBACK_PATH]
+
+
+def test_uca_whose_action_names_no_edge_has_no_open_loop_warning():
+    m, _ = parse(
+        [
+            (
+                "dangling.stpa",
+                'loss L-1 "l"\nhazard H-1 "h" leads_to [L-1]\n'
+                'uca U-1 action = A guide = NotProvided hazards [H-1] "d"\n',
+            )
+        ]
+    )
+    assert m.ucas[0].source_controller == ""
+    assert walk_paths(m, m.ucas[0]) == ([], [])
 
 
 def test_corpus_uca1_feedback_walks(corpus):

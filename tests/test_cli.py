@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from stpalint import cli, load_corpus, parse
+from stpalint import build_context_table, cli, load_corpus, parse, serialize
 from stpalint.corpus import CORPUS_FILES, corpus_paths
+from stpalint.report import render_context_csv
 
-from conftest import GOLDEN_DIR, REPO_ROOT
+from conftest import GOLDEN_DIR, REPO_ROOT, planner_model
 from dot_check import check_dot
 
 
@@ -308,6 +309,56 @@ def test_stdout_on_a_closed_pipe_exits_3(corpus_args):
         os.close(write_end)
     assert proc.returncode == 3
     assert proc.stderr == b"stpalint: cannot write <stdout>: Broken pipe\n"
+
+
+@pytest.fixture()
+def planner_contexts(tmp_path):
+    """argv of `contexts` on the 2^11-row planner model, whose CSV outgrows a pipe buffer, and the CSV."""
+    m = planner_model()
+    m.ucas = [u for u in m.ucas if u.source_controller == "Planner"]
+    src = tmp_path / "planner.stpa"
+    src.write_text(serialize(m), encoding="utf-8")
+    argv = ["contexts", "--controller", "Planner", "--action", "Plan", str(src)]
+    csv = render_context_csv(build_context_table(m, "Planner", "Plan"))
+    assert len(csv.encode()) > 2**16
+    return argv, csv
+
+
+def test_contexts_streams_the_whole_csv(planner_contexts, tmp_path):
+    argv, csv = planner_contexts
+    proc = run_cli_process(argv, subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, csv.encode(), b"")
+    proc = run_cli_process([*argv, "--output", str(tmp_path / "out.csv")], subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == csv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_contexts_on_a_full_device_exits_3(planner_contexts):
+    with open("/dev/full", "w") as full:
+        proc = run_cli_process(planner_contexts[0], full)
+    assert proc.returncode == 3
+    assert proc.stderr == b"stpalint: cannot write <stdout>: No space left on device\n"
+
+
+def test_contexts_on_a_closed_pipe_exits_3(planner_contexts):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli_process(planner_contexts[0], write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == b"stpalint: cannot write <stdout>: Broken pipe\n"
+
+
+def test_contexts_output_into_a_missing_directory_exits_3(planner_contexts, tmp_path):
+    out = tmp_path / "missing" / "out.csv"
+    proc = run_cli_process([*planner_contexts[0], "--output", str(out)], subprocess.PIPE)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr == f"stpalint: cannot write {out}: No such file or directory\n".encode()
+    assert not out.parent.exists()
 
 
 @pytest.fixture(params=["clean", "errors", "unknown-uca"])

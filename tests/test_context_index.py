@@ -1,13 +1,12 @@
 """The indexed context table against the row-by-row oracle.
 
 `analysis_oracle` tests every row against every UCA with `context_matches`.
-The indexed `build_context_table` must give the same rows, the same marks in
+The indexed `build_context_table` must give the same hits, the same marks in
 the same order, and the same `AnalysisError` message, on any input. Its CSV
 and coverage gaps must equal the old loops over `table.rows`.
 """
 
 import math
-import random
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -29,21 +28,30 @@ from stpalint import (
 from stpalint.analysis import ContextTable
 from stpalint.report import render_context_csv
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, planner_model
 
 CONTROLLER, ACTION = "C-1", "AC-1"
 VALUES = ["a", "b", "c"]
-HOSTILE = [",", '"', "\n", "\r", " a", ""]  # labels and values that CSV must quote or keep
+HOSTILE = [",", '"', "\n", "\r", " a", ""]  # labels, values and UCA ids that CSV must quote or keep
 FOREIGN = ["X", "W-0"]  # an undeclared id and a variable of another controller
 
 
 def outcome(build, model, **kwargs):
-    """The table with the insertion order of every row's marks, or the error message."""
+    """The table (so its hits) with the insertion order of every row's marks, or the error message.
+
+    The oracle returns its own marks beside its table; the marks of
+    `build_context_table` are derived from its hits, and its rows must carry them.
+    """
     try:
-        table = build(model, CONTROLLER, ACTION, **kwargs)
+        result = build(model, CONTROLLER, ACTION, **kwargs)
     except AnalysisError as err:
         return str(err)
-    return table, [list(row.marks.items()) for row in table.rows]
+    if isinstance(result, tuple):
+        table, marks = result
+    else:
+        table, marks = result, result.marks
+        assert [row.marks for row in table.rows] == marks
+    return table, [list(m.items()) for m in marks]
 
 
 def uca(uid, context, category=GuideCategory.NOT_PROVIDED, controller=CONTROLLER, action=ACTION):
@@ -72,7 +80,7 @@ def table_inputs(draw):
     for n in range(draw(st.integers(0, 6))):
         m.ucas.append(
             uca(
-                f"U-{n}",
+                draw(st.sampled_from([f"U-{n}", *(f"U{c}{n}" for c in HOSTILE), f"U-{n}" + "".join(HOSTILE)])),
                 dict(draw(pairs)),
                 draw(st.sampled_from(list(GuideCategory))),
                 draw(st.sampled_from([CONTROLLER, CONTROLLER, "C-2"])),
@@ -101,6 +109,7 @@ def one_var_model(values, *ucas):
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(table_inputs())
 @example((one_var_model(HOSTILE, uca("U-1", {"A": "\r"}), uca("U-2", {}, GuideCategory.WRONG_TIMING)), {}))
+@example((one_var_model(HOSTILE, *(uca(uid, {}) for uid in ["", "U,1", "", ' U"2', "U\n3", ""])), {}))
 @example((one_var_model([], uca("U-1", {})), {}))
 def test_csv_and_gaps_equal_the_row_loop_oracle(inputs):
     m, kwargs = inputs
@@ -108,7 +117,7 @@ def test_csv_and_gaps_equal_the_row_loop_oracle(inputs):
         table = build_context_table(m, CONTROLLER, ACTION, **kwargs)
     except AnalysisError:
         return  # the error itself is compared with the oracle's above
-    expected = analysis_oracle.build_context_table(m, CONTROLLER, ACTION, **kwargs)
+    expected, _ = analysis_oracle.build_context_table(m, CONTROLLER, ACTION, **kwargs)
     assert render_context_csv(table) == analysis_oracle.render_context_csv(expected)
     for category in GuideCategory:
         assert coverage_gaps(table, category) == analysis_oracle.coverage_gaps(expected, category)
@@ -116,27 +125,41 @@ def test_csv_and_gaps_equal_the_row_loop_oracle(inputs):
 
 def test_zero_row_table_csv_is_the_header_only():
     table = build_context_table(one_var_model([], uca("U-1", {})), CONTROLLER, ACTION)
+    assert table.hits == []
     assert table.marks == []
     assert render_context_csv(table) == '"tricky, ""label""\n",NotProvided,ProvidedUnsafe,WrongTiming,WrongDuration\n'
 
 
 def test_csv_builds_no_row_context(corpus, monkeypatch):
-    def refuse(variables):
-        raise AssertionError("enumerate_contexts called")
+    """`build_context_table` and the CSV read only the hits: no marks dict, row view or context."""
+    planner = planner_model()
+    planner_csv = analysis_oracle.render_context_csv(analysis_oracle.build_context_table(planner, "Planner", "Plan")[0])
+
+    def refuse(*args):
+        raise AssertionError("a row was built")
 
     monkeypatch.setattr(analysis, "enumerate_contexts", refuse)
+    monkeypatch.setattr(ContextTable, "marks", property(refuse))
+    monkeypatch.setattr(ContextTable, "rows", property(refuse))
     table = build_context_table(corpus, "Operator", "BrakeCmd")
     assert render_context_csv(table) == (GOLDEN_DIR / "contexts_brake.csv").read_text(encoding="utf-8")
+    assert render_context_csv(build_context_table(planner, "Planner", "Plan")) == planner_csv
 
 
 @pytest.mark.parametrize("rows", [5, 7, 0])
 def test_marks_of_another_length_raise_instead_of_dropping_rows(rows):
-    variables = two_var_model().variables  # 6 rows
-    table = ContextTable(CONTROLLER, ACTION, variables, [{}] * rows)
-    with pytest.raises(ValueError):
-        render_context_csv(table)
-    with pytest.raises(ValueError):
-        table.rows
+    """Hits made for a table one row longer, at either end, raise: no row is dropped and no index wraps."""
+    variables = [ProcessModelVariable("A", CONTROLLER, "A", [f"v{i}" for i in range(rows)])]
+    for hit_rows in ([*range(rows), rows], [-1, *range(rows)]):
+        table = ContextTable(CONTROLLER, ACTION, variables, [(GuideCategory.NOT_PROVIDED, "U-1", hit_rows)])
+        with pytest.raises(ValueError):
+            render_context_csv(table)
+        with pytest.raises(ValueError):
+            table.rows
+        with pytest.raises(ValueError):
+            table.marks
+        with pytest.raises(ValueError):
+            coverage_gaps(table, GuideCategory.WRONG_TIMING)
 
 
 def two_var_model(*ucas):
@@ -189,23 +212,17 @@ def test_row_guard_comes_before_the_duplicate_id_error():
 
 
 def test_corpus_table_equals_oracle(corpus):
-    assert build_context_table(corpus, "Operator", "BrakeCmd") == analysis_oracle.build_context_table(
-        corpus, "Operator", "BrakeCmd"
-    )
+    table = build_context_table(corpus, "Operator", "BrakeCmd")
+    expected, marks = analysis_oracle.build_context_table(corpus, "Operator", "BrakeCmd")
+    assert table == expected
+    assert [list(m.items()) for m in table.marks] == [list(m.items()) for m in marks]
 
 
 def test_generated_model_csv_equals_oracle():
-    """A model shaped like the benchmark's combinatorial one: binary variables, partial contexts."""
-    rng = random.Random(11)
-    m = StpaModel()
-    var_ids = [f"P{k:02d}" for k in range(11)]
-    m.variables.extend(ProcessModelVariable(v, "Planner", f"Planner var {v}", ["off", "on"]) for v in var_ids)
-    categories = list(GuideCategory)
-    for u in range(40):
-        fixed = sorted(rng.sample(var_ids, 3))
-        context = {v: rng.choice(["off", "on"]) for v in fixed}
-        m.ucas.append(uca(f"UP-{u + 1:02d}", context, rng.choice(categories), "Planner", "Plan"))
-    m.ucas.append(uca("UL-1", {}, GuideCategory.NOT_PROVIDED, "Pilot", "Plan"))
+    m = planner_model()
     table = build_context_table(m, "Planner", "Plan")
+    expected, marks = analysis_oracle.build_context_table(m, "Planner", "Plan")
     assert len(table.rows) == 2**11
-    assert render_context_csv(table) == render_context_csv(analysis_oracle.build_context_table(m, "Planner", "Plan"))
+    assert table == expected
+    assert [list(m.items()) for m in table.marks] == [list(m.items()) for m in marks]
+    assert render_context_csv(table) == analysis_oracle.render_context_csv(expected)
