@@ -18,9 +18,9 @@ from .model import (
     EntityKind,
     GuideCategory,
     ProcessModelVariable,
-    Severity,
     StpaModel,
     UnsafeControlAction,
+    diagnostic,
     span_of,
 )
 
@@ -282,46 +282,20 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
     cited_hazards = {ref for uca in model.ucas for ref in uca.hazards}
     for hz in model.hazards:
         if hz.id not in cited_hazards:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "trace/orphan-hazard",
-                    f"hazard {hz.id} is not cited by any uca",
-                    span_of(hz),
-                )
-            )
+            diags.append(diagnostic("trace/orphan-hazard", f"hazard {hz.id} is not cited by any uca", span_of(hz)))
     cited_losses = {ref for hz in model.hazards for ref in hz.leads_to}
     for loss in model.losses:
         if loss.id not in cited_losses:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "trace/unreachable-loss",
-                    f"loss {loss.id} unreachable: no hazard leads to it",
-                    span_of(loss),
-                )
-            )
+            message = f"loss {loss.id} unreachable: no hazard leads to it"
+            diags.append(diagnostic("trace/unreachable-loss", message, span_of(loss)))
     covered_ucas = {ref for cf in model.causal_factors for ref in cf.ucas}
     for uca in model.ucas:
         if uca.id not in covered_ucas:
-            diags.append(
-                Diagnostic(
-                    Severity.INFO,
-                    "trace/uca-without-cf",
-                    f"uca {uca.id} has no causal factor",
-                    span_of(uca),
-                )
-            )
+            diags.append(diagnostic("trace/uca-without-cf", f"uca {uca.id} has no causal factor", span_of(uca)))
     for sc in model.constraints:
         if not any(ref in cited_hazards for ref in sc.mitigates):
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "trace/constraint-unlinked",
-                    f"constraint {sc.id} mitigates no hazard cited by any uca",
-                    span_of(sc),
-                )
-            )
+            message = f"constraint {sc.id} mitigates no hazard cited by any uca"
+            diags.append(diagnostic("trace/constraint-unlinked", message, span_of(sc)))
     ucas_by_id = model.uca_ids()
     for cf in model.causal_factors:
         controllers = {
@@ -329,14 +303,8 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
         }
         if len(controllers) > 1:
             listed = ", ".join(sorted(controllers))
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "trace/cf-cross-controller",
-                    f"causal factor {cf.id} cites ucas of different controllers ({listed})",
-                    span_of(cf),
-                )
-            )
+            message = f"causal factor {cf.id} cites ucas of different controllers ({listed})"
+            diags.append(diagnostic("trace/cf-cross-controller", message, span_of(cf)))
     return diags
 
 

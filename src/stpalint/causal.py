@@ -28,9 +28,9 @@ from .model import (
     Entity,
     EntityKind,
     GuideCategory,
-    Severity,
     StpaModel,
     UnsafeControlAction,
+    diagnostic,
     span_of,
 )
 
@@ -215,25 +215,26 @@ def _emit_walks(path, step, stop, categories, emitted, emit, backward: bool) -> 
                 emit(category, walk[depth])
 
 
-def _open_loop_warning(uca: UnsafeControlAction) -> Diagnostic:
-    return Diagnostic(
-        Severity.WARNING,
-        "causal/open-loop",
-        f"controller {uca.source_controller} is open-loop: no feedback reaches it",
-        span_of(uca),
-    )
-
-
-def open_loop(model: StpaModel) -> list[Diagnostic]:
+def _open_loop(ucas: list[UnsafeControlAction], preds: dict[str, list[str]]) -> list[Diagnostic]:
     """One `causal/open-loop` warning per UCA whose controller no feedback reaches, in UCA order.
 
     A UCA without a source controller, one whose action names no edge, gets
     none: `resolve` already reports its dangling action.
     """
-    preds = _adjacency(model, EdgeKind.FEEDBACK, reverse=True)
     return [
-        _open_loop_warning(uca) for uca in model.ucas if uca.source_controller and uca.source_controller not in preds
+        diagnostic(
+            "causal/open-loop",
+            f"controller {uca.source_controller} is open-loop: no feedback reaches it",
+            span_of(uca),
+        )
+        for uca in ucas
+        if uca.source_controller and uca.source_controller not in preds
     ]
+
+
+def open_loop(model: StpaModel) -> list[Diagnostic]:
+    """The `causal/open-loop` warnings of every UCA of the model; see `_open_loop`."""
+    return _open_loop(model.ucas, _adjacency(model, EdgeKind.FEEDBACK, reverse=True))
 
 
 class CausalIndex:
@@ -355,19 +356,16 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
             )
         walks.append(PathWalk(uca.id, direction, elements))
 
-    diags: list[Diagnostic] = []
     if controller in index.preds:
         for walk in _walks([controller], index.preds, ()):
             record(PathDirection.FEEDBACK_PATH, walk[::-1])
-    elif controller:  # an action that names no edge has no controller to warn about
-        diags.append(_open_loop_warning(uca))
 
     action_edge = index.edges.get(uca.action)
     if action_edge is not None:
         for walk in _walks(action_edge.chain(), index.succs, index.processes):
             record(PathDirection.CONTROL_PATH, walk)
 
-    return walks, diags
+    return walks, _open_loop([uca], index.preds)
 
 
 def checklist(model: StpaModel, uca: UnsafeControlAction) -> list[ChecklistItem]:
@@ -411,15 +409,8 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
             and any(edge.target in ids for ids in on_path)
         )
         if not ok:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "cf/off-path",
-                    f"causal factor off-path: {cf.id} is located at {located}, "
-                    f"which is on no walk of its ucas",
-                    span_of(cf),
-                )
-            )
+            message = f"causal factor off-path: {cf.id} is located at {located}, which is on no walk of its ucas"
+            diags.append(diagnostic("cf/off-path", message, span_of(cf)))
 
     groups: dict[tuple[CfCategory, str, str], list[CausalFactor]] = {}
     for cf in model.causal_factors:
@@ -428,8 +419,7 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
         for dup in members[1:]:
             first = members[0]
             diags.append(
-                Diagnostic(
-                    Severity.WARNING,
+                diagnostic(
                     "cf/possible-duplicate",
                     f"causal factor {dup.id} duplicates {first.id} "
                     f"(same category, location {located}, near-identical description)",
@@ -448,12 +438,6 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
         for category in expected:
             if category in covered:
                 continue
-            diags.append(
-                Diagnostic(
-                    Severity.INFO,
-                    "cf/unaddressed-category",
-                    f"uca {uca.id} has no causal factor in category {category.value}",
-                    span_of(uca),
-                )
-            )
+            message = f"uca {uca.id} has no causal factor in category {category.value}"
+            diags.append(diagnostic("cf/unaddressed-category", message, span_of(uca)))
     return diags

@@ -154,10 +154,14 @@ def _write(output: Path | None, text: str | Iterable[str], replace: bool = False
             except BaseException:
                 os.unlink(tmp)
                 raise
-    except OSError as err:
+    except (OSError, UnicodeEncodeError) as err:
         if output is None:
             _silence(sys.stdout)
-        raise _Unusable(f"cannot write {'<stdout>' if output is None else output}: {err.strerror}") from None
+        if isinstance(err, UnicodeEncodeError):
+            reason = f"the {err.encoding} encoding cannot represent {err.object[err.start:err.end]!r}"
+        else:
+            reason = err.strerror
+        raise _Unusable(f"cannot write {'<stdout>' if output is None else output}: {reason}") from None
 
 
 def _max_rows(args) -> int:

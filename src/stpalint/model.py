@@ -130,6 +130,46 @@ class Diagnostic:
         return f"{s.file}:{s.line_start}:{s.col_start}: {self.severity.value}[{self.rule}]: {self.message}"
 
 
+# Each rule id and its severity: the one place that decides how grave a
+# diagnostic is, and so the exit code of `check`.
+RULES: dict[str, Severity] = {
+    "parse/unterminated-string": Severity.ERROR,
+    "parse/unexpected-character": Severity.ERROR,
+    "parse/unknown-keyword": Severity.ERROR,
+    "parse/syntax": Severity.ERROR,
+    "parse/duplicate-context-variable": Severity.ERROR,
+    "resolve/bad-identifier": Severity.ERROR,
+    "resolve/duplicate-id": Severity.ERROR,
+    "resolve/empty-description": Severity.ERROR,
+    "resolve/empty-ref-list": Severity.ERROR,
+    "resolve/unresolved-ref": Severity.ERROR,
+    "resolve/self-loop": Severity.ERROR,
+    "resolve/via-kind": Severity.ERROR,
+    "resolve/variable-owner": Severity.ERROR,
+    "resolve/too-few-values": Severity.ERROR,
+    "resolve/duplicate-value": Severity.ERROR,
+    "resolve/not-a-control-action": Severity.ERROR,
+    "resolve/uca-source-mismatch": Severity.ERROR,
+    "resolve/qualifier-mismatch": Severity.ERROR,
+    "resolve/foreign-context-variable": Severity.ERROR,
+    "resolve/bad-context-value": Severity.ERROR,
+    "trace/orphan-hazard": Severity.WARNING,
+    "trace/unreachable-loss": Severity.WARNING,
+    "trace/uca-without-cf": Severity.INFO,
+    "trace/constraint-unlinked": Severity.WARNING,
+    "trace/cf-cross-controller": Severity.ERROR,
+    "causal/open-loop": Severity.WARNING,
+    "cf/off-path": Severity.ERROR,
+    "cf/possible-duplicate": Severity.WARNING,
+    "cf/unaddressed-category": Severity.INFO,
+}
+
+
+def diagnostic(rule: str, message: str, span: SourceSpan, related=None) -> Diagnostic:
+    """A diagnostic of `rule` at `span`, with the severity `RULES` gives the rule."""
+    return Diagnostic(RULES[rule], rule, message, span, related or [])
+
+
 @dataclass
 class Loss:
     id: str
@@ -270,10 +310,6 @@ def span_of(decl) -> SourceSpan:
     return decl.span if decl.span is not None else FALLBACK_SPAN
 
 
-def _error(rule: str, message: str, decl, related=None) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, rule, message, span_of(decl), related or [])
-
-
 # Each model section and the kind name its diagnostics use.
 _KINDS = {
     "losses": "loss",
@@ -296,25 +332,19 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
 
+    def flag(rule: str, message: str, decl, related=None) -> None:
+        diags.append(diagnostic(rule, message, span_of(decl), related))
+
     ids: dict[str, dict] = {}
     for section, kind_name in _KINDS.items():
         decls = getattr(model, section)
         seen: dict[str, object] = {}
         for decl in decls:
             if not decl.id or not ID_PATTERN.match(decl.id):
-                diags.append(
-                    _error("resolve/bad-identifier", f"invalid {kind_name} id {decl.id!r}", decl)
-                )
+                flag("resolve/bad-identifier", f"invalid {kind_name} id {decl.id!r}", decl)
             if decl.id in seen:
-                first = seen[decl.id]
-                diags.append(
-                    _error(
-                        "resolve/duplicate-id",
-                        f"duplicate id {decl.id}",
-                        decl,
-                        [("first declared here", span_of(first))],
-                    )
-                )
+                related = [("first declared here", span_of(seen[decl.id]))]
+                flag("resolve/duplicate-id", f"duplicate id {decl.id}", decl, related)
             else:
                 seen[decl.id] = decl
         # A duplicated id resolves to its last declaration.
@@ -324,12 +354,10 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         """Flag an empty list if `required` names the citing kind, then each dangling id."""
         kind_name = _KINDS[section]
         if required and not values:
-            diags.append(
-                _error("resolve/empty-ref-list", f"{required} must reference at least one {kind_name}", decl)
-            )
+            flag("resolve/empty-ref-list", f"{required} must reference at least one {kind_name}", decl)
         for ref in values:
             if ref not in ids[section]:
-                diags.append(_error("resolve/unresolved-ref", f"unresolved {kind_name} {ref}", decl))
+                flag("resolve/unresolved-ref", f"unresolved {kind_name} {ref}", decl)
 
     entities = ids["entities"]
     edges = ids["edges"]
@@ -337,11 +365,11 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
 
     for loss in model.losses:
         if not loss.description:
-            diags.append(_error("resolve/empty-description", f"loss {loss.id} has an empty description", loss))
+            flag("resolve/empty-description", f"loss {loss.id} has an empty description", loss)
 
     for hz in model.hazards:
         if not hz.description:
-            diags.append(_error("resolve/empty-description", f"hazard {hz.id} has an empty description", hz))
+            flag("resolve/empty-description", f"hazard {hz.id} has an empty description", hz)
         refs(hz, hz.leads_to, "losses", "hazard")
 
     for sc in model.constraints:
@@ -349,29 +377,27 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
 
     for edge in model.edges:
         if edge.source == edge.target:
-            diags.append(_error("resolve/self-loop", f"edge {edge.id} connects {edge.source} to itself", edge))
+            flag("resolve/self-loop", f"edge {edge.id} connects {edge.source} to itself", edge)
         refs(edge, (edge.source, edge.target), "entities")
         for ref in edge.via:
             ent = entities.get(ref)
             if ent is None:
-                diags.append(_error("resolve/unresolved-ref", f"unresolved entity {ref}", edge))
+                flag("resolve/unresolved-ref", f"unresolved entity {ref}", edge)
             elif ent.kind not in (EntityKind.SENSOR, EntityKind.ACTUATOR):
-                diags.append(
-                    _error("resolve/via-kind", f"via element {ref} must be a sensor or actuator", edge)
-                )
+                flag("resolve/via-kind", f"via element {ref} must be a sensor or actuator", edge)
 
     for var in model.variables:
         owner = entities.get(var.owner)
         if owner is None:
-            diags.append(_error("resolve/unresolved-ref", f"unresolved entity {var.owner}", var))
+            flag("resolve/unresolved-ref", f"unresolved entity {var.owner}", var)
         elif owner.kind is not EntityKind.CONTROLLER:
-            diags.append(_error("resolve/variable-owner", f"variable owner {var.owner} must be a controller", var))
+            flag("resolve/variable-owner", f"variable owner {var.owner} must be a controller", var)
         if len(var.values) < 2:
-            diags.append(_error("resolve/too-few-values", f"variable {var.id} needs at least two values", var))
+            flag("resolve/too-few-values", f"variable {var.id} needs at least two values", var)
         seen_values: set[str] = set()
         for value in var.values:
             if value in seen_values:
-                diags.append(_error("resolve/duplicate-value", f"duplicate value label {value!r} in {var.id}", var))
+                flag("resolve/duplicate-value", f"duplicate value label {value!r} in {var.id}", var)
             seen_values.add(value)
 
     for uca in model.ucas:
@@ -379,59 +405,45 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         edge = edges.get(uca.action)
         if edge is not None:
             if edge.kind is not EdgeKind.CONTROL_ACTION:
-                diags.append(
-                    _error("resolve/not-a-control-action", f"uca {uca.id} must reference a control action edge", uca)
-                )
+                flag("resolve/not-a-control-action", f"uca {uca.id} must reference a control action edge", uca)
             if uca.source_controller != edge.source:
-                diags.append(
-                    _error(
-                        "resolve/uca-source-mismatch",
-                        f"uca {uca.id} source controller {uca.source_controller} does not match action source {edge.source}",
-                        uca,
-                    )
+                flag(
+                    "resolve/uca-source-mismatch",
+                    f"uca {uca.id} source controller {uca.source_controller} "
+                    f"does not match action source {edge.source}",
+                    uca,
                 )
         if not qualifier_allowed(uca.guide.category, uca.guide.qualifier):
             qual = uca.guide.qualifier.value if uca.guide.qualifier else "none"
-            diags.append(
-                _error(
-                    "resolve/qualifier-mismatch",
-                    f"qualifier {qual} not allowed with guide category {uca.guide.category.value}",
-                    uca,
-                )
+            flag(
+                "resolve/qualifier-mismatch",
+                f"qualifier {qual} not allowed with guide category {uca.guide.category.value}",
+                uca,
             )
         for var_id, value in uca.context.assignments.items():
             var = variables.get(var_id)
             if var is None:
-                diags.append(_error("resolve/unresolved-ref", f"unresolved variable {var_id}", uca))
+                flag("resolve/unresolved-ref", f"unresolved variable {var_id}", uca)
                 continue
             if var.owner != uca.source_controller:
-                diags.append(
-                    _error(
-                        "resolve/foreign-context-variable",
-                        f"context variable {var_id} is not owned by controller {uca.source_controller}",
-                        uca,
-                    )
+                flag(
+                    "resolve/foreign-context-variable",
+                    f"context variable {var_id} is not owned by controller {uca.source_controller}",
+                    uca,
                 )
             if value not in var.values:
-                diags.append(
-                    _error(
-                        "resolve/bad-context-value",
-                        f"value {value!r} is not in the domain of variable {var_id}",
-                        uca,
-                    )
-                )
+                flag("resolve/bad-context-value", f"value {value!r} is not in the domain of variable {var_id}", uca)
         refs(uca, uca.hazards, "hazards", "uca")
 
     for cf in model.causal_factors:
         if cf.located_at not in entities and cf.located_at not in edges:
-            diags.append(_error("resolve/unresolved-ref", f"unresolved entity or edge {cf.located_at}", cf))
+            flag("resolve/unresolved-ref", f"unresolved entity or edge {cf.located_at}", cf)
         refs(cf, cf.ucas, "ucas", "causal factor")
 
     for cc in model.controller_constraints:
         refs(cc, (cc.derived_from,), "ucas")
 
     return diags
-
 
 def context_matches(partial: Context, concrete: Context) -> bool:
     """True iff every assignment in the partial context agrees with the concrete one.

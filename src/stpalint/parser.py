@@ -37,11 +37,11 @@ from .model import (
     Hazard,
     Loss,
     ProcessModelVariable,
-    Severity,
     SourceSpan,
     StpaModel,
     SystemConstraint,
     UnsafeControlAction,
+    diagnostic,
     resolve,
 )
 
@@ -202,25 +202,13 @@ def tokenize(path: str, text: str, diags: list[Diagnostic]) -> list[Token]:
             start, end = m.span(kind)
             col, end_col = start - line_start + 1, end - line_start
             if m["close"] is None:
-                diags.append(
-                    Diagnostic(
-                        Severity.ERROR,
-                        "parse/unterminated-string",
-                        "unterminated string literal",
-                        SourceSpan(path, line, col, line, end_col),
-                    )
-                )
+                span = SourceSpan(path, line, col, line, end_col)
+                diags.append(diagnostic("parse/unterminated-string", "unterminated string literal", span))
             tokens.append(("string", _unescape(m["body"]), line, col, end_col))
         elif kind == "other":
             col = m.start(kind) - line_start + 1
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "parse/unexpected-character",
-                    f"unexpected character {m[kind]!r}",
-                    SourceSpan(path, line, col, line, col),
-                )
-            )
+            span = SourceSpan(path, line, col, line, col)
+            diags.append(diagnostic("parse/unexpected-character", f"unexpected character {m[kind]!r}", span))
         # a comment, or the blanks at the end of the text, makes no token
     return tokens
 
@@ -328,8 +316,7 @@ class _FileParser:
             if var in first:
                 # an error, not an override: the first value stays
                 self.diags.append(
-                    Diagnostic(
-                        Severity.ERROR,
+                    diagnostic(
                         "parse/duplicate-context-variable",
                         f"context variable {var} is assigned more than once",
                         self.span_from(var_tok),
@@ -359,14 +346,8 @@ class _FileParser:
     def parse_into(self, model: StpaModel) -> None:
         while (tok := self.peek()) is not None:
             if tok[0] != "id" or tok[1] not in STATEMENTS:
-                self.diags.append(
-                    Diagnostic(
-                        Severity.ERROR,
-                        "parse/unknown-keyword",
-                        "expected a declaration keyword" + _found(tok),
-                        self.token_span(tok),
-                    )
-                )
+                message = "expected a declaration keyword" + _found(tok)
+                self.diags.append(diagnostic("parse/unknown-keyword", message, self.token_span(tok)))
                 self.advance()
                 self.recover()
                 continue
@@ -379,7 +360,7 @@ class _FileParser:
                     if at is not None
                     else SourceSpan(self.path, tok[2], tok[3], tok[2], tok[3])
                 )
-                self.diags.append(Diagnostic(Severity.ERROR, "parse/syntax", err.message, span))
+                self.diags.append(diagnostic("parse/syntax", err.message, span))
                 self.recover()
 
     def recover(self) -> None:

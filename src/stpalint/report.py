@@ -34,7 +34,8 @@ def _md_row(cells: list[str]) -> str:
 
 
 def _md_escape(text: str) -> str:
-    return text.replace("|", "\\|").replace("\n", " ")
+    """`text` on one Markdown line: each CommonMark line ending becomes a space, and `|` is escaped."""
+    return text.replace("|", "\\|").replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
 
 
 def render_worksheet(model: StpaModel, action: str) -> str:
@@ -47,7 +48,7 @@ def render_worksheet(model: StpaModel, action: str) -> str:
         columns[uca.guide.category].append(
             _md_escape(f"{uca.id}: {uca.description} {hazard_list}")
         )
-    lines = [f"# Unsafe control actions: {title} ({action})", ""]
+    lines = [_md_escape(f"# Unsafe control actions: {title} ({action})"), ""]
     if not any(columns.values()):
         lines.append("_No unsafe control actions declared for this action._")
         lines.append("")
@@ -246,7 +247,7 @@ def render_json(model: StpaModel) -> str:
 def render_checklist(items: list[ChecklistItem], uca_id: str) -> str:
     lines = [f"# Causal-factor checklist for {uca_id}", ""]
     for item in items:
-        lines.append(f"- **{item.category.value}** at `{item.located_at}`: {item.prompt}")
+        lines.append(f"- **{item.category.value}** at `{item.located_at}`: {_md_escape(item.prompt)}")
     lines.append("")
     return "\n".join(lines)
 

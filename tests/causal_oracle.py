@@ -20,7 +20,6 @@ from stpalint.causal import (
     PathDirection,
     PathWalk,
     _is_network,
-    _open_loop_warning,
 )
 from stpalint.model import (
     AnalysisError,
@@ -95,7 +94,14 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
         for walk in _walks([controller], index.preds, ()):
             record(PathDirection.FEEDBACK_PATH, walk[::-1])
     elif controller:  # an action that names no edge has no controller to warn about
-        diags.append(_open_loop_warning(uca))
+        diags.append(
+            Diagnostic(
+                Severity.WARNING,
+                "causal/open-loop",
+                f"controller {controller} is open-loop: no feedback reaches it",
+                uca.span or FALLBACK_SPAN,
+            )
+        )
 
     action_edge = index.edges.get(uca.action)
     if action_edge is not None:

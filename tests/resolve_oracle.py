@@ -13,11 +13,16 @@ from stpalint.model import (
     Diagnostic,
     EdgeKind,
     EntityKind,
+    Severity,
     StpaModel,
-    _error,
     qualifier_allowed,
     span_of,
 )
+
+
+def _error(rule: str, message: str, decl, related=None) -> Diagnostic:
+    """Every `resolve` rule is an error; set here, not read from `stpalint.model.RULES`."""
+    return Diagnostic(Severity.ERROR, rule, message, span_of(decl), related or [])
 
 
 def resolve(model: StpaModel) -> list[Diagnostic]:

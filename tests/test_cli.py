@@ -311,6 +311,30 @@ def test_stdout_on_a_closed_pipe_exits_3(corpus_args):
     assert proc.stderr == b"stpalint: cannot write <stdout>: Broken pipe\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contexts", "--controller", "Operator", "--action", "BrakeCmd"],
+        ["trace", "--format", "json"],
+        ["worksheet", "--action", "BrakeCmd"],
+    ],
+)
+def test_stdout_that_cannot_encode_the_report_exits_3(argv, corpus_args, monkeypatch):
+    monkeypatch.setenv("PYTHONIOENCODING", "ascii")  # the corpus holds non-ASCII text
+    proc = run_cli_process([*argv, *corpus_args], subprocess.PIPE)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"stpalint: cannot write <stdout>: the ascii encoding cannot represent ")
+    assert proc.stderr.count(b"\n") == 1
+
+
+def test_output_file_that_cannot_encode_the_report_exits_3(corpus_args, tmp_path):
+    out = tmp_path / "out.md"
+    # an undecodable byte in an argument reaches Python as a lone surrogate, which UTF-8 cannot encode
+    code, _, err = run_cli(["worksheet", "--action", "\udcff", "--output", str(out), *corpus_args])
+    assert code == 3
+    assert err == f"stpalint: cannot write {out}: the utf-8 encoding cannot represent '\\udcff'\n"
+
+
 @pytest.fixture()
 def planner_contexts(tmp_path):
     """argv of `contexts` on the 2^11-row planner model, whose CSV outgrows a pipe buffer, and the CSV."""

@@ -1,10 +1,15 @@
 import json
+import re
 
-from stpalint import StpaModel, build_context_table, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stpalint import StpaModel, build_context_table, checklist, stats
 from stpalint.analysis import ContextTable
-from stpalint.model import GuideCategory, ProcessModelVariable
+from stpalint.model import GuideCategory, GuideWord, ProcessModelVariable, UnsafeControlAction
 from stpalint.report import (
     model_to_dict,
+    render_checklist,
     render_context_csv,
     render_graph,
     render_json,
@@ -52,6 +57,41 @@ def test_worksheet_escapes_pipes_and_newlines():
     m.ucas[0].description = "a|b\nc"
     text = render_worksheet(m, "AC-1")
     assert "a\\|b c" in text
+
+
+# the line endings of CommonMark, and a `|` that no backslash escapes
+_MD_LINE_END = re.compile(r"\r\n|\r|\n")
+_UNESCAPED_PIPE = re.compile(r"(?<!\\)\|")
+_hostile = st.text(alphabet="ab |\r\n", max_size=8)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_markdown_keeps_each_worksheet_row_and_checklist_item_on_one_line(data):
+    m = tiny_model()
+    for entity in m.entities:
+        entity.label = data.draw(_hostile)
+    m.edges[0].label = data.draw(_hostile)
+    uca = m.ucas[0]
+    uca.description = data.draw(_hostile)
+    for i in range(data.draw(st.integers(0, 3))):
+        category = data.draw(st.sampled_from(list(GuideCategory)))
+        description = data.draw(_hostile)
+        m.ucas.append(
+            UnsafeControlAction(f"UCA-{i + 2}", "AC-1", "C-1", GuideWord(category), uca.context, ["H-1"], description)
+        )
+
+    lines = _MD_LINE_END.split(render_worksheet(m, "AC-1"))
+    depth = max(sum(u.guide.category is category for u in m.ucas) for category in GuideCategory)
+    assert lines[0].startswith("# Unsafe control actions: ") and lines[1] == ""
+    rows = lines[2:-1]
+    assert len(rows) == depth + 2 and lines[-1] == ""
+    assert all(len(_UNESCAPED_PIPE.findall(row)) == 5 for row in rows), rows
+
+    items = checklist(m, uca)
+    lines = _MD_LINE_END.split(render_checklist(items, uca.id))
+    assert lines[2:-1] == [line for line in lines if line.startswith("- **")]
+    assert len(lines) == len(items) + 3
 
 
 # -- context table CSV --------------------------------------------------------
