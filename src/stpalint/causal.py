@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -28,6 +27,7 @@ from .model import (
     Entity,
     EntityKind,
     GuideCategory,
+    Record,
     StpaModel,
     UnsafeControlAction,
     diagnostic,
@@ -42,18 +42,22 @@ class PathDirection(Enum):
     CONTROL_PATH = "control"
 
 
-@dataclass
-class PathWalk:
-    uca: str
-    direction: PathDirection
-    elements: list[str]  # entity ids, origin first
+class PathWalk(Record):
+    __slots__ = ("uca", "direction", "elements")
+
+    def __init__(self, uca: str, direction: PathDirection, elements: list[str]) -> None:
+        self.uca = uca
+        self.direction = direction
+        self.elements = elements  # entity ids, origin first
 
 
-@dataclass
-class ChecklistItem:
-    category: CfCategory
-    located_at: str
-    prompt: str
+class ChecklistItem(Record):
+    __slots__ = ("category", "located_at", "prompt")
+
+    def __init__(self, category: CfCategory, located_at: str, prompt: str) -> None:
+        self.category = category
+        self.located_at = located_at
+        self.prompt = prompt
 
 
 _PROMPTS: dict[CfCategory, str] = {

@@ -18,8 +18,7 @@ import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 
-from . import analysis, causal
-from .model import Diagnostic, Severity, StpaModel
+from .model import AnalysisError, Diagnostic, Severity, StpaModel
 from .parser import parse
 
 EXIT_OK = 0
@@ -164,7 +163,7 @@ def _write(output: Path | None, text: str | Iterable[str], replace: bool = False
         raise _Unusable(f"cannot write {'<stdout>' if output is None else output}: {reason}") from None
 
 
-def _max_rows(args) -> int:
+def _max_rows(args, default: int) -> int:
     if args.max_rows is not None:
         return args.max_rows
     env = os.environ.get("STPA_MAX_ROWS")
@@ -177,10 +176,12 @@ def _max_rows(args) -> int:
             if value > 0:
                 return value
             _tell([f"stpalint: ignoring non-positive STPA_MAX_ROWS={env!r}"])
-    return analysis.DEFAULT_MAX_ROWS
+    return default
 
 
 def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
+    from . import analysis, causal
+
     diags = [*diags, *analysis.trace_closure(model), *causal.open_loop(model), *causal.validate_cfs(model)]
     _tell(_diagnostic_lines(diags))
     severities = {d.severity for d in diags}
@@ -192,9 +193,10 @@ def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
 
 
 def _contexts(model: StpaModel, args) -> Iterable[str]:
-    from . import report
+    from . import analysis, report
 
-    table = analysis.build_context_table(model, args.controller, args.action, max_rows=_max_rows(args))
+    max_rows = _max_rows(args, analysis.DEFAULT_MAX_ROWS)
+    table = analysis.build_context_table(model, args.controller, args.action, max_rows=max_rows)
     return report.context_csv_lines(table)
 
 
@@ -215,7 +217,7 @@ def _trace(model: StpaModel, args) -> str:
 
 
 def _checklist(model: StpaModel, args) -> str:
-    from . import report
+    from . import causal, report
 
     uca = model.uca_ids().get(args.uca)
     if uca is None:
@@ -233,7 +235,7 @@ def _graph(model: StpaModel, args) -> str:
 
 
 def _stats(model: StpaModel, args) -> str:
-    from . import report
+    from . import analysis, report
 
     if args.format == "json":
         return report.to_json(report.stats_to_dict(analysis.stats(model)))
@@ -241,7 +243,8 @@ def _stats(model: StpaModel, args) -> str:
 
 
 # report command -> handler returning the text, or its lines, for stdout or
-# --output; each imports `report` itself, so `check` and `fmt` never load it
+# --output; each imports `report`, `analysis` and `causal` itself, as far as
+# it runs them, so `check` never loads `report` and `fmt` loads none of them
 _REPORTS = {
     "contexts": _contexts,
     "worksheet": _worksheet,
@@ -276,7 +279,7 @@ def run(argv: list[str] | None = None) -> int:
             _write(args.output, _REPORTS[args.command](model, args))
     except _Unusable as err:
         code, failure = EXIT_INPUT, err
-    except analysis.AnalysisError as err:
+    except AnalysisError as err:
         code, failure = EXIT_ERRORS, err
     else:
         return EXIT_OK

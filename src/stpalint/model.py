@@ -9,8 +9,10 @@ plain data; all checks are pure functions returning diagnostics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import Counter
 from enum import Enum
+from operator import attrgetter
+from typing import NamedTuple
 
 ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
 
@@ -105,25 +107,71 @@ class Severity(Enum):
     INFO = "info"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class Record:
+    """Base of the mutable record classes; `__slots__` lists a record's fields in order.
+
+    Two records are equal when they are of one class and their compared
+    fields are equal; a declaration's `span` is not compared. Records are
+    unhashable, and their `repr` names every field.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, compare_span: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._compared = attrgetter(*(name for name in cls.__slots__ if compare_span or name != "span"))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+def _value_eq(self, other) -> bool:
+    """`==` of an immutable value type: never equal to a plain tuple or to another type."""
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _value_ne(self, other) -> bool:
+    return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+
+class SourceSpan(NamedTuple):
     file: str
     line_start: int
     col_start: int
     line_end: int
     col_end: int
 
+    __eq__ = _value_eq
+    __ne__ = _value_ne
+    __hash__ = tuple.__hash__
+
 
 FALLBACK_SPAN = SourceSpan("<model>", 1, 1, 1, 1)
 
 
-@dataclass
-class Diagnostic:
-    severity: Severity
-    rule: str
-    message: str
-    span: SourceSpan
-    related: list[tuple[str, SourceSpan]] = field(default_factory=list)
+class Diagnostic(Record, compare_span=True):
+    __slots__ = ("severity", "rule", "message", "span", "related")
+
+    def __init__(
+        self,
+        severity: Severity,
+        rule: str,
+        message: str,
+        span: SourceSpan,
+        related: list[tuple[str, SourceSpan]] | None = None,
+    ) -> None:
+        self.severity = severity
+        self.rule = rule
+        self.message = message
+        self.span = span
+        self.related = [] if related is None else related
 
     def format(self) -> str:
         s = self.span
@@ -143,6 +191,7 @@ RULES: dict[str, Severity] = {
     "resolve/empty-description": Severity.ERROR,
     "resolve/empty-ref-list": Severity.ERROR,
     "resolve/unresolved-ref": Severity.ERROR,
+    "resolve/duplicate-ref": Severity.INFO,
     "resolve/self-loop": Severity.ERROR,
     "resolve/via-kind": Severity.ERROR,
     "resolve/variable-owner": Severity.ERROR,
@@ -167,126 +216,200 @@ RULES: dict[str, Severity] = {
 
 def diagnostic(rule: str, message: str, span: SourceSpan, related=None) -> Diagnostic:
     """A diagnostic of `rule` at `span`, with the severity `RULES` gives the rule."""
-    return Diagnostic(RULES[rule], rule, message, span, related or [])
+    return Diagnostic(RULES[rule], rule, message, span, related)
 
 
-@dataclass
-class Loss:
-    id: str
-    description: str
-    span: SourceSpan | None = field(default=None, compare=False)
+class Loss(Record):
+    __slots__ = ("id", "description", "span")
+
+    def __init__(self, id: str, description: str, span: SourceSpan | None = None) -> None:
+        self.id = id
+        self.description = description
+        self.span = span
 
 
-@dataclass
-class Hazard:
-    id: str
-    description: str
-    leads_to: list[str]
-    span: SourceSpan | None = field(default=None, compare=False)
+class Hazard(Record):
+    __slots__ = ("id", "description", "leads_to", "span")
+
+    def __init__(self, id: str, description: str, leads_to: list[str], span: SourceSpan | None = None) -> None:
+        self.id = id
+        self.description = description
+        self.leads_to = leads_to
+        self.span = span
 
 
-@dataclass
-class SystemConstraint:
-    id: str
-    description: str
-    mitigates: list[str]
-    span: SourceSpan | None = field(default=None, compare=False)
+class SystemConstraint(Record):
+    __slots__ = ("id", "description", "mitigates", "span")
+
+    def __init__(self, id: str, description: str, mitigates: list[str], span: SourceSpan | None = None) -> None:
+        self.id = id
+        self.description = description
+        self.mitigates = mitigates
+        self.span = span
 
 
-@dataclass
-class Entity:
-    id: str
-    kind: EntityKind
-    label: str
-    span: SourceSpan | None = field(default=None, compare=False)
+class Entity(Record):
+    __slots__ = ("id", "kind", "label", "span")
+
+    def __init__(self, id: str, kind: EntityKind, label: str, span: SourceSpan | None = None) -> None:
+        self.id = id
+        self.kind = kind
+        self.label = label
+        self.span = span
 
     @property
     def in_system_boundary(self) -> bool:
         return self.kind is not EntityKind.ENVIRONMENT
 
 
-@dataclass
-class Edge:
-    id: str
-    kind: EdgeKind
-    label: str
-    source: str
-    target: str
-    via: list[str] = field(default_factory=list)
-    signals: list[str] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False)
+class Edge(Record):
+    __slots__ = ("id", "kind", "label", "source", "target", "via", "signals", "span")
+
+    def __init__(
+        self,
+        id: str,
+        kind: EdgeKind,
+        label: str,
+        source: str,
+        target: str,
+        via: list[str] | None = None,
+        signals: list[str] | None = None,
+        span: SourceSpan | None = None,
+    ) -> None:
+        self.id = id
+        self.kind = kind
+        self.label = label
+        self.source = source
+        self.target = target
+        self.via = [] if via is None else via
+        self.signals = [] if signals is None else signals
+        self.span = span
 
     def chain(self) -> list[str]:
         """Entity ids along the edge, source to target, via elements inlined."""
         return [self.source, *self.via, self.target]
 
 
-@dataclass
-class ProcessModelVariable:
-    id: str
-    owner: str
-    label: str
-    values: list[str]
-    span: SourceSpan | None = field(default=None, compare=False)
+class ProcessModelVariable(Record):
+    __slots__ = ("id", "owner", "label", "values", "span")
+
+    def __init__(self, id: str, owner: str, label: str, values: list[str], span: SourceSpan | None = None) -> None:
+        self.id = id
+        self.owner = owner
+        self.label = label
+        self.values = values
+        self.span = span
 
 
-@dataclass(frozen=True)
-class GuideWord:
+class GuideWord(NamedTuple):
     category: GuideCategory
     qualifier: GuideQualifier | None = None
 
+    __eq__ = _value_eq
+    __ne__ = _value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass
-class Context:
+
+class Context(Record):
     """Partial assignment of process-model variables; unmentioned = wildcard."""
 
-    assignments: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("assignments",)
+
+    def __init__(self, assignments: dict[str, str] | None = None) -> None:
+        self.assignments = {} if assignments is None else assignments
 
     def key(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.assignments.items()))
 
 
-@dataclass
-class UnsafeControlAction:
-    id: str
-    action: str
-    source_controller: str
-    guide: GuideWord
-    context: Context
-    hazards: list[str]
-    description: str
-    span: SourceSpan | None = field(default=None, compare=False)
+class UnsafeControlAction(Record):
+    __slots__ = ("id", "action", "source_controller", "guide", "context", "hazards", "description", "span")
+
+    def __init__(
+        self,
+        id: str,
+        action: str,
+        source_controller: str,
+        guide: GuideWord,
+        context: Context,
+        hazards: list[str],
+        description: str,
+        span: SourceSpan | None = None,
+    ) -> None:
+        self.id = id
+        self.action = action
+        self.source_controller = source_controller
+        self.guide = guide
+        self.context = context
+        self.hazards = hazards
+        self.description = description
+        self.span = span
 
 
-@dataclass
-class CausalFactor:
-    id: str
-    category: CfCategory
-    located_at: str
-    ucas: list[str]
-    description: str
-    span: SourceSpan | None = field(default=None, compare=False)
+class CausalFactor(Record):
+    __slots__ = ("id", "category", "located_at", "ucas", "description", "span")
+
+    def __init__(
+        self,
+        id: str,
+        category: CfCategory,
+        located_at: str,
+        ucas: list[str],
+        description: str,
+        span: SourceSpan | None = None,
+    ) -> None:
+        self.id = id
+        self.category = category
+        self.located_at = located_at
+        self.ucas = ucas
+        self.description = description
+        self.span = span
 
 
-@dataclass
-class ControllerConstraint:
-    id: str
-    derived_from: str
-    description: str
-    span: SourceSpan | None = field(default=None, compare=False)
+class ControllerConstraint(Record):
+    __slots__ = ("id", "derived_from", "description", "span")
+
+    def __init__(self, id: str, derived_from: str, description: str, span: SourceSpan | None = None) -> None:
+        self.id = id
+        self.derived_from = derived_from
+        self.description = description
+        self.span = span
 
 
-@dataclass
-class StpaModel:
-    losses: list[Loss] = field(default_factory=list)
-    hazards: list[Hazard] = field(default_factory=list)
-    constraints: list[SystemConstraint] = field(default_factory=list)
-    entities: list[Entity] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    variables: list[ProcessModelVariable] = field(default_factory=list)
-    ucas: list[UnsafeControlAction] = field(default_factory=list)
-    causal_factors: list[CausalFactor] = field(default_factory=list)
-    controller_constraints: list[ControllerConstraint] = field(default_factory=list)
+class StpaModel(Record):
+    __slots__ = (
+        "losses",
+        "hazards",
+        "constraints",
+        "entities",
+        "edges",
+        "variables",
+        "ucas",
+        "causal_factors",
+        "controller_constraints",
+    )
+
+    def __init__(
+        self,
+        losses: list[Loss] | None = None,
+        hazards: list[Hazard] | None = None,
+        constraints: list[SystemConstraint] | None = None,
+        entities: list[Entity] | None = None,
+        edges: list[Edge] | None = None,
+        variables: list[ProcessModelVariable] | None = None,
+        ucas: list[UnsafeControlAction] | None = None,
+        causal_factors: list[CausalFactor] | None = None,
+        controller_constraints: list[ControllerConstraint] | None = None,
+    ) -> None:
+        self.losses = [] if losses is None else losses
+        self.hazards = [] if hazards is None else hazards
+        self.constraints = [] if constraints is None else constraints
+        self.entities = [] if entities is None else entities
+        self.edges = [] if edges is None else edges
+        self.variables = [] if variables is None else variables
+        self.ucas = [] if ucas is None else ucas
+        self.causal_factors = [] if causal_factors is None else causal_factors
+        self.controller_constraints = [] if controller_constraints is None else controller_constraints
 
     def entity_ids(self) -> dict[str, Entity]:
         return {d.id: d for d in self.entities}
@@ -350,14 +473,22 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         # A duplicated id resolves to its last declaration.
         ids[section] = {d.id: d for d in decls}
 
+    def repeats(decl, values: list[str], kind_name: str) -> None:
+        """Flag each id that the reference list `values` names more than once, once."""
+        for ref, count in Counter(values).items():
+            if count > 1:
+                flag("resolve/duplicate-ref", f"{kind_name} {ref} is listed {count} times", decl)
+
     def refs(decl, values, section: str, required: str | None = None) -> None:
-        """Flag an empty list if `required` names the citing kind, then each dangling id."""
+        """Flag each dangling id; for a list, whose citing kind `required` names, also emptiness and repeats."""
         kind_name = _KINDS[section]
         if required and not values:
             flag("resolve/empty-ref-list", f"{required} must reference at least one {kind_name}", decl)
         for ref in values:
             if ref not in ids[section]:
                 flag("resolve/unresolved-ref", f"unresolved {kind_name} {ref}", decl)
+        if required and len(values) > 1 and len(set(values)) < len(values):
+            repeats(decl, values, kind_name)
 
     entities = ids["entities"]
     edges = ids["edges"]
@@ -385,6 +516,8 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
                 flag("resolve/unresolved-ref", f"unresolved entity {ref}", edge)
             elif ent.kind not in (EntityKind.SENSOR, EntityKind.ACTUATOR):
                 flag("resolve/via-kind", f"via element {ref} must be a sensor or actuator", edge)
+        if len(set(edge.via)) < len(edge.via):
+            repeats(edge, edge.via, "entity")
 
     for var in model.variables:
         owner = entities.get(var.owner)

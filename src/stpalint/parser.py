@@ -47,7 +47,7 @@ from .model import (
 
 
 class Field(NamedTuple):
-    """A slot that fills one field of the statement's dataclass."""
+    """A slot that fills one field of the statement's record class."""
 
     name: str
     shape: str  # a key of `_FileParser.READ`: what the slot's tokens look like

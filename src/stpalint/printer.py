@@ -66,7 +66,7 @@ def _line_writer(keyword: str, row: Statement):
     return lambda decl: template.format(*[write(get(decl)) for get, write in fields])
 
 
-# (dataclass, fixed `kind` or None) -> its row's line writer; entities and edges have one row per kind
+# (record class, fixed `kind` or None) -> its row's line writer; entities and edges have one row per kind
 _LINES = {(row.cls, row.fixed.get("kind")): _line_writer(keyword, row) for keyword, row in STATEMENTS.items()}
 _SECTIONS = dict.fromkeys(row.section for row in STATEMENTS.values())
 

@@ -11,13 +11,15 @@ import io
 import itertools
 import json
 from collections.abc import Iterator
-from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
+from typing import TYPE_CHECKING
 
-from .analysis import ContextTable, ModelStats, stats
-from .causal import ChecklistItem
-from .model import Context, EdgeKind, EntityKind, GuideCategory, StpaModel
+from .model import Context, EdgeKind, EntityKind, GuideCategory, Record, StpaModel
+
+if TYPE_CHECKING:  # `graph`, `worksheet` and `trace` load neither module
+    from .analysis import ContextTable, ModelStats
+    from .causal import ChecklistItem
 
 SCHEMA_VERSION = 1
 
@@ -186,17 +188,22 @@ def render_graph(model: StpaModel) -> str:
 
 @cache
 def _json_names(cls: type) -> tuple[str, ...] | None:
-    """The keys of a dataclass's JSON object; None for any other type."""
-    if not is_dataclass(cls):
+    """The keys of a record's JSON object; None for any other type.
+
+    A record class lists its fields in `__slots__`, a `NamedTuple` value
+    type (whose `__slots__` is empty) in `_fields`.
+    """
+    names = cls.__slots__ if issubclass(cls, Record) else getattr(cls, "_fields", None)
+    if names is None:
         return None
     derived = [name for name, attr in vars(cls).items() if isinstance(attr, property)]
-    return (*(f.name for f in fields(cls) if f.name != "span"), *derived)
+    return (*(name for name in names if name != "span"), *derived)
 
 
 def _plain(value):
     """JSON-ready copy of a model value.
 
-    Dataclasses become dicts field by field, without spans, followed by
+    Records become dicts field by field, without spans, followed by
     their derived properties; enums become their values and contexts their
     assignments.
     """
@@ -253,6 +260,8 @@ def render_checklist(items: list[ChecklistItem], uca_id: str) -> str:
 
 
 def render_stats(model: StpaModel) -> str:
+    from .analysis import stats
+
     s = stats(model)
     lines = ["# Model summary", ""]
     lines.append(f"- losses: {s.losses}")

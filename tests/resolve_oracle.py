@@ -3,7 +3,9 @@
 `resolve` is the original `stpalint.model.resolve`, with one loop per
 section and one reference check written out per reference list. It serves
 only as the oracle the table-driven `stpalint.model.resolve` is compared
-with: the two must give the same diagnostics in the same order.
+with: the two must give the same diagnostics in the same order. The
+`resolve/duplicate-ref` info, which came later, is written out after each
+reference list as well.
 """
 
 from __future__ import annotations
@@ -23,6 +25,21 @@ from stpalint.model import (
 def _error(rule: str, message: str, decl, related=None) -> Diagnostic:
     """Every `resolve` rule is an error; set here, not read from `stpalint.model.RULES`."""
     return Diagnostic(Severity.ERROR, rule, message, span_of(decl), related or [])
+
+
+def _repeats(values: list[str], kind_name: str, decl) -> list[Diagnostic]:
+    """One info per id that `values` lists more than once, in order of first appearance."""
+    return [
+        Diagnostic(
+            Severity.INFO,
+            "resolve/duplicate-ref",
+            f"{kind_name} {ref} is listed {values.count(ref)} times",
+            span_of(decl),
+            [],
+        )
+        for i, ref in enumerate(values)
+        if values.count(ref) > 1 and ref not in values[:i]
+    ]
 
 
 def resolve(model: StpaModel) -> list[Diagnostic]:
@@ -83,6 +100,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         for ref in hz.leads_to:
             if ref not in losses:
                 diags.append(_error("resolve/unresolved-ref", f"unresolved loss {ref}", hz))
+        diags.extend(_repeats(hz.leads_to, "loss", hz))
 
     for sc in model.constraints:
         if not sc.mitigates:
@@ -90,6 +108,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         for ref in sc.mitigates:
             if ref not in hazards:
                 diags.append(_error("resolve/unresolved-ref", f"unresolved hazard {ref}", sc))
+        diags.extend(_repeats(sc.mitigates, "hazard", sc))
 
     for edge in model.edges:
         if edge.source == edge.target:
@@ -105,6 +124,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
                 diags.append(
                     _error("resolve/via-kind", f"via element {ref} must be a sensor or actuator", edge)
                 )
+        diags.extend(_repeats(edge.via, "entity", edge))
 
     for var in model.variables:
         owner = entities.get(var.owner)
@@ -172,6 +192,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         for ref in uca.hazards:
             if ref not in hazards:
                 diags.append(_error("resolve/unresolved-ref", f"unresolved hazard {ref}", uca))
+        diags.extend(_repeats(uca.hazards, "hazard", uca))
 
     for cf in model.causal_factors:
         if cf.located_at not in entities and cf.located_at not in edges:
@@ -181,6 +202,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         for ref in cf.ucas:
             if ref not in ucas:
                 diags.append(_error("resolve/unresolved-ref", f"unresolved uca {ref}", cf))
+        diags.extend(_repeats(cf.ucas, "uca", cf))
 
     for cc in model.controller_constraints:
         if cc.derived_from not in ucas:

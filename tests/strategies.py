@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
-
 from hypothesis import strategies as st
 
 from stpalint import (
@@ -24,6 +22,12 @@ from stpalint import (
     UnsafeControlAction,
 )
 from stpalint.model import CausalFactor, ControllerConstraint, SourceSpan
+
+
+def replace(decl, **changes):
+    """A copy of the record `decl` with `changes` applied."""
+    return type(decl)(**{name: getattr(decl, name) for name in type(decl).__slots__} | changes)
+
 
 # Escapable controls are included on purpose so round-trips cover them.
 _chars = st.one_of(
@@ -195,7 +199,7 @@ def control_structures(draw) -> StpaModel:
     return m
 
 
-_SECTIONS = [f.name for f in fields(StpaModel)]
+_SECTIONS = list(StpaModel.__slots__)
 _REF_LISTS = {
     "hazards": "leads_to",
     "constraints": "mitigates",
@@ -218,10 +222,11 @@ def hostile_models(draw) -> StpaModel:
     """`models()` or `control_structures()` broken by one to six mutations.
 
     A mutation duplicates a declaration, gives one a sibling's id or a bad or
-    empty id, empties a reference list or adds a dangling id to it, or points
-    a source, target, owner, action, source controller, located_at or
-    derived_from at nothing. Most models then give each declaration a span of
-    its own, so a diagnostic that blames the wrong declaration shows.
+    empty id, empties a reference list, adds a dangling id to it or repeats
+    its first id, or points a source, target, owner, action, source
+    controller, located_at or derived_from at nothing. Most models then give
+    each declaration a span of its own, so a diagnostic that blames the wrong
+    declaration shows.
     """
     m = draw(st.one_of(models(), control_structures()))
     for _ in range(draw(st.integers(1, 6))):
@@ -232,6 +237,8 @@ def hostile_models(draw) -> StpaModel:
         ops = ["duplicate", "sibling-id", "bad-id"]
         if section in _REF_LISTS:
             ops += ["empty-list", "dangling-list"]
+            if getattr(decl, _REF_LISTS[section]):
+                ops.append("repeat-list")
         if section in _REF_VALUES:
             ops.append("dangling-value")
         op = draw(st.sampled_from(ops))
@@ -246,6 +253,9 @@ def hostile_models(draw) -> StpaModel:
         elif op == "dangling-list":
             name = _REF_LISTS[section]
             decls[i] = replace(decl, **{name: [*getattr(decl, name), "Ghost-1"]})
+        elif op == "repeat-list":
+            name = _REF_LISTS[section]
+            decls[i] = replace(decl, **{name: [*getattr(decl, name), getattr(decl, name)[0]]})
         else:
             name = draw(st.sampled_from(_REF_VALUES[section]))
             decls[i] = replace(decl, **{name: draw(st.sampled_from(["Ghost-1", ""]))})

@@ -88,6 +88,51 @@ def test_check_reports_no_open_loop_for_a_uca_whose_action_names_no_edge(tmp_pat
     assert "causal/open-loop" not in err
 
 
+REPEATED_REFS = """\
+loss L-1 "l"
+hazard H-1 "h" leads_to [L-1, L-1, L-1]
+constraint SC-1 "c" mitigates [H-1, H-1]
+controller C "c"
+process P "p"
+sensor S "s"
+action A "a" from C to P
+feedback F "f" from P to C via [S, S]
+uca U-1 action = A guide = NotProvided hazards [H-1, H-1] "u"
+cf CF-1 category = ControlAlgorithm at C for [U-1, U-1] "cf"
+"""
+
+
+def test_check_flags_each_repeated_reference_once_as_info(tmp_path):
+    src = tmp_path / "repeats.stpa"
+    src.write_text(REPEATED_REFS, encoding="utf-8")
+    code, _, err = run_cli(["check", str(src)])
+    assert code == 0  # an info does not change the exit code
+    assert [line for line in err.splitlines() if "duplicate-ref" in line] == [
+        f"{src}:2:1: info[resolve/duplicate-ref]: loss L-1 is listed 3 times",
+        f"{src}:3:1: info[resolve/duplicate-ref]: hazard H-1 is listed 2 times",
+        f"{src}:8:1: info[resolve/duplicate-ref]: entity S is listed 2 times",
+        f"{src}:9:1: info[resolve/duplicate-ref]: hazard H-1 is listed 2 times",
+        f"{src}:10:1: info[resolve/duplicate-ref]: uca U-1 is listed 2 times",
+    ]
+
+
+def test_a_self_loop_is_not_also_a_repeated_reference(tmp_path):
+    src = tmp_path / "loop.stpa"
+    src.write_text('controller C "c"\naction A "a" from C to C\n', encoding="utf-8")
+    _, _, err = run_cli(["check", str(src)])
+    assert "resolve/self-loop" in err and "duplicate-ref" not in err
+
+
+def test_fmt_keeps_repeated_references(tmp_path):
+    src = tmp_path / "repeats.stpa"
+    src.write_text(REPEATED_REFS, encoding="utf-8")
+    assert run_cli(["fmt", str(src)])[0] == 0
+    text = src.read_text(encoding="utf-8")
+    for listed in ("[L-1, L-1, L-1]", "[H-1, H-1]", "via [S, S]", "for [U-1, U-1]"):
+        assert listed in text
+    assert run_cli(["check", str(src)])[2].count("duplicate-ref") == 5
+
+
 def test_check_abstract_structure_alone_is_clean():
     code, out, err = run_cli(["check", str(REPO_ROOT / "corpus" / "structure_abstract.stpa")])
     assert (code, out, err) == (0, "", "")

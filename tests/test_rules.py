@@ -24,6 +24,7 @@ EXPECTED = {
     "resolve/empty-description": ERR,
     "resolve/empty-ref-list": ERR,
     "resolve/unresolved-ref": ERR,
+    "resolve/duplicate-ref": INFO,
     "resolve/self-loop": ERR,
     "resolve/via-kind": ERR,
     "resolve/variable-owner": ERR,
@@ -47,7 +48,7 @@ EXPECTED = {
 
 
 def test_rules_table_holds_each_rule_and_its_severity():
-    assert len(EXPECTED) == 29
+    assert len(EXPECTED) == 30
     assert RULES == EXPECTED
 
 
@@ -121,6 +122,7 @@ FIXTURE = {
     "resolve/empty-description": 'loss L-1 ""\n',
     "resolve/empty-ref-list": 'loss L-1 "loss"\nhazard H-1 "hazard" leads_to []\n',
     "resolve/unresolved-ref": 'hazard H-1 "hazard" leads_to [L-9]\n',
+    "resolve/duplicate-ref": BASE + UCA.replace("[H-1]", "[H-1, H-1]"),
     "resolve/self-loop": 'controller C "Controller"\naction A "act" from C to C\n',
     "resolve/via-kind": BASE.replace("via [S]", "via [C]"),
     "resolve/variable-owner": BASE + 'variable V of P "v" {"a", "b"}\n',

@@ -12,6 +12,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from stpalint.corpus import CORPUS_FILES, corpus_paths
 
 from conftest import REPO_ROOT
@@ -32,7 +34,17 @@ def run_child(code, *argv):
 LOADED_BY_RUN = """
     import sys
 
-    WATCHED = ("stpalint.report", "stpalint.printer", "stpalint.corpus", "json", "csv")
+    WATCHED = (
+        "stpalint.report",
+        "stpalint.printer",
+        "stpalint.corpus",
+        "stpalint.analysis",
+        "stpalint.causal",
+        "json",
+        "csv",
+        "dataclasses",
+        "inspect",
+    )
     before = {name for name in WATCHED if name in sys.modules}
     from stpalint import cli
 
@@ -44,7 +56,7 @@ LOADED_BY_RUN = """
 def test_check_loads_no_report_printer_corpus_json_or_csv():
     code, loaded = run_child(LOADED_BY_RUN, "check", *map(str, corpus_paths()))
     assert code in (0, 1)
-    assert loaded == []
+    assert loaded == ["stpalint.analysis", "stpalint.causal"]  # and neither `dataclasses` nor `inspect`
 
 
 def test_fmt_loads_the_printer_but_not_report(tmp_path):
@@ -52,8 +64,30 @@ def test_fmt_loads_the_printer_but_not_report(tmp_path):
         shutil.copy(path, tmp_path / path.name)
     code, loaded = run_child(LOADED_BY_RUN, "fmt", *(str(tmp_path / name) for name in CORPUS_FILES))
     assert code == 0
-    assert "stpalint.report" not in loaded
-    assert "stpalint.printer" in loaded
+    assert loaded == ["stpalint.printer"]  # not `report`, the analyses, `dataclasses` or `inspect`
+
+
+# report command -> the analysis modules it loads besides `report`; none
+# loads `dataclasses` or `inspect`, and `graph`, `worksheet` and `trace` run
+# neither analysis module
+REPORT_ANALYSES = {
+    ("graph",): [],
+    ("worksheet", "--action", "BrakeCmd"): [],
+    ("trace",): [],
+    ("trace", "--format", "json"): [],
+    ("stats",): ["stpalint.analysis"],
+    ("checklist", "--uca", "UCA-1"): ["stpalint.causal"],
+    ("contexts", "--controller", "Operator", "--action", "BrakeCmd"): ["stpalint.analysis"],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_ANALYSES), ids=" ".join)
+def test_each_report_command_loads_only_the_analyses_it_runs(argv, tmp_path):
+    code, loaded = run_child(LOADED_BY_RUN, *argv, "--output", str(tmp_path / "out"), *map(str, corpus_paths()))
+    assert code == 0
+    assert "stpalint.report" in loaded
+    assert [name for name in loaded if name in ("stpalint.analysis", "stpalint.causal")] == REPORT_ANALYSES[argv]
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_package_exports_resolve_to_their_home_modules():

@@ -6,8 +6,6 @@ rows of `STATEMENTS`. On any text they must give the same model, the same
 spans and the same diagnostics, notes included; on any model, the same text.
 """
 
-from dataclasses import fields
-
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +15,7 @@ from stpalint.corpus import corpus_dir
 from stpalint.model import SourceSpan, StpaModel
 from strategies import models
 
-_SECTIONS = [f.name for f in fields(StpaModel)]
+_SECTIONS = list(StpaModel.__slots__)
 
 _CORPUS_LINES = sorted(
     {line for path in corpus_dir().glob("*.stpa") for line in path.read_text(encoding="utf-8").splitlines()}
