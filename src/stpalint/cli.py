@@ -15,7 +15,8 @@ import os
 import shutil
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 from .model import AnalysisError, Diagnostic, Severity, StpaModel
@@ -127,14 +128,21 @@ def _load(inputs: list[str]) -> tuple[StpaModel, list[Diagnostic]]:
     return parse(sources)
 
 
+def _batches(lines: Iterable[str]) -> Iterator[str]:
+    """`lines` joined 1,024 at a time: to an unbuffered stdout, each string written is one system call."""
+    lines = iter(lines)
+    while batch := list(islice(lines, 1024)):
+        yield "".join(batch)
+
+
 def _write(output: Path | None, text: str | Iterable[str], replace: bool = False) -> None:
-    """Write `text`, or each string it yields, to stdout, or to `output`.
+    """Write `text`, or the strings it yields, to stdout, or to `output`.
 
     With `replace`, the text goes to a temporary file beside the file that
     `output` names (through any symlinks), takes over its permission bits
     and then replaces it, so a failed write leaves the file unchanged.
     """
-    chunks = [text] if isinstance(text, str) else text
+    chunks = [text] if isinstance(text, str) else _batches(text)
     try:
         if output is None:
             sys.stdout.writelines(chunks)
@@ -273,8 +281,9 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "fmt":
             from . import printer
 
+            texts = printer.serialize_files(model, args.inputs)
             for name in args.inputs:
-                _write(Path(name), printer.serialize_file(model, name), replace=True)
+                _write(Path(name), texts[name], replace=True)
         else:
             _write(args.output, _REPORTS[args.command](model, args))
     except _Unusable as err:

@@ -1,15 +1,20 @@
 """Parser for the `.stpa` textual model format.
 
-A master-regex tokenizer and a recursive-descent parser with statement-level
-error recovery: on a syntax fault the parser reports a diagnostic and skips
-ahead to the next top-level keyword that starts a line. Parsing never
-fabricates declarations; every declaration in the output carries the span
-of its source statement.
+A regex tokenizer and a recursive-descent parser with statement-level error
+recovery: on a syntax fault the parser reports a diagnostic and skips ahead
+to the next top-level keyword that is the first token on its line. Parsing
+never fabricates declarations; every declaration in the output carries the
+span of its source statement.
 
-The tokenizer makes one regex match per lexeme, blanks in front included,
-and each token is a plain tuple `(kind, text, line, col, end_col)`: a large
-model has tens of thousands of tokens, and a tuple is the cheapest object
-that holds one.
+The tokenizer splits each line into its words with one `findall`, and each
+token is the word itself, a string: a large model has tens of thousands of
+tokens, and the parser tells a token's kind by its first character. Only
+the declaration spans and the diagnostics need a token's line and columns,
+so `_FileParser.place` works them out on demand from the index of each
+line's first token. The first token of a line starts after its leading
+blanks and the last ends before its trailing ones; any other token, and any
+token on a line that holds a comment, an unexpected character or an
+unclosed string, is found by matching its line again.
 
 The syntax of the statements is defined only by `STATEMENTS`, one row per
 keyword: the parser reads a statement by walking its row's slots, and
@@ -19,7 +24,9 @@ keyword: the parser reads a statement by walking its row's slots, and
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, NoReturn
+from bisect import bisect_right
+from operator import itemgetter
+from typing import NoReturn
 
 from .model import (
     CausalFactor,
@@ -46,22 +53,32 @@ from .model import (
 )
 
 
-class Field(NamedTuple):
+# `Field` and `Statement` are plain classes: building a `NamedTuple` class
+# costs about 0.3 ms at every start
+
+
+class Field:
     """A slot that fills one field of the statement's record class."""
 
-    name: str
-    shape: str  # a key of `_FileParser.READ`: what the slot's tokens look like
-    what: str  # what the "expected ..." message for the slot names
-    keyword: str | None = None  # the word that introduces an optional slot
+    __slots__ = ("name", "shape", "what", "keyword")
+
+    def __init__(self, name: str, shape: str, what: str, keyword: str | None = None):
+        self.name = name
+        self.shape = shape  # a key of `_FileParser.READ`: what the slot's tokens look like
+        self.what = what  # what the "expected ..." message for the slot names
+        self.keyword = keyword  # the word that introduces an optional slot
 
 
-class Statement(NamedTuple):
+class Statement:
     """The syntax of one statement keyword and the declaration it makes."""
 
-    section: str  # the `StpaModel` list the declaration goes to
-    cls: type
-    fixed: dict  # the fields that the keyword alone decides
-    slots: tuple  # `Field`s, literal words and "=", in source order
+    __slots__ = ("section", "cls", "fixed", "slots")
+
+    def __init__(self, section: str, cls: type, fixed: dict, slots: tuple):
+        self.section = section  # the `StpaModel` list the declaration goes to
+        self.cls = cls
+        self.fixed = fixed  # the fields that the keyword alone decides
+        self.slots = slots  # `Field`s, literal words and "=", in source order
 
 
 # Slot shapes: "id"; "string"; "ids", `[a, b]`, maybe empty; "strings",
@@ -130,7 +147,7 @@ STATEMENTS: dict[str, Statement] = {
 # Any other escaped character stands for itself. `quote` inverts this.
 ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
-_UNESCAPE = re.compile(r"\\(.)")
+_UNESCAPE = r"\\(.)"  # compiled on first use, by `re.sub`: few models hold an escape
 _QUOTE = str.maketrans({char: "\\" + letter for letter, char in ESCAPES.items()})
 
 
@@ -139,204 +156,256 @@ def quote(text: str) -> str:
     return '"' + text.translate(_QUOTE) + '"'
 
 
-# One alternative per lexeme, each after the blanks in front of it;
-# `tokenize` dispatches on the name that matched, and blanks before the end
-# of the text match no name. A string stops at its closing quote or at a
-# newline; a backslash escapes the next character, and a lone backslash
-# before a newline or EOF is kept.
-_LEXEME = re.compile(
-    r"[ \t\r]*(?:"
-    r"(?P<newline>\n)"
-    r"|(?P<comment>#[^\n]*)"
-    r'|(?P<string>"(?P<body>[^"\\\n]*(?:\\.?[^"\\\n]*)*)(?P<close>")?)'
-    r"|(?P<id>\w[\w-]*)"
-    r"|(?P<punct>[][{}=,])"
-    r"|(?P<other>.)"
-    r"|\Z)"
-)
+# One alternative per word of a line, tried in this order: a comment; a
+# string, which stops at its closing quote or at the end of the line (a
+# backslash escapes the next character, and a lone backslash at the end of
+# the line is kept); an identifier; any other character but a blank, which
+# is a punctuation or an unexpected character. A comment, and a string
+# without its closing quote, take the rest of the line, so each is the last
+# word of its line.
+_WORD = re.compile(r'#.*|"[^"\\]*(?:\\.?[^"\\]*)*"?|\w[\w-]*|[^ \t\r]')
+_BLANKS = " \t\r"
 
-# A token is a tuple (kind, text, line, col, end_col): kind is "id", "string"
-# or "punct", text is the unescaped value of a string, and the columns are
-# those of the token's first and last characters.
-Token = tuple[str, str, int, int, int]
+# A token is its word: an identifier, a string with its quotes and escapes,
+# or one of the punctuations `[]{}=,`. Its first character tells which.
+Token = str
+
+# `_FileParser` reads it after the last token: no word is a newline, so no
+# test of a token holds for it
+_END = "\n"
+_NOT_ID = '"[]{}=,\n'  # the first character of a string, of a punctuation and of `_END`
+
+# enum -> its members by value, for the slots that name one
+_MEMBERS = {enum: {member.value: member for member in enum} for enum in (CfCategory, GuideCategory, GuideQualifier)}
 
 
 class _ParseError(Exception):
-    """A syntax fault at `token`, None at the end of the file; `message` is complete."""
+    """A syntax fault at token `at`, the index of `_END` at the end of the file; `message` is complete."""
 
-    def __init__(self, message: str, token: Token | None):
+    def __init__(self, message: str, at: int):
         super().__init__(message)
         self.message = message
-        self.token = token
+        self.at = at
 
 
-def _found(tok: Token | None) -> str:
-    """The end of an "expected ..." message: the token that was found instead."""
-    if tok is None:
-        return " at end of file"
-    if tok[0] == "string":
-        return f", found string {quote(tok[1])}"
-    return f", found {tok[1]!r}"
+def _is_token(word: str) -> bool:
+    """Whether a word is a token, not a comment or an unexpected character."""
+    first = word[0]
+    return first.isalnum() or first in '_"[]{}=,'
 
 
-def _unescape(body: str) -> str:
+def _open(word: str) -> bool:
+    """Whether the string token `word` has no closing quote."""
+    # a last quote after the first closes the string, unless an odd number of
+    # backslashes escapes it
+    return (
+        len(word) == 1
+        or word[-1] != '"'
+        or (word[-2] == "\\" and (len(word) - len(word[:-1].rstrip("\\"))) % 2 == 0)
+    )
+
+
+def _string(word: str) -> str:
+    """The value of the string token `word`."""
+    body = word[1:] if _open(word) else word[1:-1]
     if "\\" not in body:
         return body
-    return _UNESCAPE.sub(lambda m: ESCAPES.get(m[1], m[1]), body)
+    return re.sub(_UNESCAPE, lambda m: ESCAPES.get(m[1], m[1]), body)
+
+
+def _found(word: Token) -> str:
+    """The end of an "expected ..." message: the token that was found instead."""
+    if word == _END:
+        return " at end of file"
+    if word[0] == '"':
+        return f", found string {quote(_string(word))}"
+    return f", found {word!r}"
+
+
+def _split(path: str, text: str, diags: list[Diagnostic]) -> tuple[list[Token], list[int], list[str], set[int]]:
+    """Split `text` into tokens, reporting bad strings and characters to `diags`.
+
+    Also returns the index of each line's first token followed by the
+    number of tokens, the lines, and the lines that hold a comment, an
+    unexpected character or a string without its closing quote.
+    """
+    lines = text.split("\n")
+    findall = _WORD.findall
+    tokens: list[Token] = []
+    firsts: list[int] = []
+    odd: list[int] = []
+    for k, line in enumerate(lines):
+        firsts.append(len(tokens))
+        words = findall(line)
+        if words:
+            last = words[-1]
+            if last[0] == "#":
+                words.pop()
+                odd.append(k)
+            elif last[0] == '"' and _open(last):
+                odd.append(k)
+            tokens += words
+    firsts.append(len(tokens))
+    if not all(map(_is_token, set(map(itemgetter(0), tokens)))):
+        # drop the unexpected characters; the lines are read in order, so
+        # `firsts[k + 1]` still counts the old tokens when line k is read
+        kept: list[Token] = []
+        for k in range(len(lines)):
+            words = tokens[firsts[k] : firsts[k + 1]]
+            firsts[k] = len(kept)
+            kept += filter(_is_token, words)
+            if len(kept) - firsts[k] < len(words):
+                odd.append(k)
+        firsts[-1] = len(kept)
+        tokens = kept
+        odd = sorted(set(odd))
+    for k in odd:
+        for m in _WORD.finditer(lines[k]):
+            word = m[0]
+            if word[0] == '"':
+                if _open(word):
+                    span = SourceSpan(path, k + 1, m.start() + 1, k + 1, m.end())
+                    diags.append(diagnostic("parse/unterminated-string", "unterminated string literal", span))
+            elif word[0] != "#" and not _is_token(word):
+                span = SourceSpan(path, k + 1, m.start() + 1, k + 1, m.start() + 1)
+                diags.append(diagnostic("parse/unexpected-character", f"unexpected character {word!r}", span))
+    return tokens, firsts, lines, set(odd)
 
 
 def tokenize(path: str, text: str, diags: list[Diagnostic]) -> list[Token]:
     """Split `text` into tokens, reporting bad strings and characters to `diags`."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind == "id" or kind == "punct":
-            start = m.start(kind) - line_start
-            word = m[kind]
-            tokens.append((kind, word, line, start + 1, start + len(word)))
-        elif kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "string":
-            start, end = m.span(kind)
-            col, end_col = start - line_start + 1, end - line_start
-            if m["close"] is None:
-                span = SourceSpan(path, line, col, line, end_col)
-                diags.append(diagnostic("parse/unterminated-string", "unterminated string literal", span))
-            tokens.append(("string", _unescape(m["body"]), line, col, end_col))
-        elif kind == "other":
-            col = m.start(kind) - line_start + 1
-            span = SourceSpan(path, line, col, line, col)
-            diags.append(diagnostic("parse/unexpected-character", f"unexpected character {m[kind]!r}", span))
-        # a comment, or the blanks at the end of the text, makes no token
-    return tokens
+    return _split(path, text, diags)[0]
 
 
 class _FileParser:
-    def __init__(self, path: str, tokens: list[Token], diags: list[Diagnostic]):
+    def __init__(self, path: str, text: str, diags: list[Diagnostic]):
         self.path = path
-        self.tokens = tokens
-        self.pos = 0
         self.diags = diags
+        tokens, self.firsts, self.lines, self.odd = _split(path, text, diags)
+        self.tokens = tokens + [_END]
+        self.pos = 0
 
-    # -- token plumbing -----------------------------------------------------
+    # -- token places -------------------------------------------------------
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def place(self, i: int) -> tuple[int, int, int]:
+        """The line of token `i` and the columns of its first and last characters."""
+        firsts = self.firsts
+        k = bisect_right(firsts, i) - 1
+        line = self.lines[k]
+        if k not in self.odd:
+            # on a line of tokens and blanks alone, the first token starts
+            # after the leading blanks and the last ends before the trailing ones
+            if i == firsts[k]:
+                col = len(line) - len(line.lstrip(_BLANKS)) + 1
+                return k + 1, col, col + len(self.tokens[i]) - 1
+            if i == firsts[k + 1] - 1:
+                end_col = len(line.rstrip(_BLANKS))
+                return k + 1, end_col - len(self.tokens[i]) + 1, end_col
+        m = [m for m in _WORD.finditer(line) if _is_token(m[0])][i - firsts[k]]
+        return k + 1, m.start() + 1, m.end()
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def starts_line(self, i: int) -> bool:
+        """Whether token `i` is the first token on its line."""
+        firsts = self.firsts
+        return firsts[bisect_right(firsts, i) - 1] == i
 
-    def take(self, kind: str, text: str | None = None) -> Token | None:
-        """Consume and return the next token if it has `kind` (and `text`); else None."""
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            if tok[0] == kind and (text is None or tok[1] == text):
-                self.pos += 1
-                return tok
-        return None
+    def span(self, first: int, last: int) -> SourceSpan:
+        """From the first character of token `first` to the last of token `last`."""
+        line, col, _ = self.place(first)
+        end_line, _, end_col = self.place(last)
+        return SourceSpan(self.path, line, col, end_line, end_col)
 
-    def fail(self, message: str) -> NoReturn:
-        tok = self.peek()
-        raise _ParseError(message + _found(tok), tok)
+    def fail(self, i: int, message: str) -> NoReturn:
+        """Stop the statement at token `i`, which is not what `message` expected."""
+        self.pos = i
+        raise _ParseError(message + _found(self.tokens[i]), i)
 
-    def expect_id(self, what: str) -> Token:
-        return self.take("id") or self.fail(f"expected {what}")
+    # -- slot shapes: each reads from token `i` and returns the value and the next index
 
-    def expect_keyword(self, word: str) -> Token:
-        return self.take("id", word) or self.fail(f"expected keyword {word!r}")
+    def read_id(self, i: int, what: str) -> tuple[str, int]:
+        word = self.tokens[i]
+        if word[0] in _NOT_ID:
+            self.fail(i, f"expected {what}")
+        return word, i + 1
 
-    def expect_string(self, what: str) -> Token:
-        return self.take("string") or self.fail(f"expected {what} string")
+    def read_string(self, i: int, what: str) -> tuple[str, int]:
+        word = self.tokens[i]
+        if word[0] != '"':
+            self.fail(i, f"expected {what} string")
+        return _string(word), i + 1
 
-    def expect_punct(self, ch: str) -> Token:
-        return self.take("punct", ch) or self.fail(f"expected {ch!r}")
+    def read_list(self, i: int, what: str, read, open_: str, close: str, empty: bool = False) -> tuple[list, int]:
+        """Comma-separated items that `read` reads, between `open_` and `close`; at least one unless `empty`."""
+        tokens = self.tokens
+        if tokens[i] != open_:
+            self.fail(i, f"expected {open_!r}")
+        i += 1
+        items = []
+        if not (empty and tokens[i] == close):
+            while True:
+                item, i = read(i, what)
+                items.append(item)
+                if tokens[i] != ",":
+                    break
+                i += 1
+        if tokens[i] != close:
+            self.fail(i, f"expected {close!r}")
+        return items, i + 1
 
-    def token_span(self, tok: Token) -> SourceSpan:
-        _, _, line, col, end_col = tok
-        return SourceSpan(self.path, line, col, line, end_col)
+    def read_enum(self, i: int, what: str, enum: type) -> tuple:
+        word, i = self.read_id(i, what)
+        member = _MEMBERS[enum].get(word)
+        if member is None:
+            self.pos = i  # past the word, as after a word that names a member
+            raise _ParseError(f"unknown {what} {word!r}", i - 1)
+        return member, i
 
-    def span_from(self, start: Token) -> SourceSpan:
-        last = self.tokens[self.pos - 1] if self.pos > 0 else start
-        return SourceSpan(self.path, start[2], start[3], last[2], last[4])
+    def read_guide(self, i: int, what: str) -> tuple[GuideWord, int]:
+        category, i = self.read_enum(i, what, GuideCategory)
+        if self.tokens[i] != "qualifier":
+            return GuideWord(category), i
+        if self.tokens[i + 1] != "=":
+            self.fail(i + 1, "expected '='")
+        qualifier, i = self.read_enum(i + 2, "guide qualifier", GuideQualifier)
+        return GuideWord(category, qualifier), i
 
-    # -- slot shapes --------------------------------------------------------
-
-    def read_id(self, what: str) -> str:
-        return self.expect_id(what)[1]
-
-    def read_string(self, what: str) -> str:
-        return self.expect_string(what)[1]
-
-    def read_ids(self, what: str) -> list[str]:
-        """Bracketed, comma-separated id list; empty list accepted (resolve flags it)."""
-        self.expect_punct("[")
-        if self.take("punct", "]"):
-            return []
-        ids = [self.read_id(what)]
-        while self.take("punct", ","):
-            ids.append(self.read_id(what))
-        self.expect_punct("]")
-        return ids
-
-    def read_strings(self, what: str, open_: str, close: str) -> list[str]:
-        """Comma-separated strings between `open_` and `close`; at least one."""
-        self.expect_punct(open_)
-        items = [self.read_string(what)]
-        while self.take("punct", ","):
-            items.append(self.read_string(what))
-        self.expect_punct(close)
-        return items
-
-    def read_enum(self, enum: type, what: str):
-        tok = self.expect_id(what)
-        try:
-            return enum(tok[1])
-        except ValueError:
-            raise _ParseError(f"unknown {what} {tok[1]!r}", tok) from None
-
-    def read_guide(self, what: str) -> GuideWord:
-        category = self.read_enum(GuideCategory, what)
-        if not self.take("id", "qualifier"):
-            return GuideWord(category)
-        self.expect_punct("=")
-        return GuideWord(category, self.read_enum(GuideQualifier, "guide qualifier"))
-
-    def read_context(self, what: str) -> Context:
-        self.expect_punct("{")
+    def read_context(self, i: int, what: str) -> tuple[Context, int]:
+        tokens = self.tokens
+        if tokens[i] != "{":
+            self.fail(i, "expected '{'")
+        i += 1
         assignments: dict[str, str] = {}
-        first: dict[str, Token] = {}
-        while var_tok := self.take("id"):
-            self.expect_punct("=")
-            value = self.read_string(what)
-            var = var_tok[1]
+        first: dict[str, int] = {}
+        while tokens[i][0] not in _NOT_ID:
+            var_at, var = i, tokens[i]
+            if tokens[i + 1] != "=":
+                self.fail(i + 1, "expected '='")
+            value, i = self.read_string(i + 2, what)
             if var in first:
                 # an error, not an override: the first value stays
                 self.diags.append(
                     diagnostic(
                         "parse/duplicate-context-variable",
                         f"context variable {var} is assigned more than once",
-                        self.span_from(var_tok),
-                        [("first assigned here", self.token_span(first[var]))],
+                        self.span(var_at, i - 1),
+                        [("first assigned here", self.span(first[var], first[var]))],
                     )
                 )
                 continue
-            first[var] = var_tok
+            first[var] = var_at
             assignments[var] = value
-        self.expect_punct("}")
-        return Context(assignments)
+        if tokens[i] != "}":
+            self.fail(i, "expected '}'")
+        return Context(assignments), i + 1
 
     # slot shape -> the method that reads a slot of that shape
     READ = {
         "id": read_id,
         "string": read_string,
-        "ids": read_ids,
-        "strings": lambda self, what: self.read_strings(what, "[", "]"),
-        "values": lambda self, what: self.read_strings(what, "{", "}"),
-        "category": lambda self, what: self.read_enum(CfCategory, what),
+        "ids": lambda self, i, what: self.read_list(i, what, self.read_id, "[", "]", empty=True),
+        "strings": lambda self, i, what: self.read_list(i, what, self.read_string, "[", "]"),
+        "values": lambda self, i, what: self.read_list(i, what, self.read_string, "{", "}"),
+        "category": lambda self, i, what: self.read_enum(i, what, CfCategory),
         "guide": read_guide,
         "context": read_context,
     }
@@ -344,52 +413,54 @@ class _FileParser:
     # -- statements ---------------------------------------------------------
 
     def parse_into(self, model: StpaModel) -> None:
-        while (tok := self.peek()) is not None:
-            if tok[0] != "id" or tok[1] not in STATEMENTS:
-                message = "expected a declaration keyword" + _found(tok)
-                self.diags.append(diagnostic("parse/unknown-keyword", message, self.token_span(tok)))
-                self.advance()
+        tokens = self.tokens
+        end = len(tokens) - 1  # the index of `_END`
+        while (start := self.pos) < end:
+            if tokens[start] not in STATEMENTS:
+                message = "expected a declaration keyword" + _found(tokens[start])
+                self.diags.append(diagnostic("parse/unknown-keyword", message, self.span(start, start)))
+                self.pos += 1
                 self.recover()
                 continue
             try:
                 self.statement(model)
             except _ParseError as err:
-                at = err.token
-                span = (
-                    self.token_span(at)
-                    if at is not None
-                    else SourceSpan(self.path, tok[2], tok[3], tok[2], tok[3])
-                )
+                if err.at < end:
+                    span = self.span(err.at, err.at)
+                else:
+                    line, col, _ = self.place(start)
+                    span = SourceSpan(self.path, line, col, line, col)
                 self.diags.append(diagnostic("parse/syntax", err.message, span))
                 self.recover()
 
     def recover(self) -> None:
         """Skip to the next top-level keyword that starts a line."""
-        while (tok := self.peek()) is not None:
-            if tok[0] == "id" and tok[1] in STATEMENTS and self.starts_line():
-                return
-            self.advance()
-
-    def starts_line(self) -> bool:
-        """Whether the next token is the first token on its line."""
-        return self.pos == 0 or self.tokens[self.pos - 1][2] < self.tokens[self.pos][2]
+        tokens = self.tokens
+        i = self.pos
+        while tokens[i] != _END and not (tokens[i] in STATEMENTS and self.starts_line(i)):
+            i += 1
+        self.pos = i
 
     def statement(self, model: StpaModel) -> None:
         """Read the statement at a keyword by walking the keyword's `STATEMENTS` row."""
-        start = self.advance()
-        row = STATEMENTS[start[1]]
+        tokens = self.tokens
+        start = self.pos
+        row = STATEMENTS[tokens[start]]
         fields = dict(row.fixed)
+        i = start + 1
         for slot in row.slots:
             if slot.__class__ is str:
-                if slot == "=":
-                    self.expect_punct("=")
-                else:
-                    self.expect_keyword(slot)
-            elif slot.keyword is None or self.take("id", slot.keyword):
-                fields[slot.name] = self.READ[slot.shape](self, slot.what)
+                if tokens[i] != slot:
+                    self.fail(i, "expected '='" if slot == "=" else f"expected keyword {slot!r}")
+                i += 1
+            elif slot.keyword is None:
+                fields[slot.name], i = self.READ[slot.shape](self, i, slot.what)
+            elif tokens[i] == slot.keyword:
+                fields[slot.name], i = self.READ[slot.shape](self, i + 1, slot.what)
             else:
                 fields[slot.name] = ABSENT[slot.shape]()
-        getattr(model, row.section).append(row.cls(**fields, span=self.span_from(start)))
+        self.pos = i
+        getattr(model, row.section).append(row.cls(**fields, span=self.span(start, i - 1)))
 
 
 def parse(source_files: list[tuple[str, str]]) -> tuple[StpaModel, list[Diagnostic]]:
@@ -402,8 +473,7 @@ def parse(source_files: list[tuple[str, str]]) -> tuple[StpaModel, list[Diagnost
     diags: list[Diagnostic] = []
     model = StpaModel()
     for path, text in source_files:
-        tokens = tokenize(path, text, diags)
-        _FileParser(path, tokens, diags).parse_into(model)
+        _FileParser(path, text, diags).parse_into(model)
     # a UCA's action edge may be declared in any file
     edges = model.edge_ids()
     for uca in model.ucas:

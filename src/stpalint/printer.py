@@ -71,12 +71,11 @@ _LINES = {(row.cls, row.fixed.get("kind")): _line_writer(keyword, row) for keywo
 _SECTIONS = dict.fromkeys(row.section for row in STATEMENTS.values())
 
 
-def _render(model: StpaModel, path: str | None) -> str:
+def _render(sections: dict[str, list]) -> str:
+    """The text of the declarations that `sections` lists under each `StpaModel` section name."""
     lines = [HEADER]
     for section in _SECTIONS:
-        decls = getattr(model, section)
-        if path is not None:
-            decls = [d for d in decls if d.span is not None and d.span.file == path]
+        decls = sections.get(section)
         if decls:
             lines.append("")
             lines.extend(_LINES[d.__class__, getattr(d, "kind", None)](d) for d in decls)
@@ -93,12 +92,23 @@ def serialize(model: StpaModel, *, check: bool = True) -> str:
         diags = resolve(model)
         if diags:
             raise UnresolvedModelError(diags)
-    return _render(model, None)
+    return _render({section: getattr(model, section) for section in _SECTIONS})
+
+
+def serialize_files(model: StpaModel, paths: list[str]) -> dict[str, str]:
+    """Render each of `paths` from the declarations whose source span names it.
+
+    The model is read once for all the files; `fmt` rewrites each input file
+    in place with its text.
+    """
+    files: dict[str, dict[str, list]] = {path: {} for path in paths}
+    for section in _SECTIONS:
+        for decl in getattr(model, section):
+            if decl.span is not None and (sections := files.get(decl.span.file)) is not None:
+                sections.setdefault(section, []).append(decl)
+    return {path: _render(sections) for path, sections in files.items()}
 
 
 def serialize_file(model: StpaModel, path: str) -> str:
-    """Render only the declarations whose source span names `path`.
-
-    Used by `fmt` to rewrite one file of a multi-file model in place.
-    """
-    return _render(model, path)
+    """Render only the declarations whose source span names `path`."""
+    return serialize_files(model, [path])[path]

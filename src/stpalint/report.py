@@ -6,10 +6,7 @@ all outputs are golden-file testable.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 from collections.abc import Iterator
 from enum import Enum
 from functools import cache
@@ -72,14 +69,24 @@ def render_worksheet(model: StpaModel, action: str) -> str:
 
 # keyed by member name, so no hit calls the Python-level `Enum.__hash__`
 _COLUMN = {cat._name_: i for i, (cat, _) in enumerate(WORKSHEET_COLUMNS)}
-# the characters that make `csv.writer` quote a field; whether a lone "\r" is
-# one of them has changed between Python versions, so the writer is asked
-_CSV_SPECIALS = ',"\n\r' if csv.writer(io.StringIO(), lineterminator="\n").writerow(["\r"]) > 2 else ',"\n'
+
+
+@cache
+def _csv_specials() -> str:
+    """The characters that make `csv.writer` quote a field.
+
+    Whether a lone "\r" is one of them has changed between Python versions,
+    so the writer is asked, on first use: only `contexts` loads `csv`.
+    """
+    import csv
+    import io
+
+    return ',"\n\r' if csv.writer(io.StringIO(), lineterminator="\n").writerow(["\r"]) > 2 else ',"\n'
 
 
 def _quote(field: str) -> str:
     """`field` as `csv.writer` writes it with `QUOTE_MINIMAL`."""
-    return '"' + field.replace('"', '""') + '"' if any(c in field for c in _CSV_SPECIALS) else field
+    return '"' + field.replace('"', '""') + '"' if any(c in field for c in _csv_specials()) else field
 
 
 def context_csv_lines(table: ContextTable) -> Iterator[str]:
@@ -227,6 +234,8 @@ def _document(payload: dict) -> dict:
 
 def to_json(document: dict) -> str:
     """The text of a `--format json` document."""
+    import json
+
     return json.dumps(document, ensure_ascii=False, indent=2) + "\n"
 
 

@@ -23,6 +23,7 @@ from stpalint import (
     UnsafeControlAction,
     load_corpus,
 )
+from stpalint import parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -88,3 +89,25 @@ def planner_model() -> StpaModel:
         m.ucas.append(uca(f"UP-{u + 1:02d}", "Planner", context, rng.choice(categories)))
     m.ucas.append(uca("UL-1", "Pilot", {}, GuideCategory.NOT_PROVIDED))
     return m
+
+
+_PUNCT = set("[]{}=,")
+
+
+def lex(text, path="test.stpa"):
+    """The tokens of `text` and the diagnostics that splitting it gives.
+
+    Each token is `(kind, text, line, col, end_col, first_on_line)`, with
+    the unescaped value of a string as its text; the place and the flag come
+    from the parser's own position helpers.
+    """
+    diags = []
+    reader = parser._FileParser(path, text, diags)
+    words = reader.tokens[:-1]
+    assert parser.tokenize(path, text, []) == words
+    tokens = []
+    for i, word in enumerate(words):
+        kind = "string" if word[0] == '"' else "punct" if word in _PUNCT else "id"
+        value = parser._string(word) if kind == "string" else word
+        tokens.append((kind, value, *reader.place(i), reader.starts_line(i)))
+    return tokens, diags

@@ -1,23 +1,20 @@
 """Hand-written references for the tokenizer, the statement parser and the printer.
 
-`tokenize` is the original implementation of `stpalint.parser.tokenize`: it
-walks the text one character at a time and tracks line, column and whether a
-token is the first on its line as it goes. It keeps its own token type and
-escape table.
+`tokenize` is the original tokenizer: it walks the text one character at a
+time and tracks line, column and whether a token is the first on its line as
+it goes. It keeps its own token type and escape table.
 
 `parse`, `serialize` and `serialize_file` are the original statement parser
-and printer, with one `if` branch per statement kind in each. They read the
-tokens of `stpalint.parser.tokenize`, so they differ from the table-driven
-`stpalint.parser` and `stpalint.printer` only in how statements are read and
-written. They serve only as the oracles those modules are compared with.
+and printer, with one `if` branch per statement kind in each. `parse` reads
+the tokens of this module's `tokenize`, so it shares no code with
+`stpalint.parser`. They serve only as the oracles the table-driven
+`stpalint.parser` and `stpalint.printer` are compared with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from stpalint import parser
 from stpalint.model import (
     CausalFactor,
     CfCategory,
@@ -171,24 +168,14 @@ TOP_KEYWORDS = (
 )
 
 
-class _Tok(NamedTuple):
-    """A token of `stpalint.parser.tokenize`, a plain tuple there, read by field name."""
-
-    kind: str
-    text: str
-    line: int
-    col: int
-    end_col: int
-
-
 class _ParseError(Exception):
-    def __init__(self, message: str, token: _Tok | None):
+    def __init__(self, message: str, token: Token | None):
         super().__init__(message)
         self.message = message
         self.token = token
 
 
-def _expected(message: str, tok: _Tok | None) -> _ParseError:
+def _expected(message: str, tok: Token | None) -> _ParseError:
     """An "expected ..." error that names the token found instead."""
     if tok is None:
         found = " at end of file"
@@ -200,7 +187,7 @@ def _expected(message: str, tok: _Tok | None) -> _ParseError:
 
 
 class _FileParser:
-    def __init__(self, path: str, tokens: list[_Tok], diags: list[Diagnostic]):
+    def __init__(self, path: str, tokens: list[Token], diags: list[Diagnostic]):
         self.path = path
         self.tokens = tokens
         self.pos = 0
@@ -208,10 +195,10 @@ class _FileParser:
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> _Tok | None:
+    def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def advance(self) -> _Tok:
+    def advance(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -219,25 +206,25 @@ class _FileParser:
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def expect_id(self, what: str) -> _Tok:
+    def expect_id(self, what: str) -> Token:
         tok = self.peek()
         if tok is None or tok.kind != "id":
             raise _expected(f"expected {what}", tok)
         return self.advance()
 
-    def expect_keyword(self, word: str) -> _Tok:
+    def expect_keyword(self, word: str) -> Token:
         tok = self.peek()
         if tok is None or tok.kind != "id" or tok.text != word:
             raise _expected(f"expected keyword {word!r}", tok)
         return self.advance()
 
-    def expect_string(self, what: str) -> _Tok:
+    def expect_string(self, what: str) -> Token:
         tok = self.peek()
         if tok is None or tok.kind != "string":
             raise _expected(f"expected {what} string", tok)
         return self.advance()
 
-    def expect_punct(self, ch: str) -> _Tok:
+    def expect_punct(self, ch: str) -> Token:
         tok = self.peek()
         if tok is None or tok.kind != "punct" or tok.text != ch:
             raise _expected(f"expected {ch!r}", tok)
@@ -275,10 +262,10 @@ class _FileParser:
         self.expect_punct("]")
         return items
 
-    def token_span(self, tok: _Tok) -> SourceSpan:
+    def token_span(self, tok: Token) -> SourceSpan:
         return SourceSpan(self.path, tok.line, tok.col, tok.line, tok.end_col)
 
-    def span_from(self, start: _Tok) -> SourceSpan:
+    def span_from(self, start: Token) -> SourceSpan:
         last = self.tokens[self.pos - 1] if self.pos > 0 else start
         return SourceSpan(self.path, start.line, start.col, last.line, last.end_col)
 
@@ -404,7 +391,7 @@ class _FileParser:
         else:  # pragma: no cover - dispatch covers all TOP_KEYWORDS
             raise _ParseError(f"unhandled keyword {keyword!r}", start)
 
-    def uca_statement(self, start: _Tok, builder: "_ModelBuilder") -> None:
+    def uca_statement(self, start: Token, builder: "_ModelBuilder") -> None:
         name = self.expect_id("uca id").text
         self.expect_keyword("action")
         self.expect_punct("=")
@@ -427,7 +414,7 @@ class _FileParser:
         assignments: dict[str, str] = {}
         if self.match_keyword("context"):
             self.expect_punct("{")
-            first: dict[str, _Tok] = {}
+            first: dict[str, Token] = {}
             while self.peek() and self.peek().kind == "id":
                 var_tok = self.advance()
                 self.expect_punct("=")
@@ -484,7 +471,7 @@ def parse(source_files: list[tuple[str, str]]) -> tuple[StpaModel, list[Diagnost
     diags: list[Diagnostic] = []
     builder = _ModelBuilder()
     for path, text in source_files:
-        tokens = [_Tok(*t) for t in parser.tokenize(path, text, diags)]
+        tokens = tokenize(path, text, diags)
         _FileParser(path, tokens, diags).parse_into(builder)
     model = builder.finish()
     diags.extend(resolve(model))

@@ -7,7 +7,8 @@ from stpalint import (
     SourceSpan,
     parse,
 )
-from stpalint.parser import tokenize
+
+import conftest
 
 
 def parse_one(text, name="test.stpa"):
@@ -190,9 +191,9 @@ def test_repeated_context_variable_is_an_error_at_the_second_assignment():
 
 
 def lex(text):
-    diags = []
-    tokens = tokenize("test.stpa", text, diags)
-    return [tuple(t) for t in tokens], diags
+    """Each token as `(kind, text, line, col, end_col)`, and the diagnostics."""
+    tokens, diags = conftest.lex(text)
+    return [token[:5] for token in tokens], diags
 
 
 def test_lone_backslash_before_newline_is_kept_in_an_unterminated_string():

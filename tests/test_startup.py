@@ -67,26 +67,28 @@ def test_fmt_loads_the_printer_but_not_report(tmp_path):
     assert loaded == ["stpalint.printer"]  # not `report`, the analyses, `dataclasses` or `inspect`
 
 
-# report command -> the analysis modules it loads besides `report`; none
-# loads `dataclasses` or `inspect`, and `graph`, `worksheet` and `trace` run
-# neither analysis module
-REPORT_ANALYSES = {
+# report command -> the analysis modules, and `json` and `csv`, that it
+# loads besides `report`; none loads `dataclasses` or `inspect`, `graph`,
+# `worksheet` and `trace` run neither analysis module, and only a JSON
+# format loads `json` and only `contexts` loads `csv`
+REPORT_LOADS = {
     ("graph",): [],
     ("worksheet", "--action", "BrakeCmd"): [],
     ("trace",): [],
-    ("trace", "--format", "json"): [],
+    ("trace", "--format", "json"): ["json"],
     ("stats",): ["stpalint.analysis"],
     ("checklist", "--uca", "UCA-1"): ["stpalint.causal"],
-    ("contexts", "--controller", "Operator", "--action", "BrakeCmd"): ["stpalint.analysis"],
+    ("contexts", "--controller", "Operator", "--action", "BrakeCmd"): ["csv", "stpalint.analysis"],
 }
 
 
-@pytest.mark.parametrize("argv", sorted(REPORT_ANALYSES), ids=" ".join)
+@pytest.mark.parametrize("argv", sorted(REPORT_LOADS), ids=" ".join)
 def test_each_report_command_loads_only_the_analyses_it_runs(argv, tmp_path):
     code, loaded = run_child(LOADED_BY_RUN, *argv, "--output", str(tmp_path / "out"), *map(str, corpus_paths()))
     assert code == 0
     assert "stpalint.report" in loaded
-    assert [name for name in loaded if name in ("stpalint.analysis", "stpalint.causal")] == REPORT_ANALYSES[argv]
+    watched = ("stpalint.analysis", "stpalint.causal", "json", "csv")
+    assert [name for name in loaded if name in watched] == REPORT_LOADS[argv]
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
@@ -140,3 +142,34 @@ def test_check_writes_its_diagnostics_to_stderr_in_one_write():
         print((err.writes, err.getvalue().count("\\n"), code))
     """)
     assert (writes, lines, code) == (1, 3000, 1)
+
+
+def test_contexts_writes_its_table_to_stdout_in_few_writes():
+    # 2^11 rows: one string per row would be 2,049 writes, and with an
+    # unbuffered stdout 2,049 system calls
+    writes, lines, code = run_child("""
+        import io
+        import sys
+        import tempfile
+
+        from stpalint import cli
+
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = tmp + "/planner.stpa"
+            with open(path, "w", encoding="utf-8") as f:
+                f.write('controller C "C"\\nprocess P "P"\\naction A "A" from C to P\\n')
+                f.writelines(f'variable V{i} of C "V{i}" {{"off", "on"}}\\n' for i in range(11))
+            sys.stdout = out = CountingStdout()
+            code = cli.run(["contexts", "--controller", "C", "--action", "A", path])
+            sys.stdout = sys.__stdout__
+        print((out.writes, out.getvalue().count("\\n"), code))
+    """)
+    assert (lines, code) == (2**11 + 1, 0)
+    assert writes <= 3

@@ -105,5 +105,7 @@ def test_printer_matches_oracle(model, random):
         for decl in getattr(model, section):
             name = random.choice(["a.stpa", "b.stpa", None])
             decl.span = None if name is None else SourceSpan(name, 1, 1, 1, 1)
-    for name in ["a.stpa", "b.stpa", "c.stpa"]:
-        assert printer.serialize_file(model, name) == parser_oracle.serialize_file(model, name)
+    names = ["a.stpa", "b.stpa", "c.stpa"]
+    expected = {name: parser_oracle.serialize_file(model, name) for name in names}
+    assert {name: printer.serialize_file(model, name) for name in names} == expected
+    assert printer.serialize_files(model, names) == expected

@@ -1,8 +1,8 @@
-"""The master-regex tokenizer against the character-loop oracle.
+"""The word tokenizer against the character-loop oracle.
 
-`parser_oracle` walks the text one character at a time. The regex tokenizer
-must give the same tokens, spans, line starts and diagnostics, in the same
-order, on any text.
+`parser_oracle` walks the text one character at a time. The tokenizer must
+give the same tokens, and the parser's position helpers the same places and
+line starts, with the same diagnostics in the same order, on any text.
 """
 
 import sys
@@ -11,12 +11,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import parser_oracle
+from conftest import lex
 from stpalint import parser
 from stpalint.corpus import corpus_dir
 
 # Pieces that exercise every lexeme and its edges: escapes, a backslash
 # before a newline, whitespace that is and is not skipped, comments,
-# identifier characters that may not start an identifier, and keywords.
+# identifier characters that may not start an identifier, and keywords;
+# and the places the position helper must find without a scan of the
+# line and with one: CRLF line ends, a `#` inside a string, an unexpected
+# character as the first and as the last word of a line, two statements on
+# one line, and a statement split across lines.
 _FRAGMENTS = [
     *"\r \t\x0c\xa0é²#\"\\=,[]{}@\n-_a1",
     "\\\n",
@@ -28,6 +33,12 @@ _FRAGMENTS = [
     "hazard",
     "uca",
     "L-1",
+    "\r\n",
+    '"a # b"',
+    "\n@ loss",
+    "L-1 @\n",
+    'loss L-1 "x" loss L-2 "y"',
+    'hazard H-1\n  "x" leads_to\n\t[L-1]',
 ]
 
 texts = st.one_of(
@@ -36,30 +47,12 @@ texts = st.one_of(
 )
 
 
-def _lex(module, text):
-    diags = []
-    tokens = module.tokenize("t.stpa", text, diags)
-    return tokens, diags
-
-
-def starts_line_flags(tokens):
-    """What `recover` reads as "first on its line", for each token."""
-    reader = parser._FileParser("t.stpa", tokens, [])
-    flags = []
-    for pos in range(len(tokens)):
-        reader.pos = pos
-        flags.append(reader.starts_line())
-    return flags
-
-
 def assert_matches_oracle(text):
-    tokens, diags = _lex(parser, text)
-    expected, expected_diags = _lex(parser_oracle, text)
-    assert [tuple(t) for t in tokens] == [
-        (t.kind, t.text, t.line, t.col, t.end_col) for t in expected
-    ]
+    tokens, diags = lex(text, "t.stpa")
+    expected_diags = []
+    expected = parser_oracle.tokenize("t.stpa", text, expected_diags)
+    assert tokens == [(t.kind, t.text, t.line, t.col, t.end_col, t.first_on_line) for t in expected]
     assert all(t.end_line == t.line for t in expected)
-    assert starts_line_flags(tokens) == [t.first_on_line for t in expected]
     assert diags == expected_diags
 
 
@@ -77,10 +70,13 @@ def test_tokenizer_matches_oracle_on_corpus():
 
 
 def test_identifier_classes_on_every_code_point():
-    lexeme = parser._LEXEME
+    # the parser takes a token for an identifier by its first character, so
+    # the word pattern must start one exactly where that character is an
+    # identifier character, and continue one exactly over those and "-"
+    word = parser._WORD
     chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
-    bad_start = [c for c in chars if (lexeme.match(c).lastgroup == "id") != (c.isalnum() or c == "_")]
-    bad_continue = [
-        c for c in chars if (lexeme.match("a" + c).end() == 2) != (c.isalnum() or c in "_-")
+    bad_start = [
+        c for c in chars if c not in ' \t\r\n"#' and (word.match(c + "a")[0] == c + "a") != (c.isalnum() or c == "_")
     ]
+    bad_continue = [c for c in chars if (word.match("a" + c).end() == 2) != (c.isalnum() or c in "_-")]
     assert bad_start == [] and bad_continue == []
