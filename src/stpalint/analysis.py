@@ -27,12 +27,8 @@ from .model import (
 DEFAULT_MAX_ROWS = 100_000
 
 
-class ContextRow(Record):
+class ContextRow(Record, defaults={"marks": dict}):
     __slots__ = ("context", "marks")
-
-    def __init__(self, context: Context, marks: dict[GuideCategory, list[str]] | None = None) -> None:
-        self.context = context
-        self.marks = {} if marks is None else marks
 
     def ucas_for(self, category: GuideCategory) -> list[str]:
         return self.marks.get(category, [])
@@ -41,19 +37,8 @@ class ContextRow(Record):
 class ContextTable(Record):
     """The rows each UCA marks; row i's context is `enumerate_contexts(variables)[i]`."""
 
+    # hits: (category, UCA id, ascending rows) per marking UCA, UCA order
     __slots__ = ("controller", "action", "variables", "hits")
-
-    def __init__(
-        self,
-        controller: str,
-        action: str,
-        variables: list[ProcessModelVariable],
-        hits: list[tuple[GuideCategory, str, list[int]]],
-    ) -> None:
-        self.controller = controller
-        self.action = action
-        self.variables = variables
-        self.hits = hits  # (category, UCA id, ascending rows) per marking UCA, UCA order
 
     def checked_size(self) -> int:
         """The number of rows; ValueError if a hit names a row outside `range` of it."""
@@ -83,59 +68,14 @@ class Conflict(Record):
 
     __slots__ = ("action", "uca_a", "uca_b", "shared")
 
-    def __init__(self, action: str, uca_a: str, uca_b: str, shared: list[Context]) -> None:
-        self.action = action
-        self.uca_a = uca_a
-        self.uca_b = uca_b
-        self.shared = shared
+
+# ModelStats' fields: the size of each model section but `entities`, then the breakdowns
+_COUNTS = ("losses", "hazards", "constraints", "edges", "variables", "ucas", "causal_factors", "controller_constraints")
+_BREAKDOWNS = ("entities_by_kind", "ucas_by_guide", "ucas_by_action_guide", "ucas_per_hazard", "cfs_by_category")
 
 
-class ModelStats(Record):
-    __slots__ = (
-        "losses",
-        "hazards",
-        "constraints",
-        "edges",
-        "variables",
-        "ucas",
-        "causal_factors",
-        "controller_constraints",
-        "entities_by_kind",
-        "ucas_by_guide",
-        "ucas_by_action_guide",
-        "ucas_per_hazard",
-        "cfs_by_category",
-    )
-
-    def __init__(
-        self,
-        losses: int = 0,
-        hazards: int = 0,
-        constraints: int = 0,
-        edges: int = 0,
-        variables: int = 0,
-        ucas: int = 0,
-        causal_factors: int = 0,
-        controller_constraints: int = 0,
-        entities_by_kind: dict[str, int] | None = None,
-        ucas_by_guide: dict[str, int] | None = None,
-        ucas_by_action_guide: dict[str, dict[str, int]] | None = None,
-        ucas_per_hazard: dict[str, int] | None = None,
-        cfs_by_category: dict[str, int] | None = None,
-    ) -> None:
-        self.losses = losses
-        self.hazards = hazards
-        self.constraints = constraints
-        self.edges = edges
-        self.variables = variables
-        self.ucas = ucas
-        self.causal_factors = causal_factors
-        self.controller_constraints = controller_constraints
-        self.entities_by_kind = {} if entities_by_kind is None else entities_by_kind
-        self.ucas_by_guide = {} if ucas_by_guide is None else ucas_by_guide
-        self.ucas_by_action_guide = {} if ucas_by_action_guide is None else ucas_by_action_guide
-        self.ucas_per_hazard = {} if ucas_per_hazard is None else ucas_per_hazard
-        self.cfs_by_category = {} if cfs_by_category is None else cfs_by_category
+class ModelStats(Record, defaults={**dict.fromkeys(_COUNTS, 0), **dict.fromkeys(_BREAKDOWNS, dict)}):
+    __slots__ = _COUNTS + _BREAKDOWNS
 
 
 def enumerate_contexts(variables: list[ProcessModelVariable]) -> list[Context]:
@@ -353,16 +293,7 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
 
 def stats(model: StpaModel) -> ModelStats:
     """Summary counts used by reports and the CLI."""
-    result = ModelStats(
-        losses=len(model.losses),
-        hazards=len(model.hazards),
-        constraints=len(model.constraints),
-        edges=len(model.edges),
-        variables=len(model.variables),
-        ucas=len(model.ucas),
-        causal_factors=len(model.causal_factors),
-        controller_constraints=len(model.controller_constraints),
-    )
+    result = ModelStats(*(len(getattr(model, section)) for section in _COUNTS))
     for kind in EntityKind:
         count = sum(1 for e in model.entities if e.kind is kind)
         if count:

@@ -43,21 +43,12 @@ class PathDirection(Enum):
 
 
 class PathWalk(Record):
+    # elements: entity ids, origin first
     __slots__ = ("uca", "direction", "elements")
-
-    def __init__(self, uca: str, direction: PathDirection, elements: list[str]) -> None:
-        self.uca = uca
-        self.direction = direction
-        self.elements = elements  # entity ids, origin first
 
 
 class ChecklistItem(Record):
     __slots__ = ("category", "located_at", "prompt")
-
-    def __init__(self, category: CfCategory, located_at: str, prompt: str) -> None:
-        self.category = category
-        self.located_at = located_at
-        self.prompt = prompt
 
 
 _PROMPTS: dict[CfCategory, str] = {

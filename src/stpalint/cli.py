@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from pathlib import Path
 
-from .model import AnalysisError, Diagnostic, Severity, StpaModel
+from .model import AnalysisError, Diagnostic, EdgeKind, Severity, StpaModel
 from .parser import parse
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def build_parser() -> _ArgumentParser:
 
 
 class _Unusable(Exception):
-    """An input or output file cannot be used; the message goes to stderr, exit 3."""
+    """An input or output file, or an id an option names, cannot be used; the message goes to stderr, exit 3."""
 
 
 def _silence(stream) -> None:
@@ -200,9 +200,19 @@ def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
     return EXIT_OK
 
 
+def _control_action(model: StpaModel, action: str, controller: str | None = None) -> None:
+    """Raise _Unusable unless `action` is a control-action edge, issued by `controller` if one is given."""
+    edge = model.edge_ids().get(action)
+    if edge is None or edge.kind is not EdgeKind.CONTROL_ACTION:
+        raise _Unusable(f"unknown action {action}")
+    if controller is not None and edge.source != controller:
+        raise _Unusable(f"action {action} is not issued by controller {controller}")
+
+
 def _contexts(model: StpaModel, args) -> Iterable[str]:
     from . import analysis, report
 
+    _control_action(model, args.action, args.controller)
     max_rows = _max_rows(args, analysis.DEFAULT_MAX_ROWS)
     table = analysis.build_context_table(model, args.controller, args.action, max_rows=max_rows)
     return report.context_csv_lines(table)
@@ -211,6 +221,7 @@ def _contexts(model: StpaModel, args) -> Iterable[str]:
 def _worksheet(model: StpaModel, args) -> str:
     from . import report
 
+    _control_action(model, args.action)
     if args.format == "json":
         return report.to_json(report.worksheet_to_dict(model, args.action))
     return report.render_worksheet(model, args.action)

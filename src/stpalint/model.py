@@ -110,17 +110,23 @@ class Severity(Enum):
 class Record:
     """Base of the mutable record classes; `__slots__` lists a record's fields in order.
 
-    Two records are equal when they are of one class and their compared
-    fields are equal; a declaration's `span` is not compared. Records are
-    unhashable, and their `repr` names every field.
+    Each subclass that defines no `__init__` gets one taking its fields in
+    `__slots__` order. The `defaults=` class keyword gives the optional
+    fields: a type there (`list`, `dict`) builds a fresh value when the
+    argument is None, any other value is a plain default. Two records are
+    equal when they are of one class and their compared fields are equal; a
+    declaration's `span` is not compared unless `compare_span=True`. Records
+    are unhashable, and their `repr` names every field.
     """
 
     __slots__ = ()
     __hash__ = None
 
-    def __init_subclass__(cls, compare_span: bool = False, **kwargs) -> None:
+    def __init_subclass__(cls, compare_span: bool = False, defaults: dict | None = None, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._compared = attrgetter(*(name for name in cls.__slots__ if compare_span or name != "span"))
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls, defaults or {})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -130,6 +136,24 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+def _constructor(cls, defaults: dict):
+    """The `__init__` of record class `cls`, compiled once from its `__slots__` and `defaults`."""
+    fields = cls.__slots__
+    fresh = {name for name, value in defaults.items() if isinstance(value, type)}
+    params = ", ".join(f"{name}=None" if name in defaults else name for name in fields)
+    body = "".join(
+        f"\n    self.{name} = _{name}() if {name} is None else {name}" if name in fresh else f"\n    self.{name} = {name}"
+        for name in fields
+    )
+    namespace = {f"_{name}": defaults[name] for name in fresh}
+    exec(f"def __init__(self, {params}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(None if name in fresh else defaults[name] for name in fields if name in defaults)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 def _value_eq(self, other) -> bool:
@@ -156,22 +180,8 @@ class SourceSpan(NamedTuple):
 FALLBACK_SPAN = SourceSpan("<model>", 1, 1, 1, 1)
 
 
-class Diagnostic(Record, compare_span=True):
+class Diagnostic(Record, compare_span=True, defaults={"related": list}):
     __slots__ = ("severity", "rule", "message", "span", "related")
-
-    def __init__(
-        self,
-        severity: Severity,
-        rule: str,
-        message: str,
-        span: SourceSpan,
-        related: list[tuple[str, SourceSpan]] | None = None,
-    ) -> None:
-        self.severity = severity
-        self.rule = rule
-        self.message = message
-        self.span = span
-        self.related = [] if related is None else related
 
     def format(self) -> str:
         s = self.span
@@ -219,86 +229,36 @@ def diagnostic(rule: str, message: str, span: SourceSpan, related=None) -> Diagn
     return Diagnostic(RULES[rule], rule, message, span, related)
 
 
-class Loss(Record):
+class Loss(Record, defaults={"span": None}):
     __slots__ = ("id", "description", "span")
 
-    def __init__(self, id: str, description: str, span: SourceSpan | None = None) -> None:
-        self.id = id
-        self.description = description
-        self.span = span
 
-
-class Hazard(Record):
+class Hazard(Record, defaults={"span": None}):
     __slots__ = ("id", "description", "leads_to", "span")
 
-    def __init__(self, id: str, description: str, leads_to: list[str], span: SourceSpan | None = None) -> None:
-        self.id = id
-        self.description = description
-        self.leads_to = leads_to
-        self.span = span
 
-
-class SystemConstraint(Record):
+class SystemConstraint(Record, defaults={"span": None}):
     __slots__ = ("id", "description", "mitigates", "span")
 
-    def __init__(self, id: str, description: str, mitigates: list[str], span: SourceSpan | None = None) -> None:
-        self.id = id
-        self.description = description
-        self.mitigates = mitigates
-        self.span = span
 
-
-class Entity(Record):
+class Entity(Record, defaults={"span": None}):
     __slots__ = ("id", "kind", "label", "span")
-
-    def __init__(self, id: str, kind: EntityKind, label: str, span: SourceSpan | None = None) -> None:
-        self.id = id
-        self.kind = kind
-        self.label = label
-        self.span = span
 
     @property
     def in_system_boundary(self) -> bool:
         return self.kind is not EntityKind.ENVIRONMENT
 
 
-class Edge(Record):
+class Edge(Record, defaults={"via": list, "signals": list, "span": None}):
     __slots__ = ("id", "kind", "label", "source", "target", "via", "signals", "span")
-
-    def __init__(
-        self,
-        id: str,
-        kind: EdgeKind,
-        label: str,
-        source: str,
-        target: str,
-        via: list[str] | None = None,
-        signals: list[str] | None = None,
-        span: SourceSpan | None = None,
-    ) -> None:
-        self.id = id
-        self.kind = kind
-        self.label = label
-        self.source = source
-        self.target = target
-        self.via = [] if via is None else via
-        self.signals = [] if signals is None else signals
-        self.span = span
 
     def chain(self) -> list[str]:
         """Entity ids along the edge, source to target, via elements inlined."""
         return [self.source, *self.via, self.target]
 
 
-class ProcessModelVariable(Record):
+class ProcessModelVariable(Record, defaults={"span": None}):
     __slots__ = ("id", "owner", "label", "values", "span")
-
-    def __init__(self, id: str, owner: str, label: str, values: list[str], span: SourceSpan | None = None) -> None:
-        self.id = id
-        self.owner = owner
-        self.label = label
-        self.values = values
-        self.span = span
 
 
 class GuideWord(NamedTuple):
@@ -310,106 +270,43 @@ class GuideWord(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class Context(Record):
+class Context(Record, defaults={"assignments": dict}):
     """Partial assignment of process-model variables; unmentioned = wildcard."""
 
     __slots__ = ("assignments",)
-
-    def __init__(self, assignments: dict[str, str] | None = None) -> None:
-        self.assignments = {} if assignments is None else assignments
 
     def key(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.assignments.items()))
 
 
-class UnsafeControlAction(Record):
+class UnsafeControlAction(Record, defaults={"span": None}):
     __slots__ = ("id", "action", "source_controller", "guide", "context", "hazards", "description", "span")
 
-    def __init__(
-        self,
-        id: str,
-        action: str,
-        source_controller: str,
-        guide: GuideWord,
-        context: Context,
-        hazards: list[str],
-        description: str,
-        span: SourceSpan | None = None,
-    ) -> None:
-        self.id = id
-        self.action = action
-        self.source_controller = source_controller
-        self.guide = guide
-        self.context = context
-        self.hazards = hazards
-        self.description = description
-        self.span = span
 
-
-class CausalFactor(Record):
+class CausalFactor(Record, defaults={"span": None}):
     __slots__ = ("id", "category", "located_at", "ucas", "description", "span")
 
-    def __init__(
-        self,
-        id: str,
-        category: CfCategory,
-        located_at: str,
-        ucas: list[str],
-        description: str,
-        span: SourceSpan | None = None,
-    ) -> None:
-        self.id = id
-        self.category = category
-        self.located_at = located_at
-        self.ucas = ucas
-        self.description = description
-        self.span = span
 
-
-class ControllerConstraint(Record):
+class ControllerConstraint(Record, defaults={"span": None}):
     __slots__ = ("id", "derived_from", "description", "span")
 
-    def __init__(self, id: str, derived_from: str, description: str, span: SourceSpan | None = None) -> None:
-        self.id = id
-        self.derived_from = derived_from
-        self.description = description
-        self.span = span
+
+# Each model section and the kind name its diagnostics use.
+_KINDS = {
+    "losses": "loss",
+    "hazards": "hazard",
+    "constraints": "constraint",
+    "entities": "entity",
+    "edges": "edge",
+    "variables": "variable",
+    "ucas": "uca",
+    "causal_factors": "causal factor",
+    "controller_constraints": "controller constraint",
+}
 
 
-class StpaModel(Record):
-    __slots__ = (
-        "losses",
-        "hazards",
-        "constraints",
-        "entities",
-        "edges",
-        "variables",
-        "ucas",
-        "causal_factors",
-        "controller_constraints",
-    )
-
-    def __init__(
-        self,
-        losses: list[Loss] | None = None,
-        hazards: list[Hazard] | None = None,
-        constraints: list[SystemConstraint] | None = None,
-        entities: list[Entity] | None = None,
-        edges: list[Edge] | None = None,
-        variables: list[ProcessModelVariable] | None = None,
-        ucas: list[UnsafeControlAction] | None = None,
-        causal_factors: list[CausalFactor] | None = None,
-        controller_constraints: list[ControllerConstraint] | None = None,
-    ) -> None:
-        self.losses = [] if losses is None else losses
-        self.hazards = [] if hazards is None else hazards
-        self.constraints = [] if constraints is None else constraints
-        self.entities = [] if entities is None else entities
-        self.edges = [] if edges is None else edges
-        self.variables = [] if variables is None else variables
-        self.ucas = [] if ucas is None else ucas
-        self.causal_factors = [] if causal_factors is None else causal_factors
-        self.controller_constraints = [] if controller_constraints is None else controller_constraints
+class StpaModel(Record, defaults=dict.fromkeys(_KINDS, list)):
+    __slots__ = tuple(_KINDS)
 
     def entity_ids(self) -> dict[str, Entity]:
         return {d.id: d for d in self.entities}
@@ -431,20 +328,6 @@ class StpaModel(Record):
 def span_of(decl) -> SourceSpan:
     """The declaration's source span, or `FALLBACK_SPAN` for one built in code."""
     return decl.span if decl.span is not None else FALLBACK_SPAN
-
-
-# Each model section and the kind name its diagnostics use.
-_KINDS = {
-    "losses": "loss",
-    "hazards": "hazard",
-    "constraints": "constraint",
-    "entities": "entity",
-    "edges": "edge",
-    "variables": "variable",
-    "ucas": "uca",
-    "causal_factors": "causal factor",
-    "controller_constraints": "controller constraint",
-}
 
 
 def resolve(model: StpaModel) -> list[Diagnostic]:

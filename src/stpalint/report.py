@@ -281,31 +281,18 @@ def render_stats(model: StpaModel) -> str:
     lines.append(f"- unsafe control actions: {s.ucas}")
     lines.append(f"- causal factors: {s.causal_factors}")
     lines.append(f"- controller constraints: {s.controller_constraints}")
-    if s.entities_by_kind:
-        lines.append("")
-        lines.append("## Entities by kind")
-        lines.append("")
-        for kind, count in s.entities_by_kind.items():
-            lines.append(f"- {kind}: {count}")
-    if s.ucas_by_action_guide:
-        lines.append("")
-        lines.append("## Unsafe control actions by action and guide category")
-        lines.append("")
-        for action, per_guide in s.ucas_by_action_guide.items():
-            counts = ", ".join(f"{k}={v}" for k, v in per_guide.items())
-            lines.append(f"- {action}: {counts}")
-    if s.ucas_per_hazard:
-        lines.append("")
-        lines.append("## Unsafe control actions per hazard")
-        lines.append("")
-        for hazard, count in s.ucas_per_hazard.items():
-            lines.append(f"- {hazard}: {count}")
-    if s.cfs_by_category:
-        lines.append("")
-        lines.append("## Causal factors by category")
-        lines.append("")
-        for category, count in s.cfs_by_category.items():
-            lines.append(f"- {category}: {count}")
+    for heading, counts in (
+        ("Entities by kind", s.entities_by_kind),
+        ("Unsafe control actions by action and guide category", s.ucas_by_action_guide),
+        ("Unsafe control actions per hazard", s.ucas_per_hazard),
+        ("Causal factors by category", s.cfs_by_category),
+    ):
+        if counts:
+            lines += ["", f"## {heading}", ""]
+            for key, count in counts.items():
+                if isinstance(count, dict):
+                    count = ", ".join(f"{k}={v}" for k, v in count.items())
+                lines.append(f"- {key}: {count}")
     lines.append("")
     return "\n".join(lines)
 

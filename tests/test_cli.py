@@ -372,12 +372,64 @@ def test_stdout_that_cannot_encode_the_report_exits_3(argv, corpus_args, monkeyp
     assert proc.stderr.count(b"\n") == 1
 
 
-def test_output_file_that_cannot_encode_the_report_exits_3(corpus_args, tmp_path):
+def test_output_file_that_cannot_encode_the_report_exits_3(corpus_args, tmp_path, monkeypatch):
     out = tmp_path / "out.md"
-    # an undecodable byte in an argument reaches Python as a lone surrogate, which UTF-8 cannot encode
-    code, _, err = run_cli(["worksheet", "--action", "\udcff", "--output", str(out), *corpus_args])
+
+    def parse_with_surrogate(sources):
+        # no UTF-8 input decodes to a lone surrogate, which UTF-8 cannot encode, so only code can put one in a model
+        model, diags = parse(sources)
+        model.ucas[0].description += "\udcff"
+        return model, diags
+
+    monkeypatch.setattr(cli, "parse", parse_with_surrogate)
+    code, _, err = run_cli(["worksheet", "--action", "BrakeCmd", "--output", str(out), *corpus_args])
     assert code == 3
     assert err == f"stpalint: cannot write {out}: the utf-8 encoding cannot represent '\\udcff'\n"
+
+
+ACTION_MODEL = """\
+controller C "C"
+controller D "D"
+process P "P"
+action A "A" from C to P
+action B "B" from D to P
+feedback F "F" from P to C
+variable V of C "V" {"off", "on"}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["contexts", "--controller", "C", "--action", "NOPE"], "unknown action NOPE"),
+        (["contexts", "--controller", "C", "--action", "F"], "unknown action F"),
+        (["contexts", "--controller", "C", "--action", "C"], "unknown action C"),
+        (["contexts", "--controller", "C", "--action", "B"], "action B is not issued by controller C"),
+        (["contexts", "--controller", "NOPE", "--action", "A"], "action A is not issued by controller NOPE"),
+        (["worksheet", "--action", "NOPE"], "unknown action NOPE"),
+        (["worksheet", "--action", "F"], "unknown action F"),
+        (["worksheet", "--action", "NOPE", "--format", "json"], "unknown action NOPE"),
+        (["worksheet", "--action", "F", "--format", "json"], "unknown action F"),
+        # an undecodable byte in an argument reaches Python as a lone surrogate
+        (["worksheet", "--action", "\udcff"], "unknown action \udcff"),
+    ],
+)
+def test_an_action_that_is_no_control_action_of_the_controller_exits_3(tmp_path, argv, message):
+    src = tmp_path / "m.stpa"
+    src.write_text(ACTION_MODEL, encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli([*argv, "--output", str(out), str(src)])
+    assert (code, stdout, err) == (3, "", f"stpalint: {message}\n")
+    assert not out.exists()
+
+
+def test_corpus_rejects_an_unknown_action(corpus_args):
+    for argv in (
+        ["contexts", "--controller", "Operator", "--action", "NOPE"],
+        ["worksheet", "--action", "NOPE"],
+        ["worksheet", "--action", "NOPE", "--format", "json"],
+    ):
+        assert run_cli([*argv, *corpus_args]) == (3, "", "stpalint: unknown action NOPE\n"), argv
 
 
 @pytest.fixture()

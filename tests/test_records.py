@@ -1,11 +1,13 @@
 """The record contract of the model types.
 
 The mutable record classes derive from `model.Record`: `__slots__` lists
-their fields in constructor order, equality needs the same class and skips
-a declaration's `span`, they are unhashable, and `repr` names every field.
+their fields in constructor order, `Record` builds each constructor from it,
+equality needs the same class and skips a declaration's `span`, they are
+unhashable, and `repr` names every field.
 `SourceSpan` and `GuideWord` are immutable, hashable value types.
 """
 
+import ast
 import inspect
 
 import pytest
@@ -34,6 +36,8 @@ from stpalint.model import (
     SystemConstraint,
     UnsafeControlAction,
 )
+
+from conftest import REPO_ROOT
 
 SPAN = SourceSpan("a.stpa", 1, 1, 1, 9)
 OTHER_SPAN = SourceSpan("b.stpa", 2, 1, 2, 9)
@@ -185,3 +189,101 @@ def test_repr_keeps_the_dataclass_format():
     assert repr(causal.ChecklistItem(CfCategory.CONTROL_ALGORITHM, "C", "p")) == (
         "ChecklistItem(category=<CfCategory.CONTROL_ALGORITHM: 'ControlAlgorithm'>, located_at='C', prompt='p')"
     )
+
+
+# Each record class: its required fields, then each optional field and the
+# value it takes when left out (a container there is built fresh per record).
+CONSTRUCTORS = {
+    Loss: (("id", "description"), {"span": None}),
+    Hazard: (("id", "description", "leads_to"), {"span": None}),
+    SystemConstraint: (("id", "description", "mitigates"), {"span": None}),
+    Entity: (("id", "kind", "label"), {"span": None}),
+    Edge: (("id", "kind", "label", "source", "target"), {"via": [], "signals": [], "span": None}),
+    ProcessModelVariable: (("id", "owner", "label", "values"), {"span": None}),
+    Context: ((), {"assignments": {}}),
+    UnsafeControlAction: (
+        ("id", "action", "source_controller", "guide", "context", "hazards", "description"),
+        {"span": None},
+    ),
+    CausalFactor: (("id", "category", "located_at", "ucas", "description"), {"span": None}),
+    ControllerConstraint: (("id", "derived_from", "description"), {"span": None}),
+    StpaModel: (
+        (),
+        {
+            "losses": [],
+            "hazards": [],
+            "constraints": [],
+            "entities": [],
+            "edges": [],
+            "variables": [],
+            "ucas": [],
+            "causal_factors": [],
+            "controller_constraints": [],
+        },
+    ),
+    Diagnostic: (("severity", "rule", "message", "span"), {"related": []}),
+    analysis.ContextRow: (("context",), {"marks": {}}),
+    analysis.ContextTable: (("controller", "action", "variables", "hits"), {}),
+    analysis.Conflict: (("action", "uca_a", "uca_b", "shared"), {}),
+    analysis.ModelStats: (
+        (),
+        {
+            "losses": 0,
+            "hazards": 0,
+            "constraints": 0,
+            "edges": 0,
+            "variables": 0,
+            "ucas": 0,
+            "causal_factors": 0,
+            "controller_constraints": 0,
+            "entities_by_kind": {},
+            "ucas_by_guide": {},
+            "ucas_by_action_guide": {},
+            "ucas_per_hazard": {},
+            "cfs_by_category": {},
+        },
+    ),
+    causal.PathWalk: (("uca", "direction", "elements"), {}),
+    causal.ChecklistItem: (("category", "located_at", "prompt"), {}),
+}
+
+
+def test_the_constructor_table_covers_every_record_class():
+    assert set(CONSTRUCTORS) == {type(r) for r in samples()}
+
+
+@pytest.mark.parametrize("record", samples(), ids=lambda r: type(r).__name__)
+def test_each_constructor_requires_and_defaults_the_listed_fields(record):
+    cls = type(record)
+    required, defaults = CONSTRUCTORS[cls]
+    assert cls.__slots__ == (*required, *defaults)
+    built = cls(*(getattr(record, name) for name in required))
+    for name in required:
+        assert getattr(built, name) is getattr(record, name), name
+    for name, value in defaults.items():
+        assert getattr(built, name) == value and type(getattr(built, name)) is type(value), name
+    if required:
+        with pytest.raises(TypeError, match=rf"missing 1 required positional argument: '{required[-1]}'"):
+            cls(*(getattr(record, name) for name in required[:-1]))
+
+
+def test_a_missing_field_names_the_class_and_the_field():
+    with pytest.raises(TypeError) as info:
+        Loss("L-1")
+    assert str(info.value) == "Loss.__init__() missing 1 required positional argument: 'description'"
+    assert Loss.__init__.__qualname__ == "Loss.__init__"
+    assert analysis.ModelStats.__init__.__qualname__ == "ModelStats.__init__"
+
+
+def test_no_record_class_in_src_writes_its_own_constructor():
+    """Record classes get `__init__` from `Record`, so none may define one by hand."""
+    checked = set()
+    for path in sorted((REPO_ROOT / "src" / "stpalint").glob("*.py")):
+        records = {"Record"}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in records for b in node.bases):
+                records.add(node.name)
+                checked.add(node.name)
+                methods = {n.name for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                assert "__init__" not in methods, f"{path.name}: {node.name}"
+    assert checked == {cls.__name__ for cls in CONSTRUCTORS}

@@ -220,6 +220,10 @@ def test_render_stats_lines(corpus):
     assert "- BrakeCmd: NotProvided=4, ProvidedUnsafe=6, WrongTiming=4, WrongDuration=3" in text
 
 
+def test_stats_golden(corpus):
+    assert render_stats(corpus) == golden("stats.md")
+
+
 def test_stats_to_dict_has_schema(corpus):
     from stpalint.report import stats_to_dict
 
