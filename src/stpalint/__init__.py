@@ -22,7 +22,6 @@ _EXPORTS = {
         "enumerate_contexts",
         "expand",
         "stats",
-        "trace_closure",
     ),
     "causal": ("ChecklistItem", "PathDirection", "PathWalk", "checklist", "validate_cfs", "walk_paths"),
     "corpus": ("load_corpus",),
@@ -51,6 +50,7 @@ _EXPORTS = {
         "context_matches",
         "qualifier_allowed",
         "resolve",
+        "trace_closure",
     ),
     "parser": ("parse",),
     "printer": ("UnresolvedModelError", "serialize"),

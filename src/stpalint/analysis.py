@@ -1,8 +1,11 @@
-"""Context enumeration, UCA coverage and conflict detection, traceability closure.
+"""Context enumeration, UCA coverage and conflict detection, summary counts.
 
 Context tables are the combinatorial heart of the tool: one row per concrete
 assignment of a controller's process-model variables, marked per guide
 category with the UCAs whose (partial) context matches the row.
+
+`trace_closure` lives in `model`, so that `check` does not load this module;
+the name is imported here as well, for callers that take it from `analysis`.
 """
 
 from __future__ import annotations
@@ -13,15 +16,13 @@ import math
 from .model import (
     AnalysisError,
     Context,
-    Diagnostic,
     EntityKind,
     GuideCategory,
     ProcessModelVariable,
     Record,
     StpaModel,
     UnsafeControlAction,
-    diagnostic,
-    span_of,
+    trace_closure,
 )
 
 DEFAULT_MAX_ROWS = 100_000
@@ -256,39 +257,6 @@ def _merge_contexts(a: Context, b: Context) -> Context | None:
             return None
         merged[var_id] = value
     return Context(merged)
-
-
-def trace_closure(model: StpaModel) -> list[Diagnostic]:
-    """Cross-step linkage checks: every artifact should be reachable end to end."""
-    diags: list[Diagnostic] = []
-
-    cited_hazards = {ref for uca in model.ucas for ref in uca.hazards}
-    for hz in model.hazards:
-        if hz.id not in cited_hazards:
-            diags.append(diagnostic("trace/orphan-hazard", f"hazard {hz.id} is not cited by any uca", span_of(hz)))
-    cited_losses = {ref for hz in model.hazards for ref in hz.leads_to}
-    for loss in model.losses:
-        if loss.id not in cited_losses:
-            message = f"loss {loss.id} unreachable: no hazard leads to it"
-            diags.append(diagnostic("trace/unreachable-loss", message, span_of(loss)))
-    covered_ucas = {ref for cf in model.causal_factors for ref in cf.ucas}
-    for uca in model.ucas:
-        if uca.id not in covered_ucas:
-            diags.append(diagnostic("trace/uca-without-cf", f"uca {uca.id} has no causal factor", span_of(uca)))
-    for sc in model.constraints:
-        if not any(ref in cited_hazards for ref in sc.mitigates):
-            message = f"constraint {sc.id} mitigates no hazard cited by any uca"
-            diags.append(diagnostic("trace/constraint-unlinked", message, span_of(sc)))
-    ucas_by_id = model.uca_ids()
-    for cf in model.causal_factors:
-        controllers = {
-            ucas_by_id[ref].source_controller for ref in cf.ucas if ref in ucas_by_id
-        }
-        if len(controllers) > 1:
-            listed = ", ".join(sorted(controllers))
-            message = f"causal factor {cf.id} cites ucas of different controllers ({listed})"
-            diags.append(diagnostic("trace/cf-cross-controller", message, span_of(cf)))
-    return diags
 
 
 def stats(model: StpaModel) -> ModelStats:

@@ -237,8 +237,9 @@ class CausalIndex:
 
     Holds the entity and edge maps and the feedback-predecessor and
     control-successor adjacency. On-path sets are memoized per (controller,
-    action) and checklists per (controller, action, wrong timing), the only
-    parts of a UCA they depend on. Nothing here lists walks.
+    action), and checklists and their categories per (controller, action,
+    wrong timing), the only parts of a UCA they depend on. Nothing here
+    lists walks.
     """
 
     def __init__(self, model: StpaModel):
@@ -250,7 +251,8 @@ class CausalIndex:
             i for i, e in self.entities.items() if e.kind is EntityKind.CONTROLLED_PROCESS
         }
         self._on_path: dict[tuple[str, str], set[str]] = {}
-        self._checklists: dict[tuple[str, str, bool], list[ChecklistItem]] = {}
+        # key -> the checklist and its distinct categories, first appearance first
+        self._checklists: dict[tuple[str, str, bool], tuple[list[ChecklistItem], tuple[CfCategory, ...]]] = {}
 
     def on_path(self, uca: UnsafeControlAction) -> set[str]:
         """The UCA's controller and every element of its feedback and control walks.
@@ -270,12 +272,21 @@ class CausalIndex:
             self._on_path[key] = ids
         return ids
 
+    def _memo(self, uca: UnsafeControlAction) -> tuple[list[ChecklistItem], tuple[CfCategory, ...]]:
+        key = (uca.source_controller, uca.action, uca.guide.category is GuideCategory.WRONG_TIMING)
+        memo = self._checklists.get(key)
+        if memo is None:
+            items = self._checklist(*key)
+            memo = self._checklists[key] = (items, tuple(dict.fromkeys(item.category for item in items)))
+        return memo
+
     def checklist(self, uca: UnsafeControlAction) -> list[ChecklistItem]:
         """The items `checklist(model, uca)` returns, computed once per key."""
-        key = (uca.source_controller, uca.action, uca.guide.category is GuideCategory.WRONG_TIMING)
-        if key not in self._checklists:
-            self._checklists[key] = self._checklist(*key)
-        return list(self._checklists[key])
+        return list(self._memo(uca)[0])
+
+    def categories(self, uca: UnsafeControlAction) -> tuple[CfCategory, ...]:
+        """The distinct categories of the UCA's checklist, in order of first appearance."""
+        return self._memo(uca)[1]
 
     def _checklist(self, controller: str, action: str, wrong_timing: bool) -> list[ChecklistItem]:
         entities = self.entities
@@ -423,14 +434,15 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
                 )
             )
 
-    declared: dict[str, set[CfCategory]] = {}
+    # lists, not sets: `in` compares identities and never calls the
+    # Python-level `Enum.__hash__`
+    declared: dict[str, list[CfCategory]] = {}
     for cf in model.causal_factors:
         for ref in cf.ucas:
-            declared.setdefault(ref, set()).add(cf.category)
+            declared.setdefault(ref, []).append(cf.category)
     for uca in model.ucas:
-        covered = declared.get(uca.id, set())
-        expected = dict.fromkeys(item.category for item in index.checklist(uca))
-        for category in expected:
+        covered = declared.get(uca.id, ())
+        for category in index.categories(uca):
             if category in covered:
                 continue
             message = f"uca {uca.id} has no causal factor in category {category.value}"

@@ -11,6 +11,7 @@ unwritable, 64 usage.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import shutil
 import sys
@@ -19,7 +20,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from pathlib import Path
 
-from .model import AnalysisError, Diagnostic, EdgeKind, Severity, StpaModel
+from .model import AnalysisError, Diagnostic, EdgeKind, Severity, StpaModel, trace_closure
 from .parser import parse
 
 EXIT_OK = 0
@@ -188,9 +189,9 @@ def _max_rows(args, default: int) -> int:
 
 
 def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
-    from . import analysis, causal
+    from . import causal
 
-    diags = [*diags, *analysis.trace_closure(model), *causal.open_loop(model), *causal.validate_cfs(model)]
+    diags = [*diags, *trace_closure(model), *causal.open_loop(model), *causal.validate_cfs(model)]
     _tell(_diagnostic_lines(diags))
     severities = {d.severity for d in diags}
     if Severity.ERROR in severities:
@@ -263,7 +264,7 @@ def _stats(model: StpaModel, args) -> str:
 
 # report command -> handler returning the text, or its lines, for stdout or
 # --output; each imports `report`, `analysis` and `causal` itself, as far as
-# it runs them, so `check` never loads `report` and `fmt` loads none of them
+# it runs them, so `check` loads only `causal` and `fmt` none of them
 _REPORTS = {
     "contexts": _contexts,
     "worksheet": _worksheet,
@@ -311,7 +312,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # interpreter shutdown's collections then skip what the command left; `run`
+    # does not freeze, for in process a frozen heap would never be collected
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@ The model is an aggregate of the four analysis steps: purpose (losses,
 hazards, constraints), control structure (entities, edges), unsafe control
 actions over process-model contexts, and causal factors. Everything here is
 plain data; all checks are pure functions returning diagnostics.
+
+The two whole-model linkage checks live here too: `resolve` (ids, references
+and structural invariants) and `trace_closure` (reachability across the
+analysis steps). So `check` needs `model`, `parser` and `causal`, and not
+the context-table module `analysis`.
 """
 
 from __future__ import annotations
@@ -460,6 +465,40 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         refs(cc, (cc.derived_from,), "ucas")
 
     return diags
+
+
+def trace_closure(model: StpaModel) -> list[Diagnostic]:
+    """Cross-step linkage checks: every artifact should be reachable end to end."""
+    diags: list[Diagnostic] = []
+
+    cited_hazards = {ref for uca in model.ucas for ref in uca.hazards}
+    for hz in model.hazards:
+        if hz.id not in cited_hazards:
+            diags.append(diagnostic("trace/orphan-hazard", f"hazard {hz.id} is not cited by any uca", span_of(hz)))
+    cited_losses = {ref for hz in model.hazards for ref in hz.leads_to}
+    for loss in model.losses:
+        if loss.id not in cited_losses:
+            message = f"loss {loss.id} unreachable: no hazard leads to it"
+            diags.append(diagnostic("trace/unreachable-loss", message, span_of(loss)))
+    covered_ucas = {ref for cf in model.causal_factors for ref in cf.ucas}
+    for uca in model.ucas:
+        if uca.id not in covered_ucas:
+            diags.append(diagnostic("trace/uca-without-cf", f"uca {uca.id} has no causal factor", span_of(uca)))
+    for sc in model.constraints:
+        if not any(ref in cited_hazards for ref in sc.mitigates):
+            message = f"constraint {sc.id} mitigates no hazard cited by any uca"
+            diags.append(diagnostic("trace/constraint-unlinked", message, span_of(sc)))
+    ucas_by_id = model.uca_ids()
+    for cf in model.causal_factors:
+        controllers = {
+            ucas_by_id[ref].source_controller for ref in cf.ucas if ref in ucas_by_id
+        }
+        if len(controllers) > 1:
+            listed = ", ".join(sorted(controllers))
+            message = f"causal factor {cf.id} cites ucas of different controllers ({listed})"
+            diags.append(diagnostic("trace/cf-cross-controller", message, span_of(cf)))
+    return diags
+
 
 def context_matches(partial: Context, concrete: Context) -> bool:
     """True iff every assignment in the partial context agrees with the concrete one.

@@ -10,6 +10,7 @@ import itertools
 from collections.abc import Iterator
 from enum import Enum
 from functools import cache
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .model import Context, EdgeKind, EntityKind, GuideCategory, Record, StpaModel
@@ -193,18 +194,30 @@ def render_graph(model: StpaModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-@cache
-def _json_names(cls: type) -> tuple[str, ...] | None:
-    """The keys of a record's JSON object; None for any other type.
+def _converter(cls: type):
+    """The function `_plain` applies to a value of type `cls`; None for a value that stays as it is.
 
     A record class lists its fields in `__slots__`, a `NamedTuple` value
     type (whose `__slots__` is empty) in `_fields`.
     """
+    if issubclass(cls, list):
+        return lambda value: [_plain(v) for v in value]
+    if issubclass(cls, dict):
+        return lambda value: {k: _plain(v) for k, v in value.items()}
+    if issubclass(cls, Enum):
+        return attrgetter("_value_")
+    if issubclass(cls, Context):
+        return lambda value: dict(value.assignments)
     names = cls.__slots__ if issubclass(cls, Record) else getattr(cls, "_fields", None)
     if names is None:
         return None
     derived = [name for name, attr in vars(cls).items() if isinstance(attr, property)]
-    return (*(name for name in names if name != "span"), *derived)
+    fields = [(name, attrgetter(name)) for name in (*(name for name in names if name != "span"), *derived)]
+    return lambda value: {name: _plain(get(value)) for name, get in fields}
+
+
+# type -> its `_converter`: a dict lookup per value costs less than a `functools.cache` call
+_CONVERTERS: dict[type, object] = {}
 
 
 def _plain(value):
@@ -212,20 +225,14 @@ def _plain(value):
 
     Records become dicts field by field, without spans, followed by
     their derived properties; enums become their values and contexts their
-    assignments.
+    assignments. The conversion is looked up once per type.
     """
-    if isinstance(value, list):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, Context):
-        return dict(value.assignments)
-    names = _json_names(type(value))
-    if names is None:
-        return value
-    return {name: _plain(getattr(value, name)) for name in names}
+    cls = value.__class__
+    try:
+        convert = _CONVERTERS[cls]
+    except KeyError:
+        convert = _CONVERTERS[cls] = _converter(cls)
+    return value if convert is None else convert(value)
 
 
 def _document(payload: dict) -> dict:

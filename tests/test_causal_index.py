@@ -48,6 +48,7 @@ def assert_matches_oracle(model):
         assert walk_paths(model, uca) == causal_oracle.walk_paths(model, uca), uca.id
         assert checklist(model, uca) == causal_oracle.checklist(model, uca), uca.id
         assert index.checklist(uca) == causal_oracle.checklist(model, uca), uca.id
+        assert index.categories(uca) == tuple(dict.fromkeys(i.category for i in causal_oracle.checklist(model, uca)))
         assert index.on_path(uca) == causal_oracle.on_path_ids(model, uca), uca.id
     assert validate_cfs(model) == causal_oracle.validate_cfs(model)
 

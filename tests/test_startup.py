@@ -19,12 +19,17 @@ from stpalint.corpus import CORPUS_FILES, corpus_paths
 from conftest import REPO_ROOT
 
 
-def run_child(code, *argv):
-    """Run `code` in a fresh interpreter and return the literal on its last stdout line."""
+def child(code, *argv):
+    """Run `code` in a fresh interpreter that imports the package from this checkout; return the process."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code), *argv], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def run_child(code, *argv):
+    """Run `code` in a fresh interpreter and return the literal on its last stdout line."""
+    proc = child(code, *argv)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
@@ -56,7 +61,23 @@ LOADED_BY_RUN = """
 def test_check_loads_no_report_printer_corpus_json_or_csv():
     code, loaded = run_child(LOADED_BY_RUN, "check", *map(str, corpus_paths()))
     assert code in (0, 1)
-    assert loaded == ["stpalint.analysis", "stpalint.causal"]  # and neither `dataclasses` nor `inspect`
+    assert loaded == ["stpalint.causal"]  # not `analysis`, `dataclasses` or `inspect`
+
+
+def test_trace_closure_lives_in_model_and_analysis_names_the_same_function():
+    loaded, same = run_child("""
+        import sys
+
+        import stpalint
+
+        stpalint.trace_closure
+        loaded = sorted(name for name in sys.modules if name.startswith("stpalint."))
+        from stpalint import analysis, model
+
+        print((loaded, analysis.trace_closure is model.trace_closure))
+    """)
+    assert loaded == ["stpalint.model"]
+    assert same
 
 
 def test_fmt_loads_the_printer_but_not_report(tmp_path):
@@ -173,3 +194,45 @@ def test_contexts_writes_its_table_to_stdout_in_few_writes():
     """)
     assert (lines, code) == (2**11 + 1, 0)
     assert writes <= 3
+
+
+# Runs the CLI through RUN, with an exit hook that prints whether the heap
+# was frozen by then.
+FREEZE_AT_EXIT = """
+    import atexit
+    import gc
+    import sys
+
+    from stpalint import cli
+
+    atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+    RUN
+"""
+
+
+@pytest.mark.parametrize("command", [["check"], ["graph"]], ids=" ".join)
+def test_main_freezes_the_heap_and_changes_no_output(command):
+    # a frozen heap is skipped by the collections of interpreter shutdown
+    argv = [*command, *map(str, corpus_paths())]
+    via_run = child(FREEZE_AT_EXIT.replace("RUN", "sys.exit(cli.run())"), *argv)
+    via_main = child(FREEZE_AT_EXIT.replace("RUN", "cli.main()"), *argv)
+    assert via_run.stdout.endswith("frozen at exit: False\n")
+    assert via_main.stdout == via_run.stdout.replace("frozen at exit: False", "frozen at exit: True")
+    assert (via_main.returncode, via_main.stderr) == (via_run.returncode, via_run.stderr)
+    assert via_main.returncode in ((0, 1) if command == ["check"] else (0,))
+
+
+def test_run_in_process_leaves_the_heap_unfrozen(tmp_path):
+    # tests and library users call `run` in process, where a frozen heap would never be collected
+    codes, frozen = run_child("""
+        import gc
+        import sys
+
+        from stpalint import cli
+
+        out, *paths = sys.argv[1:]
+        codes = [cli.run(["check", *paths]), cli.run(["stats", "--output", out, *paths])]
+        print((codes, gc.get_freeze_count()))
+    """, str(tmp_path / "stats.md"), *map(str, corpus_paths()))
+    assert codes[1] == 0
+    assert frozen == 0
