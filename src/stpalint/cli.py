@@ -10,15 +10,13 @@ unwritable, 64 usage.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
-import shutil
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 from .model import AnalysisError, Diagnostic, EdgeKind, Severity, StpaModel, trace_closure
 from .parser import parse
@@ -30,63 +28,116 @@ EXIT_INPUT = 3
 EXIT_USAGE = 64
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _positive_int(text: str) -> int:
+    """`text` as a positive int, or argparse.ArgumentTypeError with the message argparse prints."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-    return value
+        message = f"invalid int value: {text!r}"
+    else:
+        if value > 0:
+            return value
+        message = f"must be positive: {text!r}"
+    from argparse import ArgumentTypeError
+
+    raise ArgumentTypeError(message)
 
 
-def build_parser() -> _ArgumentParser:
+_FORMAT = ("--format", ("md", "json"), "md", None)
+_OUTPUT = ("--output", Path, None, None)
+
+# The command line, declared once: command -> (help, options), in the order
+# `--help` lists them. An option is (name, kind, default, help). Its kind is
+# bool for a flag, str, Path, _positive_int, or a tuple of the choices; a
+# default of ... makes it required. Every command also takes one or more
+# input files. `build_parser` builds argparse's parser from this table, and
+# `_read_argv` reads a well-formed command line by the table alone.
+COMMANDS = {
+    "check": ("run all diagnostics", [("--quiet-warnings", bool, False, "warnings do not affect the exit code")]),
+    "contexts": (
+        "emit the context table of one (controller, action) pair as CSV",
+        [
+            ("--controller", str, ..., None),
+            ("--action", str, ..., None),
+            ("--max-rows", _positive_int, None, "combinatorial guard override"),
+            _OUTPUT,
+        ],
+    ),
+    "worksheet": ("emit the guide-word worksheet of one action", [("--action", str, ..., None), _FORMAT, _OUTPUT]),
+    "trace": ("emit traceability matrices", [_FORMAT, _OUTPUT]),
+    "checklist": ("emit the causal-factor checklist of one uca", [("--uca", str, ..., None), _FORMAT, _OUTPUT]),
+    "graph": ("emit the control structure as DOT", [_OUTPUT]),
+    "stats": ("emit summary counts", [_FORMAT, _OUTPUT]),
+    "fmt": ("rewrite input files in canonical form", []),
+}
+
+
+def build_parser():
+    """argparse's parser for COMMANDS, which `run` uses for help and usage errors only."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+        def _print_message(self, message, file=None):
+            if file is sys.stdout:  # help: argparse would drop a failed write, and exit 0
+                _write(None, message)
+            else:
+                super()._print_message(message, file)
+
     parser = _ArgumentParser(prog="stpalint", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
+    for command, (help_text, options) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
         cmd.add_argument("inputs", nargs="+", help="input .stpa files")
-        return cmd
-
-    check = add("check", "run all diagnostics")
-    check.add_argument("--quiet-warnings", action="store_true", help="warnings do not affect the exit code")
-
-    contexts = add("contexts", "emit the context table of one (controller, action) pair as CSV")
-    contexts.add_argument("--controller", required=True)
-    contexts.add_argument("--action", required=True)
-    contexts.add_argument("--max-rows", type=_positive_int, default=None, help="combinatorial guard override")
-    contexts.add_argument("--output", type=Path, default=None)
-
-    worksheet = add("worksheet", "emit the guide-word worksheet of one action")
-    worksheet.add_argument("--action", required=True)
-    worksheet.add_argument("--format", choices=["md", "json"], default="md")
-    worksheet.add_argument("--output", type=Path, default=None)
-
-    trace = add("trace", "emit traceability matrices")
-    trace.add_argument("--format", choices=["md", "json"], default="md")
-    trace.add_argument("--output", type=Path, default=None)
-
-    checklist = add("checklist", "emit the causal-factor checklist of one uca")
-    checklist.add_argument("--uca", required=True)
-    checklist.add_argument("--format", choices=["md", "json"], default="md")
-    checklist.add_argument("--output", type=Path, default=None)
-
-    graph = add("graph", "emit the control structure as DOT")
-    graph.add_argument("--output", type=Path, default=None)
-
-    stats_cmd = add("stats", "emit summary counts")
-    stats_cmd.add_argument("--format", choices=["md", "json"], default="md")
-    stats_cmd.add_argument("--output", type=Path, default=None)
-
-    add("fmt", "rewrite input files in canonical form")
+        for name, kind, default, option_help in options:
+            if kind is bool:
+                cmd.add_argument(name, action="store_true", help=option_help)
+            else:
+                choices, kind = (kind, None) if isinstance(kind, tuple) else (None, kind)
+                required, default = (True, None) if default is ... else (False, default)
+                cmd.add_argument(name, type=kind, choices=choices, required=required, default=default, help=option_help)
     return parser
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for a well-formed `argv`, or None to leave `argv` to argparse.
+
+    Well formed: a command, then one run of inputs and the command's options,
+    each at most once and named in full, with a valid value in the next word,
+    and the required ones present. No value or input starts with "-".
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][1]
+    kinds = {name: kind for name, kind, _, _ in options}
+    given, inputs, after_inputs = {}, [], False
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if after_inputs:  # inputs split by an option
+                return None
+            inputs.append(word)
+            continue
+        after_inputs, kind = bool(inputs), kinds.get(word)
+        if kind is None or word in given:
+            return None
+        if kind is bool:
+            given[word] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-") or (isinstance(kind, tuple) and value not in kind):
+            return None
+        try:
+            given[word] = value if isinstance(kind, tuple) else kind(value)
+        except Exception:  # `_positive_int`'s ArgumentTypeError; argparse words the error
+            return None
+    if not inputs or any(default is ... and name not in given for name, _, default, _ in options):
+        return None
+    values = {name[2:].replace("-", "_"): given.get(name, default) for name, _, default, _ in options}
+    return SimpleNamespace(command=argv[0], inputs=inputs, **values)
 
 
 class _Unusable(Exception):
@@ -121,7 +172,8 @@ def _load(inputs: list[str]) -> tuple[StpaModel, list[Diagnostic]]:
     sources = []
     for name in inputs:
         try:
-            sources.append((name, Path(name).read_text(encoding="utf-8-sig")))
+            # as "utf-8-sig" would, without importing its codec: drop one leading byte-order mark
+            sources.append((name, Path(name).read_text(encoding="utf-8").removeprefix("\ufeff")))
         except OSError as err:
             raise _Unusable(f"cannot read {name}: {err.strerror}") from None
         except UnicodeDecodeError:
@@ -152,6 +204,9 @@ def _write(output: Path | None, text: str | Iterable[str], replace: bool = False
             with output.open("w", encoding="utf-8") as f:
                 f.writelines(chunks)
         else:
+            import shutil
+            import tempfile
+
             target = output.resolve()
             fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
             try:
@@ -276,13 +331,10 @@ _REPORTS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else EXIT_USAGE
-
-    try:
+        args = _read_argv(argv) or build_parser().parse_args(argv)
         model, diags = _load(args.inputs)
         if args.command == "check":
             return _check(model, diags, args)
@@ -298,6 +350,8 @@ def run(argv: list[str] | None = None) -> int:
                 _write(Path(name), texts[name], replace=True)
         else:
             _write(args.output, _REPORTS[args.command](model, args))
+    except SystemExit as err:  # argparse printed help or a usage error
+        return err.code if isinstance(err.code, int) else EXIT_USAGE
     except _Unusable as err:
         code, failure = EXIT_INPUT, err
     except AnalysisError as err:

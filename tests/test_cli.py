@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -9,6 +10,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stpalint import build_context_table, cli, load_corpus, parse, serialize
 from stpalint.corpus import CORPUS_FILES, corpus_paths
@@ -197,6 +200,117 @@ def test_output_in_a_missing_directory_exits_3(corpus_args, tmp_path):
     assert not target.parent.exists()
 
 
+# -- reading the command line -------------------------------------------------
+
+
+PARSER = cli.build_parser()
+
+
+def argparse_reads(argv):
+    """vars() of what argparse makes of `argv`, or None if it prints help or a usage error."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_build_parser_declares_the_options_of_the_table():
+    (commands,) = [a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(cli.COMMANDS)
+    assert [a.help for a in commands._choices_actions] == [help_text for help_text, _ in cli.COMMANDS.values()]
+    for command, (_, options) in cli.COMMANDS.items():
+        declared = [
+            (a.option_strings, a.dest, a.required, a.default, a.choices, a.type, a.help)
+            for a in commands.choices[command]._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert declared == [([], "inputs", True, None, None, None, "input .stpa files")] + [
+            (
+                [name],
+                name[2:].replace("-", "_"),
+                default is ...,
+                None if default is ... else default,
+                kind if isinstance(kind, tuple) else None,
+                None if kind is bool or isinstance(kind, tuple) else kind,
+                help_text,
+            )
+            for name, kind, default, help_text in options
+        ], command
+
+
+# words of each kind: some valid, some a usage error, some that start with "-"
+VALUES = {
+    bool: st.nothing(),
+    str: st.sampled_from(["Operator", "BrakeCmd", "UCA-1", "", "a=b", "-x", "--action", "json"]),
+    Path: st.sampled_from(["out.md", "", "dir/out.json", "-o", "--output"]),
+    cli._positive_int: st.sampled_from(["1", "10", "100000", "0", "-5", "x", "+3", " 7", "1_0", "\u0663", ""]),
+}
+INPUTS = st.sampled_from(["a.stpa", "b.stpa", "c d.stpa", "check", "", "-", "-x.stpa", "--", "--format"])
+STRAY = st.sampled_from(["-h", "--help", "--", "--bogus-flag", "--uca", "--quiet-warnings", "-q", "-5"])
+
+
+def value_of(kind):
+    return st.sampled_from([*kind, "xml", "", "-md"]) if isinstance(kind, tuple) else VALUES[kind]
+
+
+@st.composite
+def option_words(draw, name, kind):
+    """`name` written in one of the ways argparse reads it, or a malformed one, with a value."""
+    form = draw(st.sampled_from(["exact", "exact", "exact", "abbreviated", "joined", "no value"]))
+    spelled = name[: draw(st.integers(3, len(name) - 1))] if form == "abbreviated" else name
+    if kind is bool:
+        return [spelled] if form != "joined" else [f"{spelled}=x"]
+    value = draw(value_of(kind))
+    return {"joined": [f"{spelled}={value}"], "no value": [spelled]}.get(form, [spelled, value])
+
+
+@st.composite
+def command_lines(draw):
+    """argv around a command of the table: its options in any order, any number of times, inputs and stray words."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "-h"]))
+    inputs = draw(st.lists(INPUTS, max_size=3))
+    chunks = [inputs] if draw(st.booleans()) else [[word] for word in inputs]
+    for name, kind, _, _ in cli.COMMANDS.get(command, ("", []))[1]:
+        chunks += [draw(option_words(name, kind)) for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])))]
+    chunks += [[word] for word in draw(st.lists(STRAY, max_size=1))]
+    return [command, *(word for chunk in draw(st.permutations(chunks)) for word in chunk)]
+
+
+@st.composite
+def well_formed_command_lines(draw):
+    """argv that the reader must read itself: exact options with valid values around one run of inputs."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    chunks = [draw(st.lists(st.sampled_from(["a.stpa", "b.stpa", "c d.stpa", "check", "x=y"]), min_size=1, max_size=3))]
+    for name, kind, default, _ in cli.COMMANDS[command][1]:
+        if default is ... or draw(st.booleans()):
+            if kind is bool:
+                chunks.append([name])
+            elif isinstance(kind, tuple):
+                chunks.append([name, draw(st.sampled_from(kind))])
+            elif kind is cli._positive_int:
+                chunks.append([name, draw(st.sampled_from(["1", "10", "100000", "+3", " 7", "1_0"]))])
+            else:
+                chunks.append([name, draw(st.sampled_from(["Operator", "", "a=b", "out.md", "dir/x y"]))])
+    return [command, *(word for chunk in draw(st.permutations(chunks)) for word in chunk)]
+
+
+@settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+def test_the_reader_declines_or_agrees_with_argparse(argv):
+    read = cli._read_argv(argv)
+    if read is not None:  # argparse rejects none of what the reader takes, and reads it the same
+        assert vars(read) == argparse_reads(argv)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(well_formed_command_lines())
+def test_the_reader_reads_every_well_formed_command_line(argv):
+    read = cli._read_argv(argv)
+    assert read is not None
+    assert vars(read) == argparse_reads(argv)
+
+
 # -- contexts -----------------------------------------------------------------
 
 
@@ -343,6 +457,22 @@ def test_stdout_on_a_full_device_exits_3(corpus_args):
         proc = run_cli_process(["stats", *corpus_args], full)
     assert proc.returncode == 3
     assert proc.stderr == b"stpalint: cannot write <stdout>: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["contexts", "-h", "a.stpa"]], ids=" ".join)
+def test_help_on_a_full_device_exits_3(argv):
+    with open("/dev/full", "w") as full:
+        proc = run_cli_process(argv, full)
+    assert proc.returncode == 3
+    assert proc.stderr == b"stpalint: cannot write <stdout>: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_usage_error_with_a_full_stderr_still_exits_64(corpus_args):
+    with open("/dev/full", "w") as full:
+        proc = run_cli_process(["check", "--bogus-flag", *corpus_args], subprocess.PIPE, full)
+    assert (proc.returncode, proc.stdout) == (64, b"")
 
 
 def test_stdout_on_a_closed_pipe_exits_3(corpus_args):
@@ -527,6 +657,17 @@ def test_a_byte_order_mark_is_accepted_and_fmt_drops_it(tmp_path, monkeypatch):
     assert results["bom"] == results["plain"]
     assert formatted["bom"] == formatted["plain"]
     assert not any(text.startswith(b"\xef\xbb\xbf") for text in formatted["bom"].values())
+
+
+def test_only_one_leading_byte_order_mark_is_dropped(tmp_path):
+    src = tmp_path / "marks.stpa"
+    src.write_bytes(b'\xef\xbb\xbf\xef\xbb\xbfloss L-1 "a"\nloss L-2 "b" \xef\xbb\xbf\n')
+    code, _, err = run_cli(["check", str(src)])
+    assert code == 2
+    assert [line for line in err.splitlines() if "error[" in line] == [
+        f"{src}:1:1: error[parse/unexpected-character]: unexpected character '\\ufeff'",
+        f"{src}:2:14: error[parse/unexpected-character]: unexpected character '\\ufeff'",
+    ]
 
 
 # -- fmt ----------------------------------------------------------------------

@@ -19,17 +19,24 @@ from stpalint.corpus import CORPUS_FILES, corpus_paths
 from conftest import REPO_ROOT
 
 
-def child(code, *argv):
-    """Run `code` in a fresh interpreter that imports the package from this checkout; return the process."""
+def child(code, *argv, flags=()):
+    """Run `code` in a fresh interpreter that imports the package from this checkout; return the process.
+
+    `flags` go to the interpreter, before `-c`.
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code), *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *flags, "-c", textwrap.dedent(code), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
 
 
-def run_child(code, *argv):
+def run_child(code, *argv, flags=()):
     """Run `code` in a fresh interpreter and return the literal on its last stdout line."""
-    proc = child(code, *argv)
+    proc = child(code, *argv, flags=flags)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
@@ -62,6 +69,20 @@ def test_check_loads_no_report_printer_corpus_json_or_csv():
     code, loaded = run_child(LOADED_BY_RUN, "check", *map(str, corpus_paths()))
     assert code in (0, 1)
     assert loaded == ["stpalint.causal"]  # not `analysis`, `dataclasses` or `inspect`
+
+
+@pytest.mark.parametrize("command", [["check"], ["stats", "--format", "json"]], ids=" ".join)
+def test_a_well_formed_command_line_loads_no_argparse_and_no_file_helpers(command):
+    # -S: `site` may load some of these itself
+    loaded = run_child("""
+        import sys
+
+        from stpalint import cli
+
+        cli.run(sys.argv[1:])
+        print(sorted({"argparse", "gettext", "locale", "encodings.utf_8_sig", "tempfile", "shutil"} & set(sys.modules)))
+    """, *command, *map(str, corpus_paths()), flags=["-S"])
+    assert loaded == []
 
 
 def test_trace_closure_lives_in_model_and_analysis_names_the_same_function():
