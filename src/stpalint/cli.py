@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .model import AnalysisError, Diagnostic, EdgeKind, Severity, StpaModel, trace_closure
-from .parser import parse
+from .parser import parse, read_source
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -172,8 +172,7 @@ def _load(inputs: list[str]) -> tuple[StpaModel, list[Diagnostic]]:
     sources = []
     for name in inputs:
         try:
-            # as "utf-8-sig" would, without importing its codec: drop one leading byte-order mark
-            sources.append((name, Path(name).read_text(encoding="utf-8").removeprefix("\ufeff")))
+            sources.append((name, read_source(name)))
         except OSError as err:
             raise _Unusable(f"cannot read {name}: {err.strerror}") from None
         except UnicodeDecodeError:
@@ -279,7 +278,7 @@ def _worksheet(model: StpaModel, args) -> str:
 
     _control_action(model, args.action)
     if args.format == "json":
-        return report.to_json(report.worksheet_to_dict(model, args.action))
+        return report.to_json({"action": args.action, "ucas": model.ucas_on(args.action)})
     return report.render_worksheet(model, args.action)
 
 
@@ -287,7 +286,7 @@ def _trace(model: StpaModel, args) -> str:
     from . import report
 
     if args.format == "json":
-        return report.render_json(model)
+        return report.to_json(model)
     return report.render_trace_matrix(model)
 
 
@@ -299,7 +298,7 @@ def _checklist(model: StpaModel, args) -> str:
         raise _Unusable(f"unknown uca {args.uca}")
     items = causal.checklist(model, uca)
     if args.format == "json":
-        return report.to_json(report.checklist_to_dict(items, args.uca))
+        return report.to_json({"uca": args.uca, "items": items})
     return report.render_checklist(items, args.uca)
 
 
@@ -313,7 +312,7 @@ def _stats(model: StpaModel, args) -> str:
     from . import analysis, report
 
     if args.format == "json":
-        return report.to_json(report.stats_to_dict(analysis.stats(model)))
+        return report.to_json(analysis.stats(model))
     return report.render_stats(model)
 
 
@@ -345,6 +344,9 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "fmt":
             from . import printer
 
+            for name in args.inputs:  # a FIFO or a device would be replaced by a regular file
+                if not Path(name).is_file():
+                    raise _Unusable(f"cannot write {name}: not a regular file")
             texts = printer.serialize_files(model, args.inputs)
             for name in args.inputs:
                 _write(Path(name), texts[name], replace=True)

@@ -16,7 +16,7 @@ import os
 from pathlib import Path
 
 from .model import Diagnostic, StpaModel
-from .parser import parse
+from .parser import parse, read_source
 
 CORPUS_FILES = [
     "purpose.stpa",
@@ -45,7 +45,4 @@ def corpus_paths(root: Path | None = None) -> list[Path]:
 
 def load_corpus(root: Path | None = None) -> tuple[StpaModel, list[Diagnostic]]:
     """Parse the full corpus (detailed structure) into one model."""
-    sources = []
-    for path in corpus_paths(root):
-        sources.append((str(path), path.read_text(encoding="utf-8")))
-    return parse(sources)
+    return parse([(str(path), read_source(path)) for path in corpus_paths(root)])

@@ -463,6 +463,15 @@ class _FileParser:
         getattr(model, row.section).append(row.cls(**fields, span=self.span(start, i - 1)))
 
 
+def read_source(path) -> str:
+    """The text of the file `path` decoded as UTF-8, without one leading byte-order mark.
+
+    That is what "utf-8-sig" gives, without importing its codec.
+    """
+    with open(path, encoding="utf-8") as f:
+        return f.read().removeprefix("\ufeff")
+
+
 def parse(source_files: list[tuple[str, str]]) -> tuple[StpaModel, list[Diagnostic]]:
     """Parse one or more `.stpa` sources into a single model.
 

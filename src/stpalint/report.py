@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from .model import Context, EdgeKind, EntityKind, GuideCategory, Record, StpaModel
 
 if TYPE_CHECKING:  # `graph`, `worksheet` and `trace` load neither module
-    from .analysis import ContextTable, ModelStats
+    from .analysis import ContextTable
     from .causal import ChecklistItem
 
 SCHEMA_VERSION = 1
@@ -118,48 +118,44 @@ def render_context_csv(table: ContextTable) -> str:
     return "".join(context_csv_lines(table))
 
 
-def _matrix(title: str, row_ids: list[str], col_ids: list[str], linked) -> list[str]:
-    lines = [f"## {title}", ""]
-    lines.append(_md_row([""] + col_ids))
-    lines.append(_md_row(["---"] * (len(col_ids) + 1)))
+def _matrix(title: str, row_ids: list[str], col_ids: list[str], links: dict[str, list[str]]) -> list[str]:
+    """One Markdown matrix: an `x` in each row whose id `links` lists for the column's id."""
+    positions: dict[str, list[int]] = {row_id: [] for row_id in row_ids}
+    for j, col_id in enumerate(col_ids):
+        for row_id in links.get(col_id, ()):
+            if row_id in positions:
+                positions[row_id].append(j)
+    blank = [""] * len(col_ids)
+    lines = [f"## {title}", "", _md_row(["", *col_ids]), _md_row(["---"] * (len(col_ids) + 1))]
     for row_id in row_ids:
-        cells = ["x" if linked(row_id, col_id) else "" for col_id in col_ids]
-        lines.append(_md_row([row_id] + cells))
+        cells = blank.copy()
+        for j in positions[row_id]:
+            cells[j] = "x"
+        lines.append(_md_row([row_id, *cells]))
     lines.append("")
     return lines
 
 
 def render_trace_matrix(model: StpaModel) -> str:
-    """Markdown traceability matrices across all four analysis steps."""
-    hazards = {hz.id: hz for hz in model.hazards}
+    """Markdown traceability matrices across all four analysis steps.
+
+    A repeated id links as its last declaration does. The cost is one step
+    per link plus one per cell written.
+    """
+    hazard_ids, uca_ids = [hz.id for hz in model.hazards], [u.id for u in model.ucas]
+    loss_hazards: dict[str, list[str]] = {}
+    for hz in {hz.id: hz for hz in model.hazards}.values():
+        for loss_id in hz.leads_to:
+            loss_hazards.setdefault(loss_id, []).append(hz.id)
+    cfs, scs = model.causal_factors, model.constraints
     lines = ["# Traceability", ""]
-    lines += _matrix(
-        "Hazards to losses",
-        [hz.id for hz in model.hazards],
-        [loss.id for loss in model.losses],
-        lambda h, l: l in hazards[h].leads_to,
-    )
-    uca_hazards = {u.id: u.hazards for u in model.ucas}
-    lines += _matrix(
-        "Hazards to unsafe control actions",
-        [hz.id for hz in model.hazards],
-        [u.id for u in model.ucas],
-        lambda h, u: h in uca_hazards[u],
-    )
-    cf_ucas = {cf.id: cf.ucas for cf in model.causal_factors}
-    lines += _matrix(
-        "Unsafe control actions to causal factors",
-        [u.id for u in model.ucas],
-        [cf.id for cf in model.causal_factors],
-        lambda u, c: u in cf_ucas[c],
-    )
-    constraint_hazards = {sc.id: sc.mitigates for sc in model.constraints}
-    lines += _matrix(
-        "Hazards to constraints",
-        [hz.id for hz in model.hazards],
-        [sc.id for sc in model.constraints],
-        lambda h, s: h in constraint_hazards[s],
-    )
+    for title, row_ids, col_ids, links in (
+        ("Hazards to losses", hazard_ids, [loss.id for loss in model.losses], loss_hazards),
+        ("Hazards to unsafe control actions", hazard_ids, uca_ids, {u.id: u.hazards for u in model.ucas}),
+        ("Unsafe control actions to causal factors", uca_ids, [cf.id for cf in cfs], {cf.id: cf.ucas for cf in cfs}),
+        ("Hazards to constraints", hazard_ids, [sc.id for sc in scs], {sc.id: sc.mitigates for sc in scs}),
+    ):
+        lines += _matrix(title, row_ids, col_ids, links)
     return "\n".join(lines)
 
 
@@ -235,36 +231,16 @@ def _plain(value):
     return value if convert is None else convert(value)
 
 
-def _document(payload: dict) -> dict:
-    return {"stpa_schema": SCHEMA_VERSION, **payload}
-
-
-def to_json(document: dict) -> str:
-    """The text of a `--format json` document."""
+def to_json(value) -> str:
+    """The text of a `--format json` document: the schema version, then the fields of `value`."""
     import json
 
-    return json.dumps(document, ensure_ascii=False, indent=2) + "\n"
-
-
-def model_to_dict(model: StpaModel) -> dict:
-    """JSON-ready mirror of the model, field names one to one."""
-    return _document(_plain(model))
-
-
-def worksheet_to_dict(model: StpaModel, action: str) -> dict:
-    return _document({"action": action, "ucas": _plain(model.ucas_on(action))})
-
-
-def checklist_to_dict(items: list[ChecklistItem], uca_id: str) -> dict:
-    return _document({"uca": uca_id, "items": _plain(items)})
-
-
-def stats_to_dict(s: ModelStats) -> dict:
-    return _document(_plain(s))
+    return json.dumps({"stpa_schema": SCHEMA_VERSION, **_plain(value)}, ensure_ascii=False, indent=2) + "\n"
 
 
 def render_json(model: StpaModel) -> str:
-    return to_json(model_to_dict(model))
+    """The `trace --format json` document; `bench/layers.py` times it by this name."""
+    return to_json(model)
 
 
 def render_checklist(items: list[ChecklistItem], uca_id: str) -> str:

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -755,6 +757,36 @@ def test_fmt_leaves_a_repeated_context_variable_untouched(corpus_copy):
         assert f.read() == text
 
 
+def _feed(fifo, data):
+    """A started thread that writes `data` to the FIFO `fifo` once a reader opens it."""
+
+    def write():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+def test_fmt_refuses_a_fifo_and_a_symlink_to_one(tmp_path):
+    regular = tmp_path / "regular.stpa"
+    regular.write_text('loss   L-1   "spaced oddly"\n', encoding="utf-8")
+    before = regular.read_bytes()
+    fifo = tmp_path / "pipe.stpa"
+    os.mkfifo(fifo)
+    link = tmp_path / "link.stpa"
+    link.symlink_to(fifo)
+    for name in (fifo, link):
+        writer = _feed(fifo, b'loss L-2 "from the pipe"\n')
+        code, out, err = run_cli(["fmt", str(regular), str(name)])
+        writer.join(timeout=10)
+        assert (code, out, err) == (3, "", f"stpalint: cannot write {name}: not a regular file\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert regular.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["link.stpa", "pipe.stpa", "regular.stpa"]
+
+
 # -- corpus loader ------------------------------------------------------------
 
 
@@ -769,3 +801,10 @@ def test_corpus_paths_point_into_repo():
     for path in corpus_paths():
         assert path.is_file()
         assert REPO_ROOT in path.parents
+
+
+def test_load_corpus_drops_a_leading_byte_order_mark(tmp_path, corpus_copy):
+    plain = load_corpus(tmp_path)
+    purpose = tmp_path / "purpose.stpa"
+    purpose.write_bytes(b"\xef\xbb\xbf" + purpose.read_bytes())
+    assert load_corpus(tmp_path) == plain

@@ -8,7 +8,6 @@ from stpalint import StpaModel, build_context_table, checklist, stats
 from stpalint.analysis import ContextTable
 from stpalint.model import GuideCategory, GuideWord, ProcessModelVariable, UnsafeControlAction
 from stpalint.report import (
-    model_to_dict,
     render_checklist,
     render_context_csv,
     render_graph,
@@ -16,8 +15,11 @@ from stpalint.report import (
     render_stats,
     render_trace_matrix,
     render_worksheet,
+    to_json,
 )
 
+import report_oracle
+import strategies
 from conftest import GOLDEN_DIR, tiny_model
 from dot_check import check_dot
 
@@ -144,6 +146,26 @@ def test_trace_matrix_marks(corpus):
     assert hazard_rows[0] == "| H-1 | x | x |"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(strategies.models(), strategies.control_structures(), strategies.hostile_models()))
+def test_trace_matrix_matches_the_cell_by_cell_oracle(model):
+    assert render_trace_matrix(model) == report_oracle.render_trace_matrix(model)
+
+
+def test_trace_matrix_matches_the_oracle_on_repeated_and_dangling_ids(corpus):
+    m = StpaModel(**{name: list(getattr(corpus, name)) for name in StpaModel.__slots__})
+    for section in ("losses", "hazards", "ucas", "causal_factors", "constraints"):
+        decls = getattr(m, section)
+        decls.insert(1, strategies.replace(decls[0]))  # the first id declared again
+        decls.append(strategies.replace(decls[-1], id=decls[0].id))  # and last with another's links
+    m.hazards[0] = strategies.replace(m.hazards[0], leads_to=["L-9", *m.hazards[0].leads_to, "L-9"])
+    m.hazards[-1] = strategies.replace(m.hazards[-1], leads_to=["L-2", "L-9", "L-2"])
+    m.ucas[-1] = strategies.replace(m.ucas[-1], hazards=["H-9", m.ucas[-1].hazards[0]])
+    m.causal_factors[-1] = strategies.replace(m.causal_factors[-1], ucas=["UCA-99", "UCA-1", "UCA-1"])
+    m.constraints[-1] = strategies.replace(m.constraints[-1], mitigates=["H-9"])
+    assert render_trace_matrix(m) == report_oracle.render_trace_matrix(m)
+
+
 # -- graph --------------------------------------------------------------------
 
 
@@ -195,7 +217,7 @@ def test_json_schema_field(corpus):
 
 
 def test_json_mirrors_model(corpus):
-    payload = model_to_dict(corpus)
+    payload = json.loads(render_json(corpus))
     assert len(payload["ucas"]) == 17
     uca3 = next(u for u in payload["ucas"] if u["id"] == "UCA-3")
     assert uca3["hazards"] == ["H-4", "H-2"]
@@ -224,9 +246,7 @@ def test_stats_golden(corpus):
     assert render_stats(corpus) == golden("stats.md")
 
 
-def test_stats_to_dict_has_schema(corpus):
-    from stpalint.report import stats_to_dict
-
-    payload = stats_to_dict(stats(corpus))
+def test_stats_json_has_schema(corpus):
+    payload = json.loads(to_json(stats(corpus)))
     assert payload["stpa_schema"] == 1
     assert payload["ucas"] == 17
