@@ -184,16 +184,18 @@ def _walks(path: list[str], step: dict[str, list[str]], stop, prune=None) -> Ite
         stack.append(iter(children))
 
 
-def _emit_walks(path, step, stop, categories, emitted, emit, backward: bool) -> None:
+def _emit_walks(path, step, stop, categories, emitted: dict, backward: bool) -> None:
     """Emit `categories(node, depth)` along every walk of `_walks`, in walk order.
 
-    `depth` is a node's index in the walk, and a walk is emitted last node
-    first when `backward`. A neighbour is pruned when every node reachable
-    from it off the current path is already emitted in the role it would
-    have below it: each walk under it would emit nothing new but the current
-    path. `_walks` is lazy, so each prune test sees what the walks before it
-    emitted. So the traversal descends only where something is left to emit,
-    and costs polynomial time where listing the walks costs exponential.
+    Each category is emitted as the key `(category, node)` of `emitted`,
+    where a key already present keeps its place. `depth` is a node's index
+    in the walk, and a walk is emitted last node first when `backward`. A
+    neighbour is pruned when every node reachable from it off the current
+    path is already emitted in the role it would have below it: each walk
+    under it would emit nothing new but the current path. `_walks` is lazy,
+    so each prune test sees what the walks before it emitted. So the
+    traversal descends only where something is left to emit, and costs
+    polynomial time where listing the walks costs exponential.
     """
 
     def done(node: str, depth: int) -> bool:
@@ -207,7 +209,7 @@ def _emit_walks(path, step, stop, categories, emitted, emit, backward: bool) -> 
     for walk in _walks(path, step, stop, prune):
         for depth in range(len(walk) - 1, -1, -1) if backward else range(len(walk)):
             for category in categories(walk[depth], depth):
-                emit(category, walk[depth])
+                emitted[category, walk[depth]] = None
 
 
 def _open_loop(ucas: list[UnsafeControlAction], preds: dict[str, list[str]]) -> list[Diagnostic]:
@@ -251,8 +253,8 @@ class CausalIndex:
             i for i, e in self.entities.items() if e.kind is EntityKind.CONTROLLED_PROCESS
         }
         self._on_path: dict[tuple[str, str], set[str]] = {}
-        # key -> the checklist and its distinct categories, first appearance first
-        self._checklists: dict[tuple[str, str, bool], tuple[list[ChecklistItem], tuple[CfCategory, ...]]] = {}
+        # key -> the checklist's (category, entity id) pairs and its distinct categories
+        self._checklists: dict[tuple[str, str, bool], tuple[dict, tuple[CfCategory, ...]]] = {}
 
     def on_path(self, uca: UnsafeControlAction) -> set[str]:
         """The UCA's controller and every element of its feedback and control walks.
@@ -272,33 +274,29 @@ class CausalIndex:
             self._on_path[key] = ids
         return ids
 
-    def _memo(self, uca: UnsafeControlAction) -> tuple[list[ChecklistItem], tuple[CfCategory, ...]]:
+    def _memo(self, uca: UnsafeControlAction) -> tuple[dict, tuple[CfCategory, ...]]:
         key = (uca.source_controller, uca.action, uca.guide.category is GuideCategory.WRONG_TIMING)
         memo = self._checklists.get(key)
         if memo is None:
-            items = self._checklist(*key)
-            memo = self._checklists[key] = (items, tuple(dict.fromkeys(item.category for item in items)))
+            pairs = self._checklist(*key)
+            memo = self._checklists[key] = (pairs, tuple(dict.fromkeys(category for category, _ in pairs)))
         return memo
 
     def checklist(self, uca: UnsafeControlAction) -> list[ChecklistItem]:
-        """The items `checklist(model, uca)` returns, computed once per key."""
-        return list(self._memo(uca)[0])
+        """The items `checklist(model, uca)` returns, each prompt written from the memoized pairs."""
+        entities = self.entities
+        return [
+            ChecklistItem(category, at, _PROMPTS[category].format(label=entities[at].label if at in entities else at))
+            for category, at in self._memo(uca)[0]
+        ]
 
     def categories(self, uca: UnsafeControlAction) -> tuple[CfCategory, ...]:
         """The distinct categories of the UCA's checklist, in order of first appearance."""
         return self._memo(uca)[1]
 
-    def _checklist(self, controller: str, action: str, wrong_timing: bool) -> list[ChecklistItem]:
+    def _checklist(self, controller: str, action: str, wrong_timing: bool) -> dict[tuple[CfCategory, str], None]:
+        """The key's (category, entity id) pairs, as dict keys in checklist order."""
         entities = self.entities
-        items: list[ChecklistItem] = []
-        emitted: set[tuple[CfCategory, str]] = set()
-
-        def emit(category: CfCategory, entity_id: str) -> None:
-            if (category, entity_id) in emitted:
-                return
-            emitted.add((category, entity_id))
-            label = entities[entity_id].label if entity_id in entities else entity_id
-            items.append(ChecklistItem(category, entity_id, _PROMPTS[category].format(label=label)))
 
         def by_kind(entity_id: str, network: CfCategory, other: tuple[CfCategory, ...]):
             ent = entities.get(entity_id)
@@ -327,17 +325,17 @@ class CausalIndex:
             return by_kind(entity_id, CfCategory.CONTROL_PATH_TRANSMISSION, (CfCategory.ACTUATION_FAILURE,))
 
         closed_loop = controller in self.preds
-        emit(CfCategory.MENTAL_MODEL_CONTENT, controller)
-        emit(CfCategory.MENTAL_MODEL_UPDATE, controller)
+        pairs = {(CfCategory.MENTAL_MODEL_CONTENT, controller): None}
+        pairs[CfCategory.MENTAL_MODEL_UPDATE, controller] = None
         if closed_loop:
-            _emit_walks([controller], self.preds, (), feedback, emitted, emit, backward=True)
-        emit(CfCategory.CONTROL_ALGORITHM, controller)
+            _emit_walks([controller], self.preds, (), feedback, pairs, backward=True)
+        pairs[CfCategory.CONTROL_ALGORITHM, controller] = None
         if wrong_timing and closed_loop:
-            _emit_walks([controller], self.preds, (), timing, emitted, emit, backward=True)
+            _emit_walks([controller], self.preds, (), timing, pairs, backward=True)
         edge = self.edges.get(action)
         if edge is not None:
-            _emit_walks(edge.chain(), self.succs, self.processes, control, emitted, emit, backward=False)
-        return items
+            _emit_walks(edge.chain(), self.succs, self.processes, control, pairs, backward=False)
+        return pairs
 
 
 def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWalk], list[Diagnostic]]:

@@ -43,35 +43,6 @@ def _positive_int(text: str) -> int:
     raise ArgumentTypeError(message)
 
 
-_FORMAT = ("--format", ("md", "json"), "md", None)
-_OUTPUT = ("--output", Path, None, None)
-
-# The command line, declared once: command -> (help, options), in the order
-# `--help` lists them. An option is (name, kind, default, help). Its kind is
-# bool for a flag, str, Path, _positive_int, or a tuple of the choices; a
-# default of ... makes it required. Every command also takes one or more
-# input files. `build_parser` builds argparse's parser from this table, and
-# `_read_argv` reads a well-formed command line by the table alone.
-COMMANDS = {
-    "check": ("run all diagnostics", [("--quiet-warnings", bool, False, "warnings do not affect the exit code")]),
-    "contexts": (
-        "emit the context table of one (controller, action) pair as CSV",
-        [
-            ("--controller", str, ..., None),
-            ("--action", str, ..., None),
-            ("--max-rows", _positive_int, None, "combinatorial guard override"),
-            _OUTPUT,
-        ],
-    ),
-    "worksheet": ("emit the guide-word worksheet of one action", [("--action", str, ..., None), _FORMAT, _OUTPUT]),
-    "trace": ("emit traceability matrices", [_FORMAT, _OUTPUT]),
-    "checklist": ("emit the causal-factor checklist of one uca", [("--uca", str, ..., None), _FORMAT, _OUTPUT]),
-    "graph": ("emit the control structure as DOT", [_OUTPUT]),
-    "stats": ("emit summary counts", [_FORMAT, _OUTPUT]),
-    "fmt": ("rewrite input files in canonical form", []),
-}
-
-
 def build_parser():
     """argparse's parser for COMMANDS, which `run` uses for help and usage errors only."""
     import argparse
@@ -89,7 +60,7 @@ def build_parser():
 
     parser = _ArgumentParser(prog="stpalint", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in COMMANDS.items():
+    for command, (help_text, options, _) in COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
         cmd.add_argument("inputs", nargs="+", help="input .stpa files")
         for name, kind, default, option_help in options:
@@ -316,16 +287,39 @@ def _stats(model: StpaModel, args) -> str:
     return report.render_stats(model)
 
 
-# report command -> handler returning the text, or its lines, for stdout or
-# --output; each imports `report`, `analysis` and `causal` itself, as far as
-# it runs them, so `check` loads only `causal` and `fmt` none of them
-_REPORTS = {
-    "contexts": _contexts,
-    "worksheet": _worksheet,
-    "trace": _trace,
-    "checklist": _checklist,
-    "graph": _graph,
-    "stats": _stats,
+_ACTION = ("--action", str, ..., None)
+_FORMAT = ("--format", ("md", "json"), "md", None)
+_OUTPUT = ("--output", Path, None, None)
+
+# The command line, declared once: command -> (help, options, report), in the
+# order `--help` lists them. An option is (name, kind, default, help). Its
+# kind is bool for a flag, str, Path, _positive_int, or a tuple of the
+# choices; a default of ... makes it required. Every command also takes one
+# or more input files. A report returns the text, or its lines, for stdout or
+# --output, and imports `report`, `analysis` and `causal` only as far as it
+# runs them. `check` and `fmt` have no report: `run` runs them itself.
+# `build_parser` builds argparse's parser from this table, and `_read_argv`
+# reads a well-formed command line by the table alone.
+COMMANDS = {
+    "check": ("run all diagnostics", [("--quiet-warnings", bool, False, "warnings do not affect the exit code")], None),
+    "contexts": (
+        "emit the context table of one (controller, action) pair as CSV",
+        [
+            ("--controller", str, ..., None),
+            _ACTION,
+            ("--max-rows", _positive_int, None, "combinatorial guard override"),
+            _OUTPUT,
+        ],
+        _contexts,
+    ),
+    "worksheet": ("emit the guide-word worksheet of one action", [_ACTION, _FORMAT, _OUTPUT], _worksheet),
+    "trace": ("emit traceability matrices", [_FORMAT, _OUTPUT], _trace),
+    "checklist": (
+        "emit the causal-factor checklist of one uca", [("--uca", str, ..., None), _FORMAT, _OUTPUT], _checklist
+    ),
+    "graph": ("emit the control structure as DOT", [_OUTPUT], _graph),
+    "stats": ("emit summary counts", [_FORMAT, _OUTPUT], _stats),
+    "fmt": ("rewrite input files in canonical form", [], None),
 }
 
 
@@ -351,7 +345,7 @@ def run(argv: list[str] | None = None) -> int:
             for name in args.inputs:
                 _write(Path(name), texts[name], replace=True)
         else:
-            _write(args.output, _REPORTS[args.command](model, args))
+            _write(args.output, COMMANDS[args.command][2](model, args))
     except SystemExit as err:  # argparse printed help or a usage error
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     except _Unusable as err:

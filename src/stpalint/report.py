@@ -7,7 +7,7 @@ all outputs are golden-file testable.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import cache
 from operator import attrgetter
@@ -33,6 +33,11 @@ def _md_row(cells: list[str]) -> str:
     return "| " + " | ".join(cells) + " |"
 
 
+def _md_table(header: list[str], rows: Iterable[list[str]]) -> list[str]:
+    """The lines of a Markdown table: `header`, its `---` separator, then one line per row of cells."""
+    return [_md_row(header), _md_row(["---"] * len(header)), *map(_md_row, rows)]
+
+
 def _md_escape(text: str) -> str:
     """`text` on one Markdown line: each CommonMark line ending becomes a space, and `|` is escaped."""
     return text.replace("|", "\\|").replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
@@ -44,27 +49,14 @@ def render_worksheet(model: StpaModel, action: str) -> str:
     title = edge.label if edge is not None else action
     columns: dict[GuideCategory, list[str]] = {cat: [] for cat, _ in WORKSHEET_COLUMNS}
     for uca in model.ucas_on(action):
-        hazard_list = "[" + ", ".join(uca.hazards) + "]"
-        columns[uca.guide.category].append(
-            _md_escape(f"{uca.id}: {uca.description} {hazard_list}")
-        )
+        columns[uca.guide.category].append(_md_escape(f"{uca.id}: {uca.description} [{', '.join(uca.hazards)}]"))
     lines = [_md_escape(f"# Unsafe control actions: {title} ({action})"), ""]
-    if not any(columns.values()):
-        lines.append("_No unsafe control actions declared for this action._")
-        lines.append("")
-        depth = 0
+    if any(columns.values()):
+        headers = [header for _, header in WORKSHEET_COLUMNS]
+        lines += _md_table(headers, itertools.zip_longest(*columns.values(), fillvalue=""))
     else:
-        depth = max(len(cells) for cells in columns.values())
-    if depth:
-        lines.append(_md_row([header for _, header in WORKSHEET_COLUMNS]))
-        lines.append(_md_row(["---"] * len(WORKSHEET_COLUMNS)))
-        for i in range(depth):
-            row = []
-            for cat, _ in WORKSHEET_COLUMNS:
-                cells = columns[cat]
-                row.append(cells[i] if i < len(cells) else "")
-            lines.append(_md_row(row))
-        lines.append("")
+        lines.append("_No unsafe control actions declared for this action._")
+    lines.append("")
     return "\n".join(lines)
 
 
@@ -121,19 +113,20 @@ def render_context_csv(table: ContextTable) -> str:
 def _matrix(title: str, row_ids: list[str], col_ids: list[str], links: dict[str, list[str]]) -> list[str]:
     """One Markdown matrix: an `x` in each row whose id `links` lists for the column's id."""
     positions: dict[str, list[int]] = {row_id: [] for row_id in row_ids}
-    for j, col_id in enumerate(col_ids):
+    for j, col_id in enumerate(col_ids, 1):  # cell 0 of a row holds its id
         for row_id in links.get(col_id, ()):
             if row_id in positions:
                 positions[row_id].append(j)
     blank = [""] * len(col_ids)
-    lines = [f"## {title}", "", _md_row(["", *col_ids]), _md_row(["---"] * (len(col_ids) + 1))]
-    for row_id in row_ids:
-        cells = blank.copy()
-        for j in positions[row_id]:
-            cells[j] = "x"
-        lines.append(_md_row([row_id, *cells]))
-    lines.append("")
-    return lines
+
+    def rows() -> Iterator[list[str]]:
+        for row_id in row_ids:
+            cells = [row_id, *blank]
+            for j in positions[row_id]:
+                cells[j] = "x"
+            yield cells
+
+    return [f"## {title}", "", *_md_table(["", *col_ids], rows()), ""]
 
 
 def render_trace_matrix(model: StpaModel) -> str:

@@ -1,16 +1,20 @@
-"""Cell-by-cell reference for the traceability matrices.
+"""Reference renderers for the traceability matrices and the worksheet.
 
 `_matrix` and `render_trace_matrix` are the original ones: one lambda call
 and one list-membership test per cell, against lookup dicts that keep the
 last declaration of each id. They serve only as the oracle that
 `stpalint.report.render_trace_matrix`, which builds each row from its links,
 is compared with.
+
+`render_worksheet` is the original one too: it writes the table row by row,
+indexing each column by depth. It is the oracle for
+`stpalint.report.render_worksheet`, which zips its columns.
 """
 
 from __future__ import annotations
 
-from stpalint.model import StpaModel
-from stpalint.report import _md_row
+from stpalint.model import GuideCategory, StpaModel
+from stpalint.report import WORKSHEET_COLUMNS, _md_escape, _md_row
 
 
 def _matrix(title: str, row_ids: list[str], col_ids: list[str], linked) -> list[str]:
@@ -55,4 +59,34 @@ def render_trace_matrix(model: StpaModel) -> str:
         [sc.id for sc in model.constraints],
         lambda h, s: h in constraint_hazards[s],
     )
+    return "\n".join(lines)
+
+
+def render_worksheet(model: StpaModel, action: str) -> str:
+    """Four-column guide-word worksheet for one control action, Markdown."""
+    edge = model.edge_ids().get(action)
+    title = edge.label if edge is not None else action
+    columns: dict[GuideCategory, list[str]] = {cat: [] for cat, _ in WORKSHEET_COLUMNS}
+    for uca in model.ucas_on(action):
+        hazard_list = "[" + ", ".join(uca.hazards) + "]"
+        columns[uca.guide.category].append(
+            _md_escape(f"{uca.id}: {uca.description} {hazard_list}")
+        )
+    lines = [_md_escape(f"# Unsafe control actions: {title} ({action})"), ""]
+    if not any(columns.values()):
+        lines.append("_No unsafe control actions declared for this action._")
+        lines.append("")
+        depth = 0
+    else:
+        depth = max(len(cells) for cells in columns.values())
+    if depth:
+        lines.append(_md_row([header for _, header in WORKSHEET_COLUMNS]))
+        lines.append(_md_row(["---"] * len(WORKSHEET_COLUMNS)))
+        for i in range(depth):
+            row = []
+            for cat, _ in WORKSHEET_COLUMNS:
+                cells = columns[cat]
+                row.append(cells[i] if i < len(cells) else "")
+            lines.append(_md_row(row))
+        lines.append("")
     return "\n".join(lines)

@@ -207,6 +207,14 @@ _REF_LISTS = {
     "ucas": "hazards",
     "causal_factors": "ucas",
 }
+# section -> the section whose ids its reference list names
+_REF_TARGETS = {
+    "hazards": "losses",
+    "constraints": "hazards",
+    "edges": "entities",
+    "ucas": "hazards",
+    "causal_factors": "ucas",
+}
 _REF_VALUES = {
     "edges": ("source", "target"),
     "variables": ("owner",),
@@ -224,9 +232,11 @@ def hostile_models(draw) -> StpaModel:
     A mutation duplicates a declaration, gives one a sibling's id or a bad or
     empty id, empties a reference list, adds a dangling id to it or repeats
     its first id, or points a source, target, owner, action, source
-    controller, located_at or derived_from at nothing. Most models then give
-    each declaration a span of its own, so a diagnostic that blames the wrong
-    declaration shows.
+    controller, located_at or derived_from at nothing. Then, in each section
+    with a reference list, an id may be declared again later with another
+    list, so a report that reads the wrong declaration of an id shows. Most
+    models then give each declaration a span of its own, so a diagnostic
+    that blames the wrong declaration shows.
     """
     m = draw(st.one_of(models(), control_structures()))
     for _ in range(draw(st.integers(1, 6))):
@@ -259,6 +269,14 @@ def hostile_models(draw) -> StpaModel:
         else:
             name = draw(st.sampled_from(_REF_VALUES[section]))
             decls[i] = replace(decl, **{name: draw(st.sampled_from(["Ghost-1", ""]))})
+    for section, name in _REF_LISTS.items():
+        decls = getattr(m, section)
+        if decls and draw(st.booleans()):
+            i = draw(st.integers(0, len(decls) - 1))
+            targets = [*(d.id for d in getattr(m, _REF_TARGETS[section])), "Ghost-1"]
+            current = getattr(decls[i], name)
+            refs = draw(st.lists(st.sampled_from(targets), max_size=3, unique=True).filter(lambda r: r != current))
+            decls.insert(draw(st.integers(i + 1, len(decls))), replace(decls[i], **{name: refs}))
     if draw(st.integers(0, 3)):
         line = 0
         for section in _SECTIONS:

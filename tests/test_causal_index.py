@@ -194,6 +194,19 @@ def test_check_never_lists_walks(monkeypatch, capsys):
     assert capsys.readouterr() == expected
 
 
+def test_check_builds_no_checklist_item(monkeypatch, capsys):
+    args = ["check", *map(str, corpus_paths())]
+    code = cli.run(args)
+    expected = capsys.readouterr()
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("check built a checklist item")
+
+    monkeypatch.setattr(causal, "ChecklistItem", forbidden)
+    assert cli.run(args) == code == 0
+    assert capsys.readouterr() == expected
+
+
 def test_check_reports_analysis_errors_without_traceback(monkeypatch, capsys):
     def failing(*_args, **_kwargs):
         raise AnalysisError("too much")

@@ -220,8 +220,8 @@ def argparse_reads(argv):
 def test_build_parser_declares_the_options_of_the_table():
     (commands,) = [a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(commands.choices) == list(cli.COMMANDS)
-    assert [a.help for a in commands._choices_actions] == [help_text for help_text, _ in cli.COMMANDS.values()]
-    for command, (_, options) in cli.COMMANDS.items():
+    assert [a.help for a in commands._choices_actions] == [help_text for help_text, _, _ in cli.COMMANDS.values()]
+    for command, (_, options, _) in cli.COMMANDS.items():
         declared = [
             (a.option_strings, a.dest, a.required, a.default, a.choices, a.type, a.help)
             for a in commands.choices[command]._actions
@@ -273,7 +273,7 @@ def command_lines(draw):
     command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "-h"]))
     inputs = draw(st.lists(INPUTS, max_size=3))
     chunks = [inputs] if draw(st.booleans()) else [[word] for word in inputs]
-    for name, kind, _, _ in cli.COMMANDS.get(command, ("", []))[1]:
+    for name, kind, _, _ in cli.COMMANDS.get(command, ("", [], None))[1]:
         chunks += [draw(option_words(name, kind)) for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])))]
     chunks += [[word] for word in draw(st.lists(STRAY, max_size=1))]
     return [command, *(word for chunk in draw(st.permutations(chunks)) for word in chunk)]

@@ -8,6 +8,7 @@ from stpalint import StpaModel, build_context_table, checklist, stats
 from stpalint.analysis import ContextTable
 from stpalint.model import GuideCategory, GuideWord, ProcessModelVariable, UnsafeControlAction
 from stpalint.report import (
+    WORKSHEET_COLUMNS,
     render_checklist,
     render_context_csv,
     render_graph,
@@ -59,6 +60,25 @@ def test_worksheet_escapes_pipes_and_newlines():
     m.ucas[0].description = "a|b\nc"
     text = render_worksheet(m, "AC-1")
     assert "a\\|b c" in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(strategies.models(), strategies.control_structures(), strategies.hostile_models()))
+def test_worksheet_matches_the_row_by_row_oracle(model):
+    for action in dict.fromkeys([*(e.id for e in model.edges), *(u.action for u in model.ucas), "Unknown-action"]):
+        assert render_worksheet(model, action) == report_oracle.render_worksheet(model, action), action
+
+
+def test_worksheet_matches_the_oracle_on_uneven_columns_and_line_breaks(corpus):
+    m = StpaModel(**{name: list(getattr(corpus, name)) for name in StpaModel.__slots__})
+    brake = [i for i, u in enumerate(m.ucas) if u.action == "BrakeCmd"]
+    for i, text in zip(brake, ["a|b", "c\r\nd", "e\rf|", "g\nh"]):
+        m.ucas[i] = strategies.replace(m.ucas[i], description=text)
+    columns = [sum(m.ucas[i].guide.category is category for i in brake) for category, _ in WORKSHEET_COLUMNS]
+    assert len(set(columns)) > 1  # uneven
+    assert not m.ucas_on("ChangeSWA")
+    for action in ("BrakeCmd", "ChangeSWA", "Unknown-action"):
+        assert render_worksheet(m, action) == report_oracle.render_worksheet(m, action), action
 
 
 # the line endings of CommonMark, and a `|` that no backslash escapes
