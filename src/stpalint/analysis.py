@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from .model import (
     AnalysisError,
@@ -274,8 +275,9 @@ def stats(model: StpaModel) -> ModelStats:
         per_action = result.ucas_by_action_guide.setdefault(uca.action, {})
         key = uca.guide.category.value
         per_action[key] = per_action.get(key, 0) + 1
+    cited = Counter(ref for u in model.ucas for ref in set(u.hazards))  # a UCA counts once per hazard
     for hz in model.hazards:
-        result.ucas_per_hazard[hz.id] = sum(1 for u in model.ucas if hz.id in u.hazards)
+        result.ucas_per_hazard[hz.id] = cited[hz.id]
     for cf in model.causal_factors:
         key = cf.category.value
         result.cfs_by_category[key] = result.cfs_by_category.get(key, 0) + 1

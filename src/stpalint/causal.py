@@ -7,8 +7,9 @@ the process). Both walks drive the per-UCA checklist and validate where
 declared causal factors may sit.
 
 `walk_paths` lists the walks themselves, whose number can be exponential.
-`check` and `checklist` never list them: a CausalIndex derives on-path sets
-by reachability, and checklists by the same walk traversal with a prune test.
+`check` and `checklist` never list them: they derive on-path sets by
+reachability, and checklists by the same walk traversal with a prune test,
+each memoized on the command's `ModelIndex`.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from .model import (
     CausalFactor,
     CfCategory,
     Diagnostic,
-    EdgeKind,
     Entity,
     EntityKind,
     GuideCategory,
+    ModelIndex,
     Record,
     StpaModel,
     UnsafeControlAction,
     diagnostic,
+    indexed,
     span_of,
 )
 
@@ -108,26 +110,7 @@ def _is_network(entity: Entity) -> bool:
     return "network" in entity.id.lower() or "network" in entity.label.lower()
 
 
-def _adjacency(model: StpaModel, kind: EdgeKind, *, reverse: bool) -> dict[str, list[str]]:
-    """Neighbours along the chains of every `kind` edge, in first-seen order.
-
-    Maps each node to its successors, or to its predecessors when `reverse`.
-    """
-    adjacent: dict[str, list[str]] = {}
-    for edge in model.edges:
-        if edge.kind is not kind:
-            continue
-        chain = edge.chain()
-        for a, b in zip(chain, chain[1:]):
-            if reverse:
-                a, b = b, a
-            bucket = adjacent.setdefault(a, [])
-            if b not in bucket:
-                bucket.append(b)
-    return adjacent
-
-
-def _reach(start: str, step: dict[str, list[str]], blocked, stop=frozenset()) -> set[str]:
+def _reach(start: str, step: dict[str, dict], blocked, stop=frozenset()) -> set[str]:
     """`start` and every node reachable from it along `step`.
 
     The search enters no `blocked` node and does not continue past a `stop`
@@ -146,7 +129,7 @@ def _reach(start: str, step: dict[str, list[str]], blocked, stop=frozenset()) ->
     return seen
 
 
-def _walks(path: list[str], step: dict[str, list[str]], stop, prune=None) -> Iterator[list[str]]:
+def _walks(path: list[str], step: dict[str, dict], stop, prune=None) -> Iterator[list[str]]:
     """Every walk that extends `path` along `step`, depth-first in adjacency order.
 
     A walk ends at a `stop` node or where no neighbour off the walk is left.
@@ -212,7 +195,7 @@ def _emit_walks(path, step, stop, categories, emitted: dict, backward: bool) -> 
                 emitted[category, walk[depth]] = None
 
 
-def _open_loop(ucas: list[UnsafeControlAction], preds: dict[str, list[str]]) -> list[Diagnostic]:
+def _open_loop(ucas: list[UnsafeControlAction], preds: dict[str, dict]) -> list[Diagnostic]:
     """One `causal/open-loop` warning per UCA whose controller no feedback reaches, in UCA order.
 
     A UCA without a source controller, one whose action names no edge, gets
@@ -229,116 +212,93 @@ def _open_loop(ucas: list[UnsafeControlAction], preds: dict[str, list[str]]) -> 
     ]
 
 
-def open_loop(model: StpaModel) -> list[Diagnostic]:
+def open_loop(model: StpaModel | ModelIndex) -> list[Diagnostic]:
     """The `causal/open-loop` warnings of every UCA of the model; see `_open_loop`."""
-    return _open_loop(model.ucas, _adjacency(model, EdgeKind.FEEDBACK, reverse=True))
+    index = indexed(model)
+    return _open_loop(index.model.ucas, index.preds)
 
 
-class CausalIndex:
-    """The derived structures of one model, built once and shared by its UCAs.
+def on_path(index: ModelIndex, uca: UnsafeControlAction) -> set[str]:
+    """The UCA's controller and every element of its feedback and control walks.
 
-    Holds the entity and edge maps and the feedback-predecessor and
-    control-successor adjacency. On-path sets are memoized per (controller,
-    action), and checklists and their categories per (controller, action,
-    wrong timing), the only parts of a UCA they depend on. Nothing here
-    lists walks.
+    Found by reachability: a node lies on some walk exactly when a walk
+    prefix reaches it, because every prefix extends to a whole walk. The
+    set is memoized per (controller, action), the only parts of a UCA it
+    depends on.
     """
-
-    def __init__(self, model: StpaModel):
-        self.entities = model.entity_ids()
-        self.edges = model.edge_ids()
-        self.preds = _adjacency(model, EdgeKind.FEEDBACK, reverse=True)
-        self.succs = _adjacency(model, EdgeKind.CONTROL_ACTION, reverse=False)
-        self.processes = {
-            i for i, e in self.entities.items() if e.kind is EntityKind.CONTROLLED_PROCESS
-        }
-        self._on_path: dict[tuple[str, str], set[str]] = {}
-        # key -> the checklist's (category, entity id) pairs and its distinct categories
-        self._checklists: dict[tuple[str, str, bool], tuple[dict, tuple[CfCategory, ...]]] = {}
-
-    def on_path(self, uca: UnsafeControlAction) -> set[str]:
-        """The UCA's controller and every element of its feedback and control walks.
-
-        Found by reachability: a node lies on some walk exactly when a walk
-        prefix reaches it, because every prefix extends to a whole walk.
-        """
-        key = (uca.source_controller, uca.action)
-        ids = self._on_path.get(key)
-        if ids is None:
-            ids = _reach(uca.source_controller, self.preds, ())
-            edge = self.edges.get(uca.action)
-            if edge is not None:
-                chain = edge.chain()
-                ids.update(chain)
-                ids |= _reach(chain[-1], self.succs, set(chain), self.processes)
-            self._on_path[key] = ids
-        return ids
-
-    def _memo(self, uca: UnsafeControlAction) -> tuple[dict, tuple[CfCategory, ...]]:
-        key = (uca.source_controller, uca.action, uca.guide.category is GuideCategory.WRONG_TIMING)
-        memo = self._checklists.get(key)
-        if memo is None:
-            pairs = self._checklist(*key)
-            memo = self._checklists[key] = (pairs, tuple(dict.fromkeys(category for category, _ in pairs)))
-        return memo
-
-    def checklist(self, uca: UnsafeControlAction) -> list[ChecklistItem]:
-        """The items `checklist(model, uca)` returns, each prompt written from the memoized pairs."""
-        entities = self.entities
-        return [
-            ChecklistItem(category, at, _PROMPTS[category].format(label=entities[at].label if at in entities else at))
-            for category, at in self._memo(uca)[0]
-        ]
-
-    def categories(self, uca: UnsafeControlAction) -> tuple[CfCategory, ...]:
-        """The distinct categories of the UCA's checklist, in order of first appearance."""
-        return self._memo(uca)[1]
-
-    def _checklist(self, controller: str, action: str, wrong_timing: bool) -> dict[tuple[CfCategory, str], None]:
-        """The key's (category, entity id) pairs, as dict keys in checklist order."""
-        entities = self.entities
-
-        def by_kind(entity_id: str, network: CfCategory, other: tuple[CfCategory, ...]):
-            ent = entities.get(entity_id)
-            if entity_id == controller or ent is None:
-                return ()
-            if ent.kind in (EntityKind.ENVIRONMENT, EntityKind.CONTROLLED_PROCESS):
-                return (CfCategory.PROCESS_DISTURBANCE,)
-            if ent.kind is EntityKind.CONTROLLER:
-                return (CfCategory.PRE_PROCESSING,)
-            if _is_network(ent):
-                return (network,)
-            return other
-
-        def feedback(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
-            if depth == 1:  # the element presenting directly to the controller
-                return by_kind(entity_id, CfCategory.TRANSMISSION_LOSS, _PRESENTING)
-            return by_kind(entity_id, CfCategory.TRANSMISSION_LOSS, _SENSING)
-
-        def timing(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
-            ent = entities.get(entity_id)
-            if ent is not None and ent.kind is EntityKind.ENVIRONMENT:
-                return ()  # reality itself carries no processing delay
-            return (CfCategory.TIMING_DELAY,)
-
-        def control(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
-            return by_kind(entity_id, CfCategory.CONTROL_PATH_TRANSMISSION, (CfCategory.ACTUATION_FAILURE,))
-
-        closed_loop = controller in self.preds
-        pairs = {(CfCategory.MENTAL_MODEL_CONTENT, controller): None}
-        pairs[CfCategory.MENTAL_MODEL_UPDATE, controller] = None
-        if closed_loop:
-            _emit_walks([controller], self.preds, (), feedback, pairs, backward=True)
-        pairs[CfCategory.CONTROL_ALGORITHM, controller] = None
-        if wrong_timing and closed_loop:
-            _emit_walks([controller], self.preds, (), timing, pairs, backward=True)
-        edge = self.edges.get(action)
+    key = (uca.source_controller, uca.action)
+    ids = index.on_paths.get(key)
+    if ids is None:
+        ids = _reach(uca.source_controller, index.preds, ())
+        edge = index.ids["edges"].get(uca.action)
         if edge is not None:
-            _emit_walks(edge.chain(), self.succs, self.processes, control, pairs, backward=False)
-        return pairs
+            chain = edge.chain()
+            ids.update(chain)
+            ids |= _reach(chain[-1], index.succs, set(chain), index.processes)
+        index.on_paths[key] = ids
+    return ids
 
 
-def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWalk], list[Diagnostic]]:
+def _memo(index: ModelIndex, uca: UnsafeControlAction) -> tuple[dict, tuple[CfCategory, ...]]:
+    """The UCA's checklist pairs and categories, memoized per (controller, action, wrong timing)."""
+    key = (uca.source_controller, uca.action, uca.guide.category is GuideCategory.WRONG_TIMING)
+    memo = index.checklists.get(key)
+    if memo is None:
+        pairs = _checklist(index, *key)
+        memo = index.checklists[key] = (pairs, tuple(dict.fromkeys(category for category, _ in pairs)))
+    return memo
+
+
+def categories(index: ModelIndex, uca: UnsafeControlAction) -> tuple[CfCategory, ...]:
+    """The distinct categories of the UCA's checklist, in order of first appearance."""
+    return _memo(index, uca)[1]
+
+
+def _checklist(index: ModelIndex, controller: str, action: str, wrong_timing: bool) -> dict[tuple, None]:
+    """The key's (category, entity id) pairs, as dict keys in checklist order; no walk is listed."""
+    entities = index.ids["entities"]
+
+    def by_kind(entity_id: str, network: CfCategory, other: tuple[CfCategory, ...]):
+        ent = entities.get(entity_id)
+        if entity_id == controller or ent is None:
+            return ()
+        if ent.kind in (EntityKind.ENVIRONMENT, EntityKind.CONTROLLED_PROCESS):
+            return (CfCategory.PROCESS_DISTURBANCE,)
+        if ent.kind is EntityKind.CONTROLLER:
+            return (CfCategory.PRE_PROCESSING,)
+        if _is_network(ent):
+            return (network,)
+        return other
+
+    def feedback(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
+        if depth == 1:  # the element presenting directly to the controller
+            return by_kind(entity_id, CfCategory.TRANSMISSION_LOSS, _PRESENTING)
+        return by_kind(entity_id, CfCategory.TRANSMISSION_LOSS, _SENSING)
+
+    def timing(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
+        ent = entities.get(entity_id)
+        if ent is not None and ent.kind is EntityKind.ENVIRONMENT:
+            return ()  # reality itself carries no processing delay
+        return (CfCategory.TIMING_DELAY,)
+
+    def control(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
+        return by_kind(entity_id, CfCategory.CONTROL_PATH_TRANSMISSION, (CfCategory.ACTUATION_FAILURE,))
+
+    closed_loop = controller in index.preds
+    pairs = {(CfCategory.MENTAL_MODEL_CONTENT, controller): None}
+    pairs[CfCategory.MENTAL_MODEL_UPDATE, controller] = None
+    if closed_loop:
+        _emit_walks([controller], index.preds, (), feedback, pairs, backward=True)
+    pairs[CfCategory.CONTROL_ALGORITHM, controller] = None
+    if wrong_timing and closed_loop:
+        _emit_walks([controller], index.preds, (), timing, pairs, backward=True)
+    edge = index.ids["edges"].get(action)
+    if edge is not None:
+        _emit_walks(edge.chain(), index.succs, index.processes, control, pairs, backward=False)
+    return pairs
+
+
+def walk_paths(model: StpaModel | ModelIndex, uca: UnsafeControlAction) -> tuple[list[PathWalk], list[Diagnostic]]:
     """Feedback walks into the UCA's controller and control walks along its action.
 
     Feedback walks run origin-first (an environment entity is a legal origin);
@@ -346,9 +306,9 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
     and continue until a controlled process or a dead end. Cycles are cut with
     a per-path visited set. The number of walks can grow exponentially with
     the depth of the structure: more than DEFAULT_MAX_WALKS raises AnalysisError.
-    `check` and `checklist` never list walks; they use CausalIndex.
+    `check` and `checklist` never list walks.
     """
-    index = CausalIndex(model)
+    index = indexed(model)
     controller = uca.source_controller
     walks: list[PathWalk] = []
 
@@ -364,7 +324,7 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
         for walk in _walks([controller], index.preds, ()):
             record(PathDirection.FEEDBACK_PATH, walk[::-1])
 
-    action_edge = index.edges.get(uca.action)
+    action_edge = index.ids["edges"].get(uca.action)
     if action_edge is not None:
         for walk in _walks(action_edge.chain(), index.succs, index.processes):
             record(PathDirection.CONTROL_PATH, walk)
@@ -372,14 +332,20 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
     return walks, _open_loop([uca], index.preds)
 
 
-def checklist(model: StpaModel, uca: UnsafeControlAction) -> list[ChecklistItem]:
+def checklist(model: StpaModel | ModelIndex, uca: UnsafeControlAction) -> list[ChecklistItem]:
     """Deterministic causal-factor prompts covering every walk element.
 
     Order: controller beliefs first, then the feedback walks element by
     element, the controller's algorithm, timing prompts for wrong-timing
-    UCAs, and finally the control walks.
+    UCAs, and finally the control walks. Each prompt is written from the
+    memoized pairs.
     """
-    return CausalIndex(model).checklist(uca)
+    index = indexed(model)
+    entities = index.ids["entities"]
+    return [
+        ChecklistItem(category, at, _PROMPTS[category].format(label=entities[at].label if at in entities else at))
+        for category, at in _memo(index, uca)[0]
+    ]
 
 
 _PUNCTUATION = re.compile(r"[^\w\s]|_")  # keeps what str.isalnum or str.isspace accepts
@@ -389,28 +355,27 @@ def _normalize(text: str) -> str:
     return " ".join(_PUNCTUATION.sub("", text.lower()).split())
 
 
-def validate_cfs(model: StpaModel) -> list[Diagnostic]:
+def validate_cfs(model: StpaModel | ModelIndex) -> list[Diagnostic]:
     """Check declared causal factors against the walk structure.
 
     Errors for factors located off every walk of their UCAs, warnings for
     likely duplicates, and one info per checklist category a UCA leaves
     unaddressed.
     """
-    index = CausalIndex(model)
+    index = indexed(model)
+    model, ucas_by_id = index.model, index.ids["ucas"]
     diags: list[Diagnostic] = []
-    ucas_by_id = model.uca_ids()
-    edges = index.edges
 
     for cf in model.causal_factors:
-        on_path = [index.on_path(ucas_by_id[ref]) for ref in cf.ucas if ref in ucas_by_id]
-        if not on_path:
+        sets = [on_path(index, ucas_by_id[ref]) for ref in cf.ucas if ref in ucas_by_id]
+        if not sets:
             continue
         located = cf.located_at
-        edge = edges.get(located)
-        ok = any(located in ids for ids in on_path) or (
+        edge = index.ids["edges"].get(located)
+        ok = any(located in ids for ids in sets) or (
             edge is not None
-            and any(edge.source in ids for ids in on_path)
-            and any(edge.target in ids for ids in on_path)
+            and any(edge.source in ids for ids in sets)
+            and any(edge.target in ids for ids in sets)
         )
         if not ok:
             message = f"causal factor off-path: {cf.id} is located at {located}, which is on no walk of its ucas"
@@ -440,7 +405,7 @@ def validate_cfs(model: StpaModel) -> list[Diagnostic]:
             declared.setdefault(ref, []).append(cf.category)
     for uca in model.ucas:
         covered = declared.get(uca.id, ())
-        for category in index.categories(uca):
+        for category in categories(index, uca):
             if category in covered:
                 continue
             message = f"uca {uca.id} has no causal factor in category {category.value}"

@@ -18,8 +18,8 @@ from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
-from .model import AnalysisError, Diagnostic, EdgeKind, Severity, StpaModel, trace_closure
-from .parser import parse, read_source
+from .model import AnalysisError, Diagnostic, EdgeKind, ModelIndex, Severity, trace_closure
+from .parser import parse_index, read_source
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -139,7 +139,7 @@ def _diagnostic_lines(diags: list[Diagnostic]):
             yield f"{span.file}:{span.line_start}:{span.col_start}: note: {message}"
 
 
-def _load(inputs: list[str]) -> tuple[StpaModel, list[Diagnostic]]:
+def _load(inputs: list[str]) -> tuple[ModelIndex, list[Diagnostic]]:
     sources = []
     for name in inputs:
         try:
@@ -148,7 +148,7 @@ def _load(inputs: list[str]) -> tuple[StpaModel, list[Diagnostic]]:
             raise _Unusable(f"cannot read {name}: {err.strerror}") from None
         except UnicodeDecodeError:
             raise _Unusable(f"cannot read {name}: not valid UTF-8") from None
-    return parse(sources)
+    return parse_index(sources)
 
 
 def _batches(lines: Iterable[str]) -> Iterator[str]:
@@ -213,10 +213,10 @@ def _max_rows(args, default: int) -> int:
     return default
 
 
-def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
+def _check(index: ModelIndex, diags: list[Diagnostic], args) -> int:
     from . import causal
 
-    diags = [*diags, *trace_closure(model), *causal.open_loop(model), *causal.validate_cfs(model)]
+    diags = [*diags, *trace_closure(index), *causal.open_loop(index), *causal.validate_cfs(index)]
     _tell(_diagnostic_lines(diags))
     severities = {d.severity for d in diags}
     if Severity.ERROR in severities:
@@ -226,65 +226,65 @@ def _check(model: StpaModel, diags: list[Diagnostic], args) -> int:
     return EXIT_OK
 
 
-def _control_action(model: StpaModel, action: str, controller: str | None = None) -> None:
+def _control_action(index: ModelIndex, action: str, controller: str | None = None) -> None:
     """Raise _Unusable unless `action` is a control-action edge, issued by `controller` if one is given."""
-    edge = model.edge_ids().get(action)
+    edge = index.ids["edges"].get(action)
     if edge is None or edge.kind is not EdgeKind.CONTROL_ACTION:
         raise _Unusable(f"unknown action {action}")
     if controller is not None and edge.source != controller:
         raise _Unusable(f"action {action} is not issued by controller {controller}")
 
 
-def _contexts(model: StpaModel, args) -> Iterable[str]:
+def _contexts(index: ModelIndex, args) -> Iterable[str]:
     from . import analysis, report
 
-    _control_action(model, args.action, args.controller)
+    _control_action(index, args.action, args.controller)
     max_rows = _max_rows(args, analysis.DEFAULT_MAX_ROWS)
-    table = analysis.build_context_table(model, args.controller, args.action, max_rows=max_rows)
+    table = analysis.build_context_table(index.model, args.controller, args.action, max_rows=max_rows)
     return report.context_csv_lines(table)
 
 
-def _worksheet(model: StpaModel, args) -> str:
+def _worksheet(index: ModelIndex, args) -> str:
     from . import report
 
-    _control_action(model, args.action)
+    _control_action(index, args.action)
     if args.format == "json":
-        return report.to_json({"action": args.action, "ucas": model.ucas_on(args.action)})
-    return report.render_worksheet(model, args.action)
+        return report.to_json({"action": args.action, "ucas": index.model.ucas_on(args.action)})
+    return report.render_worksheet(index, args.action)
 
 
-def _trace(model: StpaModel, args) -> str:
+def _trace(index: ModelIndex, args) -> str:
     from . import report
 
     if args.format == "json":
-        return report.to_json(model)
-    return report.render_trace_matrix(model)
+        return report.to_json(index.model)
+    return report.render_trace_matrix(index)
 
 
-def _checklist(model: StpaModel, args) -> str:
+def _checklist(index: ModelIndex, args) -> str:
     from . import causal, report
 
-    uca = model.uca_ids().get(args.uca)
+    uca = index.ids["ucas"].get(args.uca)
     if uca is None:
         raise _Unusable(f"unknown uca {args.uca}")
-    items = causal.checklist(model, uca)
+    items = causal.checklist(index, uca)
     if args.format == "json":
         return report.to_json({"uca": args.uca, "items": items})
     return report.render_checklist(items, args.uca)
 
 
-def _graph(model: StpaModel, args) -> str:
+def _graph(index: ModelIndex, args) -> str:
     from . import report
 
-    return report.render_graph(model)
+    return report.render_graph(index.model)
 
 
-def _stats(model: StpaModel, args) -> str:
+def _stats(index: ModelIndex, args) -> str:
     from . import analysis, report
 
     if args.format == "json":
-        return report.to_json(analysis.stats(model))
-    return report.render_stats(model)
+        return report.to_json(analysis.stats(index.model))
+    return report.render_stats(index.model)
 
 
 _ACTION = ("--action", str, ..., None)
@@ -295,9 +295,9 @@ _OUTPUT = ("--output", Path, None, None)
 # order `--help` lists them. An option is (name, kind, default, help). Its
 # kind is bool for a flag, str, Path, _positive_int, or a tuple of the
 # choices; a default of ... makes it required. Every command also takes one
-# or more input files. A report returns the text, or its lines, for stdout or
-# --output, and imports `report`, `analysis` and `causal` only as far as it
-# runs them. `check` and `fmt` have no report: `run` runs them itself.
+# or more input files. A report takes the model's index and the arguments,
+# returns the text, or its lines, for stdout or --output, and imports
+# `report`, `analysis` and `causal` only as far as it runs them. `check` and `fmt` have no report: `run` runs them itself.
 # `build_parser` builds argparse's parser from this table, and `_read_argv`
 # reads a well-formed command line by the table alone.
 COMMANDS = {
@@ -328,9 +328,9 @@ def run(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _read_argv(argv) or build_parser().parse_args(argv)
-        model, diags = _load(args.inputs)
+        index, diags = _load(args.inputs)
         if args.command == "check":
-            return _check(model, diags, args)
+            return _check(index, diags, args)
         errors = [d for d in diags if d.severity is Severity.ERROR]
         if errors:  # the other commands need a usable model
             _tell(_diagnostic_lines(errors))
@@ -341,11 +341,11 @@ def run(argv: list[str] | None = None) -> int:
             for name in args.inputs:  # a FIFO or a device would be replaced by a regular file
                 if not Path(name).is_file():
                     raise _Unusable(f"cannot write {name}: not a regular file")
-            texts = printer.serialize_files(model, args.inputs)
+            texts = printer.serialize_files(index.model, args.inputs)
             for name in args.inputs:
                 _write(Path(name), texts[name], replace=True)
         else:
-            _write(args.output, COMMANDS[args.command][2](model, args))
+            _write(args.output, COMMANDS[args.command][2](index, args))
     except SystemExit as err:  # argparse printed help or a usage error
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     except _Unusable as err:

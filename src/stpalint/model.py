@@ -313,12 +313,6 @@ _KINDS = {
 class StpaModel(Record, defaults=dict.fromkeys(_KINDS, list)):
     __slots__ = tuple(_KINDS)
 
-    def entity_ids(self) -> dict[str, Entity]:
-        return {d.id: d for d in self.entities}
-
-    def edge_ids(self) -> dict[str, Edge]:
-        return {d.id: d for d in self.edges}
-
     def uca_ids(self) -> dict[str, UnsafeControlAction]:
         return {d.id: d for d in self.ucas}
 
@@ -330,27 +324,63 @@ class StpaModel(Record, defaults=dict.fromkeys(_KINDS, list)):
         return [u for u in self.ucas if u.action == action]
 
 
+class ModelIndex:
+    """The derived structures of one model, built once and read by every phase of a command.
+
+    `ids[section]` maps each id of a section to its declaration: a repeated
+    id means its last declaration, here and nowhere else. `preds` maps each
+    node to its predecessors along the feedback chains, `succs` to its
+    successors along the control-action chains, each as dict keys in
+    first-seen order; `processes` holds the ids whose last declaration is a
+    controlled process. The causal checks memoize here the on-path set of
+    each (controller, action) and the checklist pairs and categories of each
+    (controller, action, wrong timing). A model keeps no index of its own:
+    an index shows the model as it was when the index was built.
+    """
+
+    def __init__(self, model: StpaModel):
+        self.model = model
+        self.ids = {section: {d.id: d for d in getattr(model, section)} for section in _KINDS}
+        self.preds: dict[str, dict[str, None]] = {}
+        self.succs: dict[str, dict[str, None]] = {}
+        for edge in model.edges:
+            chain = edge.chain()
+            for a, b in zip(chain, chain[1:]):
+                if edge.kind is EdgeKind.FEEDBACK:
+                    self.preds.setdefault(b, {})[a] = None
+                elif edge.kind is EdgeKind.CONTROL_ACTION:
+                    self.succs.setdefault(a, {})[b] = None
+        self.processes = {i for i, e in self.ids["entities"].items() if e.kind is EntityKind.CONTROLLED_PROCESS}
+        self.on_paths: dict[tuple[str, str], set[str]] = {}
+        self.checklists: dict[tuple[str, str, bool], tuple[dict, tuple[CfCategory, ...]]] = {}
+
+
+def indexed(model: StpaModel | ModelIndex) -> ModelIndex:
+    """`model` if it is an index, else a fresh index of it."""
+    return model if isinstance(model, ModelIndex) else ModelIndex(model)
+
+
 def span_of(decl) -> SourceSpan:
     """The declaration's source span, or `FALLBACK_SPAN` for one built in code."""
     return decl.span if decl.span is not None else FALLBACK_SPAN
 
 
-def resolve(model: StpaModel) -> list[Diagnostic]:
+def resolve(model: StpaModel | ModelIndex) -> list[Diagnostic]:
     """Check id uniqueness, reference closure and structural invariants.
 
     Returns one diagnostic per violation; an empty list means the model is
     internally consistent. Diagnostics are data, not failures.
     """
+    index = indexed(model)
+    model, ids = index.model, index.ids
     diags: list[Diagnostic] = []
 
     def flag(rule: str, message: str, decl, related=None) -> None:
         diags.append(diagnostic(rule, message, span_of(decl), related))
 
-    ids: dict[str, dict] = {}
     for section, kind_name in _KINDS.items():
-        decls = getattr(model, section)
         seen: dict[str, object] = {}
-        for decl in decls:
+        for decl in getattr(model, section):
             if not decl.id or not ID_PATTERN.match(decl.id):
                 flag("resolve/bad-identifier", f"invalid {kind_name} id {decl.id!r}", decl)
             if decl.id in seen:
@@ -358,8 +388,6 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
                 flag("resolve/duplicate-id", f"duplicate id {decl.id}", decl, related)
             else:
                 seen[decl.id] = decl
-        # A duplicated id resolves to its last declaration.
-        ids[section] = {d.id: d for d in decls}
 
     def repeats(decl, values: list[str], kind_name: str) -> None:
         """Flag each id that the reference list `values` names more than once, once."""
@@ -378,10 +406,6 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         if required and len(values) > 1 and len(set(values)) < len(values):
             repeats(decl, values, kind_name)
 
-    entities = ids["entities"]
-    edges = ids["edges"]
-    variables = ids["variables"]
-
     for loss in model.losses:
         if not loss.description:
             flag("resolve/empty-description", f"loss {loss.id} has an empty description", loss)
@@ -399,7 +423,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
             flag("resolve/self-loop", f"edge {edge.id} connects {edge.source} to itself", edge)
         refs(edge, (edge.source, edge.target), "entities")
         for ref in edge.via:
-            ent = entities.get(ref)
+            ent = ids["entities"].get(ref)
             if ent is None:
                 flag("resolve/unresolved-ref", f"unresolved entity {ref}", edge)
             elif ent.kind not in (EntityKind.SENSOR, EntityKind.ACTUATOR):
@@ -408,7 +432,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
             repeats(edge, edge.via, "entity")
 
     for var in model.variables:
-        owner = entities.get(var.owner)
+        owner = ids["entities"].get(var.owner)
         if owner is None:
             flag("resolve/unresolved-ref", f"unresolved entity {var.owner}", var)
         elif owner.kind is not EntityKind.CONTROLLER:
@@ -423,7 +447,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
 
     for uca in model.ucas:
         refs(uca, (uca.action,), "edges")
-        edge = edges.get(uca.action)
+        edge = ids["edges"].get(uca.action)
         if edge is not None:
             if edge.kind is not EdgeKind.CONTROL_ACTION:
                 flag("resolve/not-a-control-action", f"uca {uca.id} must reference a control action edge", uca)
@@ -442,7 +466,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
                 uca,
             )
         for var_id, value in uca.context.assignments.items():
-            var = variables.get(var_id)
+            var = ids["variables"].get(var_id)
             if var is None:
                 flag("resolve/unresolved-ref", f"unresolved variable {var_id}", uca)
                 continue
@@ -457,7 +481,7 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
         refs(uca, uca.hazards, "hazards", "uca")
 
     for cf in model.causal_factors:
-        if cf.located_at not in entities and cf.located_at not in edges:
+        if cf.located_at not in ids["entities"] and cf.located_at not in ids["edges"]:
             flag("resolve/unresolved-ref", f"unresolved entity or edge {cf.located_at}", cf)
         refs(cf, cf.ucas, "ucas", "causal factor")
 
@@ -467,8 +491,10 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
     return diags
 
 
-def trace_closure(model: StpaModel) -> list[Diagnostic]:
+def trace_closure(model: StpaModel | ModelIndex) -> list[Diagnostic]:
     """Cross-step linkage checks: every artifact should be reachable end to end."""
+    index = indexed(model)
+    model = index.model
     diags: list[Diagnostic] = []
 
     cited_hazards = {ref for uca in model.ucas for ref in uca.hazards}
@@ -488,7 +514,7 @@ def trace_closure(model: StpaModel) -> list[Diagnostic]:
         if not any(ref in cited_hazards for ref in sc.mitigates):
             message = f"constraint {sc.id} mitigates no hazard cited by any uca"
             diags.append(diagnostic("trace/constraint-unlinked", message, span_of(sc)))
-    ucas_by_id = model.uca_ids()
+    ucas_by_id = index.ids["ucas"]
     for cf in model.causal_factors:
         controllers = {
             ucas_by_id[ref].source_controller for ref in cf.ucas if ref in ucas_by_id

@@ -43,6 +43,7 @@ from .model import (
     GuideWord,
     Hazard,
     Loss,
+    ModelIndex,
     ProcessModelVariable,
     SourceSpan,
     StpaModel,
@@ -479,15 +480,20 @@ def parse(source_files: list[tuple[str, str]]) -> tuple[StpaModel, list[Diagnost
     resolution run across the merged model. On zero error diagnostics the
     returned model passes `resolve` cleanly.
     """
+    index, diags = parse_index(source_files)
+    return index.model, diags
+
+
+def parse_index(source_files: list[tuple[str, str]]) -> tuple[ModelIndex, list[Diagnostic]]:
+    """`parse`, returning the model's index, which every later phase of a command reads."""
     diags: list[Diagnostic] = []
     model = StpaModel()
     for path, text in source_files:
         _FileParser(path, text, diags).parse_into(model)
-    # a UCA's action edge may be declared in any file
-    edges = model.edge_ids()
-    for uca in model.ucas:
-        edge = edges.get(uca.action)
+    index = ModelIndex(model)
+    for uca in model.ucas:  # a UCA's action edge may be declared in any file
+        edge = index.ids["edges"].get(uca.action)
         if edge is not None:
             uca.source_controller = edge.source
-    diags.extend(resolve(model))
-    return model, diags
+    diags.extend(resolve(index))
+    return index, diags

@@ -13,7 +13,7 @@ from functools import cache
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .model import Context, EdgeKind, EntityKind, GuideCategory, Record, StpaModel
+from .model import Context, EdgeKind, EntityKind, GuideCategory, ModelIndex, Record, StpaModel, indexed
 
 if TYPE_CHECKING:  # `graph`, `worksheet` and `trace` load neither module
     from .analysis import ContextTable
@@ -43,12 +43,13 @@ def _md_escape(text: str) -> str:
     return text.replace("|", "\\|").replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
 
 
-def render_worksheet(model: StpaModel, action: str) -> str:
+def render_worksheet(model: StpaModel | ModelIndex, action: str) -> str:
     """Four-column guide-word worksheet for one control action, Markdown."""
-    edge = model.edge_ids().get(action)
+    index = indexed(model)
+    edge = index.ids["edges"].get(action)
     title = edge.label if edge is not None else action
     columns: dict[GuideCategory, list[str]] = {cat: [] for cat, _ in WORKSHEET_COLUMNS}
-    for uca in model.ucas_on(action):
+    for uca in index.model.ucas_on(action):
         columns[uca.guide.category].append(_md_escape(f"{uca.id}: {uca.description} [{', '.join(uca.hazards)}]"))
     lines = [_md_escape(f"# Unsafe control actions: {title} ({action})"), ""]
     if any(columns.values()):
@@ -129,15 +130,17 @@ def _matrix(title: str, row_ids: list[str], col_ids: list[str], links: dict[str,
     return [f"## {title}", "", *_md_table(["", *col_ids], rows()), ""]
 
 
-def render_trace_matrix(model: StpaModel) -> str:
+def render_trace_matrix(model: StpaModel | ModelIndex) -> str:
     """Markdown traceability matrices across all four analysis steps.
 
     A repeated id links as its last declaration does. The cost is one step
     per link plus one per cell written.
     """
+    index = indexed(model)
+    model = index.model
     hazard_ids, uca_ids = [hz.id for hz in model.hazards], [u.id for u in model.ucas]
     loss_hazards: dict[str, list[str]] = {}
-    for hz in {hz.id: hz for hz in model.hazards}.values():
+    for hz in index.ids["hazards"].values():
         for loss_id in hz.leads_to:
             loss_hazards.setdefault(loss_id, []).append(hz.id)
     cfs, scs = model.causal_factors, model.constraints

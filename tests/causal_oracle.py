@@ -6,6 +6,9 @@ depth-first loop, the one `stpalint.causal._walks` had before it took a
 prune test, and reads the answer off the walks. They cost time exponential
 in the depth of the feedback structure, so they serve only as the oracle the
 indexed implementation in `stpalint.causal` is compared with.
+
+The oracle builds its own id maps, where a repeated id means its last
+declaration, and its own adjacency lists, so a wrong `ModelIndex` shows.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from typing import Iterator
 from stpalint.causal import (
     _PROMPTS,
     DEFAULT_MAX_WALKS,
-    CausalIndex,
     ChecklistItem,
     PathDirection,
     PathWalk,
@@ -26,6 +28,7 @@ from stpalint.model import (
     CausalFactor,
     CfCategory,
     Diagnostic,
+    EdgeKind,
     EntityKind,
     GuideCategory,
     Severity,
@@ -33,6 +36,25 @@ from stpalint.model import (
     UnsafeControlAction,
     FALLBACK_SPAN,
 )
+
+
+def _adjacency(model: StpaModel, kind: EdgeKind, *, reverse: bool) -> dict[str, list[str]]:
+    """Neighbours along the chains of every `kind` edge, in first-seen order.
+
+    Maps each node to its successors, or to its predecessors when `reverse`.
+    """
+    adjacent: dict[str, list[str]] = {}
+    for edge in model.edges:
+        if edge.kind is not kind:
+            continue
+        chain = edge.chain()
+        for a, b in zip(chain, chain[1:]):
+            if reverse:
+                a, b = b, a
+            bucket = adjacent.setdefault(a, [])
+            if b not in bucket:
+                bucket.append(b)
+    return adjacent
 
 
 def _walks(path: list[str], step: dict[str, list[str]], stop) -> Iterator[list[str]]:
@@ -77,7 +99,10 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
     a per-path visited set. The number of walks can grow exponentially with
     the depth of the structure: more than DEFAULT_MAX_WALKS raises AnalysisError.
     """
-    index = CausalIndex(model)
+    preds = _adjacency(model, EdgeKind.FEEDBACK, reverse=True)
+    succs = _adjacency(model, EdgeKind.CONTROL_ACTION, reverse=False)
+    entities = {e.id: e for e in model.entities}
+    processes = {i for i, e in entities.items() if e.kind is EntityKind.CONTROLLED_PROCESS}
     controller = uca.source_controller
     walks: list[PathWalk] = []
 
@@ -90,8 +115,8 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
         walks.append(PathWalk(uca.id, direction, elements))
 
     diags: list[Diagnostic] = []
-    if controller in index.preds:
-        for walk in _walks([controller], index.preds, ()):
+    if controller in preds:
+        for walk in _walks([controller], preds, ()):
             record(PathDirection.FEEDBACK_PATH, walk[::-1])
     elif controller:  # an action that names no edge has no controller to warn about
         diags.append(
@@ -103,9 +128,9 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
             )
         )
 
-    action_edge = index.edges.get(uca.action)
+    action_edge = {e.id: e for e in model.edges}.get(uca.action)
     if action_edge is not None:
-        for walk in _walks(action_edge.chain(), index.succs, index.processes):
+        for walk in _walks(action_edge.chain(), succs, processes):
             record(PathDirection.CONTROL_PATH, walk)
 
     return walks, diags
@@ -113,7 +138,7 @@ def walk_paths(model: StpaModel, uca: UnsafeControlAction) -> tuple[list[PathWal
 
 def checklist(model: StpaModel, uca: UnsafeControlAction) -> list[ChecklistItem]:
     walks, _ = walk_paths(model, uca)
-    entities = model.entity_ids()
+    entities = {e.id: e for e in model.entities}
     controller = uca.source_controller
 
     items: list[ChecklistItem] = []
@@ -194,8 +219,8 @@ def normalize(text: str) -> str:
 
 def validate_cfs(model: StpaModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    ucas_by_id = model.uca_ids()
-    edges = model.edge_ids()
+    ucas_by_id = {u.id: u for u in model.ucas}
+    edges = {e.id: e for e in model.edges}
 
     def span(decl):
         return decl.span if decl.span is not None else FALLBACK_SPAN

@@ -458,7 +458,7 @@ class _ModelBuilder:
         self.ucas: list[UnsafeControlAction] = []
 
     def finish(self) -> StpaModel:
-        edges = self.model.edge_ids()
+        edges = {d.id: d for d in self.model.edges}
         for uca in self.ucas:
             edge = edges.get(uca.action)
             if edge is not None:

@@ -64,7 +64,7 @@ def render_trace_matrix(model: StpaModel) -> str:
 
 def render_worksheet(model: StpaModel, action: str) -> str:
     """Four-column guide-word worksheet for one control action, Markdown."""
-    edge = model.edge_ids().get(action)
+    edge = {d.id: d for d in model.edges}.get(action)
     title = edge.label if edge is not None else action
     columns: dict[GuideCategory, list[str]] = {cat: [] for cat, _ in WORKSHEET_COLUMNS}
     for uca in model.ucas_on(action):

@@ -83,8 +83,8 @@ def resolve(model: StpaModel) -> list[Diagnostic]:
 
     losses = {d.id: d for d in model.losses}
     hazards = {d.id: d for d in model.hazards}
-    entities = model.entity_ids()
-    edges = model.edge_ids()
+    entities = {d.id: d for d in model.entities}
+    edges = {d.id: d for d in model.edges}
     variables = {d.id: d for d in model.variables}
     ucas = model.uca_ids()
 

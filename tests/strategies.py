@@ -234,9 +234,10 @@ def hostile_models(draw) -> StpaModel:
     its first id, or points a source, target, owner, action, source
     controller, located_at or derived_from at nothing. Then, in each section
     with a reference list, an id may be declared again later with another
-    list, so a report that reads the wrong declaration of an id shows. Most
-    models then give each declaration a span of its own, so a diagnostic
-    that blames the wrong declaration shows.
+    list, so a report that reads the wrong declaration of an id shows, and
+    an entity id may be declared once more, before or after, with another
+    kind. Most models then give each declaration a span of its own, so a
+    diagnostic that blames the wrong declaration shows.
     """
     m = draw(st.one_of(models(), control_structures()))
     for _ in range(draw(st.integers(1, 6))):
@@ -277,6 +278,10 @@ def hostile_models(draw) -> StpaModel:
             current = getattr(decls[i], name)
             refs = draw(st.lists(st.sampled_from(targets), max_size=3, unique=True).filter(lambda r: r != current))
             decls.insert(draw(st.integers(i + 1, len(decls))), replace(decls[i], **{name: refs}))
+    if m.entities and draw(st.booleans()):
+        i = draw(st.integers(0, len(m.entities) - 1))
+        kind = draw(st.sampled_from([k for k in EntityKind if k is not m.entities[i].kind]))
+        m.entities.insert(draw(st.integers(0, len(m.entities))), replace(m.entities[i], kind=kind))
     if draw(st.integers(0, 3)):
         line = 0
         for section in _SECTIONS:

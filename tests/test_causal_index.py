@@ -33,24 +33,26 @@ from stpalint import (
     validate_cfs,
     walk_paths,
 )
-from stpalint.causal import CausalIndex, _normalize
+from stpalint.causal import _normalize
 from stpalint.corpus import corpus_paths
-from stpalint.model import CfCategory
+from stpalint.model import CfCategory, ModelIndex
 
-from strategies import control_structures, models
+from strategies import control_structures, hostile_models, models
 
 relaxed = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def assert_matches_oracle(model):
-    index = CausalIndex(model)
+    index = ModelIndex(model)
     for uca in model.ucas:
         assert walk_paths(model, uca) == causal_oracle.walk_paths(model, uca), uca.id
         assert checklist(model, uca) == causal_oracle.checklist(model, uca), uca.id
-        assert index.checklist(uca) == causal_oracle.checklist(model, uca), uca.id
-        assert index.categories(uca) == tuple(dict.fromkeys(i.category for i in causal_oracle.checklist(model, uca)))
-        assert index.on_path(uca) == causal_oracle.on_path_ids(model, uca), uca.id
-    assert validate_cfs(model) == causal_oracle.validate_cfs(model)
+        assert checklist(index, uca) == causal_oracle.checklist(model, uca), uca.id
+        assert causal.categories(index, uca) == tuple(
+            dict.fromkeys(i.category for i in causal_oracle.checklist(model, uca))
+        )
+        assert causal.on_path(index, uca) == causal_oracle.on_path_ids(model, uca), uca.id
+    assert validate_cfs(model) == validate_cfs(index) == causal_oracle.validate_cfs(model)
 
 
 @relaxed
@@ -62,6 +64,12 @@ def test_random_structures_match_the_oracle(model):
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(models())
 def test_random_valid_models_match_the_oracle(model):
+    assert_matches_oracle(model)
+
+
+@relaxed
+@given(hostile_models())
+def test_hostile_models_match_the_oracle(model):
     assert_matches_oracle(model)
 
 
@@ -133,6 +141,23 @@ def test_small_complete_graphs_match_the_oracle(n):
     assert_matches_oracle(complete(n))
 
 
+@pytest.mark.parametrize(
+    "first, last",
+    [(EntityKind.CONTROLLED_PROCESS, EntityKind.ACTUATOR), (EntityKind.ACTUATOR, EntityKind.CONTROLLED_PROCESS)],
+)
+def test_a_control_walk_stops_where_the_last_declaration_is_a_process(first, last):
+    """`X` is declared twice, with two kinds; the control walk through it goes on to `Y` unless `X` is a process."""
+    m = feedback_model([], [("P-1", "C-1")])
+    m.entities[2:2] = [Entity("X", first, "Relay"), Entity("Y", EntityKind.CONTROLLED_PROCESS, "Load")]
+    m.entities.append(Entity("X", last, "Relay"))
+    m.edges[0] = Edge("AC-1", EdgeKind.CONTROL_ACTION, "Act", "C-1", "X")
+    m.edges.append(Edge("AC-2", EdgeKind.CONTROL_ACTION, "Pass", "X", "Y"))
+    walks, _ = walk_paths(m, m.ucas[0])
+    ends = ["Y"] if last is EntityKind.ACTUATOR else []
+    assert [w.elements for w in walks if w.direction is causal.PathDirection.CONTROL_PATH] == [["C-1", "X", *ends]]
+    assert_matches_oracle(m)
+
+
 def test_eighteen_layer_lattice_checklist():
     m = lattice(18)
     uca = m.ucas[0]
@@ -148,7 +173,7 @@ def test_eighteen_layer_lattice_checklist():
                 assert (CfCategory.PRESENTATION, s) in keys
             else:
                 assert (CfCategory.SENSOR_OPERATION, s) in keys
-    assert CausalIndex(m).on_path(uca) == {e.id for e in m.entities}
+    assert causal.on_path(ModelIndex(m), uca) == {e.id for e in m.entities}
     # 2**18 feedback walks: listing them trips the guard
     with pytest.raises(AnalysisError, match="more than 100000 walks"):
         walk_paths(m, uca)

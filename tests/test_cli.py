@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from stpalint import build_context_table, cli, load_corpus, parse, serialize
 from stpalint.corpus import CORPUS_FILES, corpus_paths
+from stpalint.model import ModelIndex, StpaModel
+from stpalint.parser import parse_index
 from stpalint.report import render_context_csv
 
 from conftest import GOLDEN_DIR, REPO_ROOT, planner_model
@@ -54,6 +56,52 @@ def test_check_corpus_exits_clean(corpus_args):
     # input paths may contain any word, so look for the diagnostic tags only
     for line in err.splitlines():
         assert ": error[" not in line and ": warning[" not in line, line
+
+
+def test_check_corpus_matches_golden(corpus_copy, monkeypatch):
+    # as CI runs the console script: from the corpus directory, with relative names
+    monkeypatch.chdir(Path(corpus_copy[0]).parent)
+    code, out, err = run_cli(["check", *CORPUS_FILES])
+    assert (code, out) == (0, "")
+    assert err == (GOLDEN_DIR / "check_corpus.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["contexts", "--controller", "Operator", "--action", "BrakeCmd"],
+        ["worksheet", "--action", "BrakeCmd"],
+        ["worksheet", "--action", "BrakeCmd", "--format", "json"],
+        ["trace"],
+        ["trace", "--format", "json"],
+        ["checklist", "--uca", "UCA-1"],
+        ["checklist", "--uca", "UCA-1", "--format", "json"],
+        ["graph"],
+        ["stats"],
+        ["stats", "--format", "json"],
+        ["fmt"],
+    ],
+)
+def test_each_command_builds_one_model_index(argv, corpus_copy, monkeypatch):
+    built = []
+    build = ModelIndex.__init__
+
+    def counted(self, model):
+        built.append(model)
+        build(self, model)
+
+    monkeypatch.setattr(ModelIndex, "__init__", counted)
+    assert run_cli([*argv, *corpus_copy])[0] == 0
+    assert len(built) == 1
+
+
+def test_check_reads_ucas_by_id_from_the_index(corpus_args, monkeypatch):
+    def forbidden(self):
+        raise AssertionError("check called StpaModel.uca_ids")
+
+    monkeypatch.setattr(StpaModel, "uca_ids", forbidden)
+    assert run_cli(["check", *corpus_args])[:2] == (0, "")
 
 
 def test_check_reports_errors_with_positions(tmp_path):
@@ -509,11 +557,11 @@ def test_output_file_that_cannot_encode_the_report_exits_3(corpus_args, tmp_path
 
     def parse_with_surrogate(sources):
         # no UTF-8 input decodes to a lone surrogate, which UTF-8 cannot encode, so only code can put one in a model
-        model, diags = parse(sources)
-        model.ucas[0].description += "\udcff"
-        return model, diags
+        index, diags = parse_index(sources)
+        index.model.ucas[0].description += "\udcff"
+        return index, diags
 
-    monkeypatch.setattr(cli, "parse", parse_with_surrogate)
+    monkeypatch.setattr(cli, "parse_index", parse_with_surrogate)
     code, _, err = run_cli(["worksheet", "--action", "BrakeCmd", "--output", str(out), *corpus_args])
     assert code == 3
     assert err == f"stpalint: cannot write {out}: the utf-8 encoding cannot represent '\\udcff'\n"

@@ -1,0 +1,130 @@
+"""Growth of `check` and `stats`, measured as doubling experiments in process.
+
+Each shape is generated at sizes n and 8n, and `cli.run` is timed on both
+with `time.process_time`: the garbage collector is run, then disabled for
+the run, and the best of three runs counts. A linear cost gives a ratio of
+about 8 and a quadratic one up to 64, so each ratio must stay under 16 (the
+doubling test of Sedgewick and Wayne, *Algorithms*, 4th ed., section 1.4).
+A shape enters here once its command is linear on it; the shared sensor
+lattice is not in yet.
+"""
+
+import gc
+import time
+
+import pytest
+
+from stpalint import cli
+
+RUNS = 3
+LIMIT = 16
+
+HEAD = """\
+loss L-1 "loss"
+hazard H-1 "hazard" leads_to [L-1]
+controller C "Controller"
+process Plant "Plant"
+action A "act" from C to Plant
+"""
+UCA = 'uca U-1 action = A guide = WrongTiming qualifier = TooLate hazards [H-1] "late"\n'
+
+
+def fan_in(n: int) -> str:
+    """n feedback edges from `Plant` into `C`, each via a sensor of its own."""
+    sensors = "".join(f'sensor S-{i} "Sensor {i}"\n' for i in range(n))
+    edges = "".join(f'feedback F-{i} "sense" from Plant to C via [S-{i}]\n' for i in range(n))
+    # not a wrong-timing UCA: the fan-in is walked once, so a quadratic adjacency build stands out more
+    return HEAD + sensors + edges + 'uca U-1 action = A guide = NotProvided hazards [H-1] "not given"\n'
+
+
+def chain(n: int) -> str:
+    """One feedback chain from `Plant` through n sensors, one edge per hop."""
+    sensors = "".join(f'sensor S-{i} "Sensor {i}"\n' for i in range(n))
+    hops = ["Plant", *(f"S-{i}" for i in range(n)), "C"]
+    edges = "".join(f'feedback F-{i} "hop" from {a} to {b}\n' for i, (a, b) in enumerate(zip(hops, hops[1:])))
+    return HEAD + sensors + edges + UCA
+
+
+def via(n: int) -> str:
+    """One feedback edge whose `via` list names n sensors."""
+    sensors = "".join(f'sensor S-{i} "Sensor {i}"\n' for i in range(n))
+    names = ", ".join(f"S-{i}" for i in range(n))
+    return HEAD + sensors + f'feedback F "sense" from Plant to C via [{names}]\n' + UCA
+
+
+def many_cfs(n: int) -> str:
+    """n causal factors on one UCA, each with a description of its own."""
+    cfs = "".join(f'cf CF-{i} category = SensorOperation at S for [U-1] "sensor fault {i}"\n' for i in range(n))
+    return HEAD + 'sensor S "Sensor"\nfeedback F "sense" from Plant to C via [S]\n' + UCA + cfs
+
+
+def redeclared(n: int) -> str:
+    """n declarations of the loss id `L-1`."""
+    return HEAD + 'loss L-1 "loss again"\n' * n + 'feedback F "sense" from Plant to C\n' + UCA
+
+
+def wide(n: int) -> str:
+    """n controllers, each with its own loop, variable, two UCAs and two causal factors."""
+    parts = ['loss L-1 "loss"\nhazard H-1 "hazard" leads_to [L-1]\nprocess Plant "Plant"\n']
+    for k in range(n):
+        parts.append(
+            f'controller C-{k} "Controller {k}"\nsensor S-{k} "Sensor {k}"\nactuator A-{k} "Actuator {k}"\n'
+            f'action Act-{k} "act {k}" from C-{k} to Plant via [A-{k}]\n'
+            f'feedback Fb-{k} "sense {k}" from Plant to C-{k} via [S-{k}]\n'
+            f'variable V-{k} of C-{k} "mode {k}" {{"off", "on"}}\n'
+            f'uca U-{k}-1 action = Act-{k} guide = NotProvided context {{ V-{k} = "on" }} hazards [H-1] "a {k}"\n'
+            f'uca U-{k}-2 action = Act-{k} guide = WrongTiming qualifier = TooLate hazards [H-1] "b {k}"\n'
+            f'cf CF-{k}-1 category = SensorOperation at S-{k} for [U-{k}-1] "sensor {k}"\n'
+            f'cf CF-{k}-2 category = ActuationFailure at A-{k} for [U-{k}-2] "actuator {k}"\n'
+        )
+    return "".join(parts)
+
+
+def hazards(n: int) -> str:
+    """n hazards and 10n UCAs, each citing three of them."""
+    parts = ['loss L-1 "loss"\ncontroller C "C"\nprocess Plant "Plant"\naction A "act" from C to Plant\n']
+    parts += [f'hazard H-{i} "hazard {i}" leads_to [L-1]\n' for i in range(n)]
+    for i in range(10 * n):
+        cited = sorted({f"H-{i % n}", f"H-{(7 * i + 1) % n}", f"H-{(13 * i + 2) % n}"})
+        parts.append(f'uca U-{i} action = A guide = NotProvided hazards [{", ".join(cited)}] "u {i}"\n')
+    return "".join(parts)
+
+
+# shape -> (generator, command, n)
+SHAPES = {
+    "fan-in": (fan_in, "check", 2500),
+    "chain": (chain, "check", 1000),
+    "via": (via, "check", 2000),
+    "many-cfs": (many_cfs, "check", 1500),
+    "redeclared": (redeclared, "check", 3000),
+    "wide": (wide, "check", 100),
+    "hazards": (hazards, "stats", 200),
+}
+
+
+def seconds(argv: list[str], capsys) -> float:
+    """The best of RUNS process times of `cli.run(argv)`, with the collector off during each run."""
+    best = float("inf")
+    for _ in range(RUNS):
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.process_time()
+            cli.run(argv)
+            best = min(best, time.process_time() - start)
+        finally:
+            gc.enable()
+        capsys.readouterr()
+    return best
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_eight_times_the_model_costs_less_than_sixteen_times_the_time(shape, tmp_path, capsys):
+    generate, command, n = SHAPES[shape]
+    times = []
+    for size in (n, 8 * n):
+        path = tmp_path / f"{shape}-{size}.stpa"
+        path.write_text(generate(size), encoding="utf-8")
+        times.append(seconds([command, str(path)], capsys))
+    ratio = times[1] / times[0]
+    assert ratio < LIMIT, f"{shape}: {times[0]:.4f} s at n = {n}, {times[1]:.4f} s at 8n, ratio {ratio:.1f}"
