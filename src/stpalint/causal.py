@@ -7,15 +7,15 @@ the process). Both walks drive the per-UCA checklist and validate where
 declared causal factors may sit.
 
 `walk_paths` lists the walks themselves, whose number can be exponential.
-`check` and `checklist` never list them: they derive on-path sets by
-reachability, and checklists by the same walk traversal with a prune test,
-each memoized on the command's `ModelIndex`.
+`check` and `checklist` never list them: one depth-first search per
+feedback element next to the controller, one timing search and one control
+search give a key's checklist and on-path set, in the order the walks
+would, memoized on the command's `ModelIndex`.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from enum import Enum
 from typing import Iterator
 
@@ -110,32 +110,11 @@ def _is_network(entity: Entity) -> bool:
     return "network" in entity.id.lower() or "network" in entity.label.lower()
 
 
-def _reach(start: str, step: dict[str, dict], blocked, stop=frozenset()) -> set[str]:
-    """`start` and every node reachable from it along `step`.
-
-    The search enters no `blocked` node and does not continue past a `stop`
-    node, so it finds exactly the nodes that some walk from `start` visits.
-    """
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node in stop:
-            continue
-        for nxt in step.get(node, ()):
-            if nxt not in seen and nxt not in blocked:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
-def _walks(path: list[str], step: dict[str, dict], stop, prune=None) -> Iterator[list[str]]:
+def _walks(path: list[str], step: dict[str, dict], stop) -> Iterator[list[str]]:
     """Every walk that extends `path` along `step`, depth-first in adjacency order.
 
     A walk ends at a `stop` node or where no neighbour off the walk is left.
-    Where `prune(child, path, on_path)` holds, the walks under `child` are
-    not entered and the current path is yielded once in their place. The
-    stack is explicit, so a walk may be longer than the recursion limit.
+    The stack is explicit, so a walk may be longer than the recursion limit.
     """
     path = list(path)
     base = len(path)
@@ -156,9 +135,6 @@ def _walks(path: list[str], step: dict[str, dict], stop, prune=None) -> Iterator
             if len(path) > base:
                 on_path.discard(path.pop())
             continue
-        if prune is not None and prune(child, path, on_path):
-            yield list(path)
-            continue
         path.append(child)
         on_path.add(child)
         children = nexts()
@@ -167,32 +143,56 @@ def _walks(path: list[str], step: dict[str, dict], stop, prune=None) -> Iterator
         stack.append(iter(children))
 
 
-def _emit_walks(path, step, stop, categories, emitted: dict, backward: bool) -> None:
-    """Emit `categories(node, depth)` along every walk of `_walks`, in walk order.
+def _search(path, step, stop, categories, emitted: dict, backward: bool) -> set[str]:
+    """Emit `categories(node, depth)` in the order the walks of `_walks` would; return the nodes reached.
 
     Each category is emitted as the key `(category, node)` of `emitted`,
-    where a key already present keeps its place. `depth` is a node's index
-    in the walk, and a walk is emitted last node first when `backward`. A
-    neighbour is pruned when every node reachable from it off the current
-    path is already emitted in the role it would have below it: each walk
-    under it would emit nothing new but the current path. `_walks` is lazy,
-    so each prune test sees what the walks before it emitted. So the
-    traversal descends only where something is left to emit, and costs
-    polynomial time where listing the walks costs exponential.
+    where a key already present keeps its place; `depth` is a node's index
+    in `path`. The search enters each node once. Forward, a node is emitted
+    when it is entered. Backward, on entering a node whose first neighbour
+    off `path` is missing or already seen, the part of `path` not yet
+    emitted is emitted from the top down, as the first walk through that
+    node emits it. That is the whole answer because a node seen before and
+    now off `path` reaches only seen nodes without using `path` (the
+    white-path property of depth-first search), so no walk through it emits
+    anything new, as long as `categories` gives a node one answer at every
+    depth past the start. The stack is explicit, so the search costs O(V+E)
+    at any depth.
     """
+    path = list(path)
+    base = len(path)
+    seen = set(path)
+    on_path = set(path)
+    done = 0  # how many nodes at the bottom of `path` are emitted
 
-    def done(node: str, depth: int) -> bool:
-        return all((category, node) in emitted for category in categories(node, depth))
+    def enter() -> Iterator[str]:
+        nonlocal done
+        nexts = () if path[-1] in stop else step.get(path[-1], ())
+        if backward:
+            first = next((n for n in nexts if n not in on_path), None)
+            if first is not None and first not in seen:
+                return iter(nexts)  # the first walk from here ends below `first`
+        depths = range(done, len(path))
+        for depth in reversed(depths) if backward else depths:
+            for category in categories(path[depth], depth):
+                emitted[category, path[depth]] = None
+        done = len(path)
+        return iter(nexts)
 
-    def prune(child: str, path: list[str], on_path: set[str]) -> bool:
-        return done(child, len(path)) and all(
-            done(node, len(path) + 1) for node in _reach(child, step, on_path, stop) if node != child
-        )
-
-    for walk in _walks(path, step, stop, prune):
-        for depth in range(len(walk) - 1, -1, -1) if backward else range(len(walk)):
-            for category in categories(walk[depth], depth):
-                emitted[category, walk[depth]] = None
+    stack = [enter()]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            if len(path) > base:
+                on_path.discard(path.pop())
+                done = min(done, len(path))
+        elif child not in seen:
+            seen.add(child)
+            on_path.add(child)
+            path.append(child)
+            stack.append(enter())
+    return seen
 
 
 def _open_loop(ucas: list[UnsafeControlAction], preds: dict[str, dict]) -> list[Diagnostic]:
@@ -218,35 +218,23 @@ def open_loop(model: StpaModel | ModelIndex) -> list[Diagnostic]:
     return _open_loop(index.model.ucas, index.preds)
 
 
-def on_path(index: ModelIndex, uca: UnsafeControlAction) -> set[str]:
-    """The UCA's controller and every element of its feedback and control walks.
+def _memo(index: ModelIndex, uca: UnsafeControlAction) -> tuple[dict, tuple[CfCategory, ...], set[str]]:
+    """The UCA's checklist pairs, their categories and its on-path set.
 
-    Found by reachability: a node lies on some walk exactly when a walk
-    prefix reaches it, because every prefix extends to a whole walk. The
-    set is memoized per (controller, action), the only parts of a UCA it
-    depends on.
+    Memoized per (controller, action, wrong timing), the only parts of a UCA
+    they depend on.
     """
-    key = (uca.source_controller, uca.action)
-    ids = index.on_paths.get(key)
-    if ids is None:
-        ids = _reach(uca.source_controller, index.preds, ())
-        edge = index.ids["edges"].get(uca.action)
-        if edge is not None:
-            chain = edge.chain()
-            ids.update(chain)
-            ids |= _reach(chain[-1], index.succs, set(chain), index.processes)
-        index.on_paths[key] = ids
-    return ids
-
-
-def _memo(index: ModelIndex, uca: UnsafeControlAction) -> tuple[dict, tuple[CfCategory, ...]]:
-    """The UCA's checklist pairs and categories, memoized per (controller, action, wrong timing)."""
     key = (uca.source_controller, uca.action, uca.guide.category is GuideCategory.WRONG_TIMING)
     memo = index.checklists.get(key)
     if memo is None:
-        pairs = _checklist(index, *key)
-        memo = index.checklists[key] = (pairs, tuple(dict.fromkeys(category for category, _ in pairs)))
+        pairs, ids = _checklist(index, *key)
+        memo = index.checklists[key] = (pairs, tuple(dict.fromkeys(category for category, _ in pairs)), ids)
     return memo
+
+
+def on_path(index: ModelIndex, uca: UnsafeControlAction) -> set[str]:
+    """The UCA's controller and every element of its feedback and control walks."""
+    return _memo(index, uca)[2]
 
 
 def categories(index: ModelIndex, uca: UnsafeControlAction) -> tuple[CfCategory, ...]:
@@ -254,8 +242,13 @@ def categories(index: ModelIndex, uca: UnsafeControlAction) -> tuple[CfCategory,
     return _memo(index, uca)[1]
 
 
-def _checklist(index: ModelIndex, controller: str, action: str, wrong_timing: bool) -> dict[tuple, None]:
-    """The key's (category, entity id) pairs, as dict keys in checklist order; no walk is listed."""
+def _checklist(index: ModelIndex, controller: str, action: str, wrong_timing: bool) -> tuple[dict, set[str]]:
+    """The key's (category, entity id) pairs, as dict keys in checklist order, and the nodes on its walks.
+
+    No walk is listed. The nodes the searches reach are the nodes on the
+    walks. Depth 1 of a feedback walk has categories of its own, so each
+    feedback element next to the controller gets a search of its own.
+    """
     entities = index.ids["entities"]
 
     def by_kind(entity_id: str, network: CfCategory, other: tuple[CfCategory, ...]):
@@ -284,18 +277,19 @@ def _checklist(index: ModelIndex, controller: str, action: str, wrong_timing: bo
     def control(entity_id: str, depth: int) -> tuple[CfCategory, ...]:
         return by_kind(entity_id, CfCategory.CONTROL_PATH_TRANSMISSION, (CfCategory.ACTUATION_FAILURE,))
 
-    closed_loop = controller in index.preds
     pairs = {(CfCategory.MENTAL_MODEL_CONTENT, controller): None}
     pairs[CfCategory.MENTAL_MODEL_UPDATE, controller] = None
-    if closed_loop:
-        _emit_walks([controller], index.preds, (), feedback, pairs, backward=True)
+    ids = {controller}
+    for first in index.preds.get(controller, ()):
+        if first != controller:
+            ids |= _search([controller, first], index.preds, (), feedback, pairs, backward=True)
     pairs[CfCategory.CONTROL_ALGORITHM, controller] = None
-    if wrong_timing and closed_loop:
-        _emit_walks([controller], index.preds, (), timing, pairs, backward=True)
+    if wrong_timing and controller in index.preds:
+        _search([controller], index.preds, (), timing, pairs, backward=True)
     edge = index.ids["edges"].get(action)
     if edge is not None:
-        _emit_walks(edge.chain(), index.succs, index.processes, control, pairs, backward=False)
-    return pairs
+        ids |= _search(edge.chain(), index.succs, index.processes, control, pairs, backward=False)
+    return pairs, ids
 
 
 def walk_paths(model: StpaModel | ModelIndex, uca: UnsafeControlAction) -> tuple[list[PathWalk], list[Diagnostic]]:

@@ -332,10 +332,10 @@ class ModelIndex:
     node to its predecessors along the feedback chains, `succs` to its
     successors along the control-action chains, each as dict keys in
     first-seen order; `processes` holds the ids whose last declaration is a
-    controlled process. The causal checks memoize here the on-path set of
-    each (controller, action) and the checklist pairs and categories of each
-    (controller, action, wrong timing). A model keeps no index of its own:
-    an index shows the model as it was when the index was built.
+    controlled process. `checklists` is the one causal memo: the checklist
+    pairs, their categories and the on-path set of each (controller,
+    action, wrong timing). A model keeps no index of its own: an index
+    shows the model as it was when the index was built.
     """
 
     def __init__(self, model: StpaModel):
@@ -351,8 +351,7 @@ class ModelIndex:
                 elif edge.kind is EdgeKind.CONTROL_ACTION:
                     self.succs.setdefault(a, {})[b] = None
         self.processes = {i for i, e in self.ids["entities"].items() if e.kind is EntityKind.CONTROLLED_PROCESS}
-        self.on_paths: dict[tuple[str, str], set[str]] = {}
-        self.checklists: dict[tuple[str, str, bool], tuple[dict, tuple[CfCategory, ...]]] = {}
+        self.checklists: dict[tuple[str, str, bool], tuple[dict, tuple[CfCategory, ...], set[str]]] = {}
 
 
 def indexed(model: StpaModel | ModelIndex) -> ModelIndex:

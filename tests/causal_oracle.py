@@ -2,10 +2,10 @@
 
 These are the original implementations of `walk_paths`, `checklist`, the
 on-path set and `validate_cfs`. The oracle lists every walk with its own
-depth-first loop, the one `stpalint.causal._walks` had before it took a
-prune test, and reads the answer off the walks. They cost time exponential
-in the depth of the feedback structure, so they serve only as the oracle the
-indexed implementation in `stpalint.causal` is compared with.
+depth-first loop, a copy of `stpalint.causal._walks` kept apart so that a
+change there shows, and reads the answer off the walks. They cost time
+exponential in the depth of the feedback structure, so they serve only as
+the oracle the searches of `stpalint.causal` are compared with.
 
 The oracle builds its own id maps, where a repeated id means its last
 declaration, and its own adjacency lists, so a wrong `ModelIndex` shows.

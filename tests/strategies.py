@@ -142,10 +142,12 @@ def models(draw) -> StpaModel:
 def control_structures(draw) -> StpaModel:
     """Random control structures for the causal analysis, valid or not.
 
-    Entities of every kind, some named as network legs; feedback and control
-    edges between any two of them, self-loops included, with via chains that
-    may name undeclared ids; UCAs on any edge or on a missing one, some with
-    a source controller other than the edge's source; causal factors with
+    Entities of every kind, some named as network legs, and up to two later
+    declarations of drawn entities with drawn kinds, so the last one counts;
+    feedback and control edges between any two of them, dense enough that
+    shared paths are common, self-loops included, with via chains that may
+    name undeclared ids; UCAs on any edge or on a missing one, some with a
+    source controller other than the edge's source; causal factors with
     near-duplicate descriptions. Walks stay few enough to list.
     """
     m = StpaModel()
@@ -155,8 +157,11 @@ def control_structures(draw) -> StpaModel:
         label = draw(st.sampled_from([f"Node {i}", "Mobile NETWORK", "network uplink"]))
         if all(e.id != entity_id for e in m.entities):
             m.entities.append(Entity(entity_id, kind, label))
-    nodes = [e.id for e in m.entities] + ["Ghost"]
-    for j in range(draw(st.integers(0, 10))):
+    declared = list(m.entities)
+    nodes = [e.id for e in declared] + ["Ghost"]
+    for _ in range(draw(st.integers(0, 2))):
+        m.entities.append(replace(draw(st.sampled_from(declared)), kind=draw(st.sampled_from(list(EntityKind)))))
+    for j in range(draw(st.integers(0, 24))):
         m.edges.append(
             Edge(
                 f"F-{j}",

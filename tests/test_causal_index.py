@@ -232,6 +232,24 @@ def test_check_builds_no_checklist_item(monkeypatch, capsys):
     assert capsys.readouterr() == expected
 
 
+def test_check_makes_one_search_per_feedback_element_timing_and_control(monkeypatch, capsys):
+    """Two checklist keys on the corpus, `Operator`'s one feedback element, and no search for on-path sets."""
+    searches = []
+    search = causal._search
+
+    def counted(path, *args, backward):
+        searches.append((list(path), backward))
+        return search(path, *args, backward=backward)
+
+    monkeypatch.setattr(causal, "_search", counted)
+    assert cli.run(["check", *map(str, corpus_paths())]) == 0
+    capsys.readouterr()
+    feedback = (["Operator", "Display"], True)
+    timing = (["Operator"], True)
+    control = (["Operator", "Brakep", "Interface"], False)
+    assert searches == [feedback, control, feedback, timing, control]
+
+
 def test_check_reports_analysis_errors_without_traceback(monkeypatch, capsys):
     def failing(*_args, **_kwargs):
         raise AnalysisError("too much")

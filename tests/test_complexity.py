@@ -5,8 +5,7 @@ with `time.process_time`: the garbage collector is run, then disabled for
 the run, and the best of three runs counts. A linear cost gives a ratio of
 about 8 and a quadratic one up to 64, so each ratio must stay under 16 (the
 doubling test of Sedgewick and Wayne, *Algorithms*, 4th ed., section 1.4).
-A shape enters here once its command is linear on it; the shared sensor
-lattice is not in yet.
+A shape enters here once its command is linear on it.
 """
 
 import gc
@@ -80,6 +79,28 @@ def wide(n: int) -> str:
     return "".join(parts)
 
 
+def lattice(n: int, width: int = 4, controllers: int = 1) -> str:
+    """A shared sensor lattice of n layers, `width` sensors each, read by every controller.
+
+    `Plant` feeds layer 0, each sensor feeds every sensor of the next layer,
+    and the top layer feeds each controller. Each controller has one action
+    to `Plant` and one wrong-timing UCA on it.
+    """
+    parts = ['loss L-1 "loss"\nhazard H-1 "hazard" leads_to [L-1]\nprocess Plant "Plant"\n']
+    layers = [[f"S-{k}-{i}" for i in range(width)] for k in range(n)]
+    parts += [f'sensor {s} "Sensor {s}"\n' for layer in layers for s in layer]
+    hops = [("Plant", s) for s in layers[0]]
+    hops += [(a, b) for lower, upper in zip(layers, layers[1:]) for a in lower for b in upper]
+    for k in range(controllers):
+        parts.append(
+            f'controller C-{k} "Controller {k}"\naction A-{k} "act {k}" from C-{k} to Plant\n'
+            f'uca U-{k} action = A-{k} guide = WrongTiming qualifier = TooLate hazards [H-1] "late {k}"\n'
+        )
+        hops += [(s, f"C-{k}") for s in layers[-1]]
+    parts += [f'feedback F-{j} "sense" from {a} to {b}\n' for j, (a, b) in enumerate(hops)]
+    return "".join(parts)
+
+
 def hazards(n: int) -> str:
     """n hazards and 10n UCAs, each citing three of them."""
     parts = ['loss L-1 "loss"\ncontroller C "C"\nprocess Plant "Plant"\naction A "act" from C to Plant\n']
@@ -98,6 +119,7 @@ SHAPES = {
     "many-cfs": (many_cfs, "check", 1500),
     "redeclared": (redeclared, "check", 3000),
     "wide": (wide, "check", 100),
+    "lattice": (lattice, "check", 50),
     "hazards": (hazards, "stats", 200),
 }
 
