@@ -2,7 +2,9 @@
 
 Context tables are the combinatorial heart of the tool: one row per concrete
 assignment of a controller's process-model variables, marked per guide
-category with the UCAs whose (partial) context matches the row.
+category with the UCAs whose (partial) context matches the row. A table
+holds no row: each UCA's hit keeps the domain positions it allows per
+variable, and rows, marks and coverage gaps are views derived from them.
 
 `trace_closure` lives in `model`, so that `check` does not load this module;
 the name is imported here as well, for callers that take it from `analysis`.
@@ -37,25 +39,40 @@ class ContextRow(Record, defaults={"marks": dict}):
 
 
 class ContextTable(Record):
-    """The rows each UCA marks; row i's context is `enumerate_contexts(variables)[i]`."""
+    """The domain positions each UCA allows; row i's context is `enumerate_contexts(variables)[i]`."""
 
-    # hits: (category, UCA id, ascending rows) per marking UCA, UCA order
+    # hits: (category, UCA id, positions) per marking UCA, UCA order; see `build_context_table`
     __slots__ = ("controller", "action", "variables", "hits")
 
     def checked_size(self) -> int:
-        """The number of rows; ValueError if a hit names a row outside `range` of it."""
-        total = math.prod(len(v.values) for v in self.variables)
-        for _, uca_id, rows in self.hits:
-            if rows and (min(rows) < 0 or max(rows) >= total):
-                raise ValueError(f"uca {uca_id} marks a row outside the {total} rows of the table")
-        return total
+        """The number of rows; ValueError if a hit has positions for another number of variables or outside a domain."""
+        sizes = [len(v.values) for v in self.variables]
+        lists = [positions for _, _, positions in self.hits]
+        # each variable's distinct position tuples, with no loop step per hit: a table shares them between hits
+        columns = [list(itertools.chain.from_iterable(filter(None, set(c)))) for c in zip(*lists)]
+        if not all(map(len(sizes).__eq__, map(len, lists))) or not all(
+            min(c, default=0) >= 0 and max(c, default=-1) < n for c, n in zip(columns, sizes)
+        ):
+            for _, uca_id, positions in self.hits:  # name the first bad hit
+                outside = any(not 0 <= p < n for a, n in zip(positions, sizes) for p in a or ())
+                if outside or len(positions) != len(sizes):
+                    raise ValueError(f"uca {uca_id} marks a row outside the {math.prod(sizes)} rows of the table")
+        return math.prod(sizes)
+
+    def hit_rows(self, positions: list[tuple[int, ...] | None]) -> list[int]:
+        """Ascending indices of the rows a hit's positions allow: mixed-radix numbers over the domain sizes."""
+        rows = [0]
+        for var, allowed in zip(self.variables, positions):
+            size = len(var.values)
+            rows = [r * size + p for r in rows for p in (range(size) if allowed is None else allowed)]
+        return rows
 
     @property
     def marks(self) -> list[dict[GuideCategory, list[str]]]:
         """One dict per row, the UCAs that mark it per guide category, built on each access."""
         marks: list[dict[GuideCategory, list[str]]] = [{} for _ in range(self.checked_size())]
-        for category, uca_id, rows in self.hits:
-            for i in rows:
+        for category, uca_id, positions in self.hits:
+            for i in self.hit_rows(positions):
                 marks[i].setdefault(category, []).append(uca_id)
         return marks
 
@@ -131,12 +148,13 @@ def build_context_table(
     *,
     max_rows: int = DEFAULT_MAX_ROWS,
 ) -> ContextTable:
-    """The rows each UCA of the pair marks, by index: the table's `hits`.
+    """The domain positions each UCA of the pair allows, per variable: the table's `hits`.
 
-    Rows come in `enumerate_contexts` order, so a row's index is a mixed-radix
-    number over the domain sizes. Each UCA lists the rows its partial context
-    leaves free, so the cost is one step per (UCA, matching row) pair, not
-    rows × UCAs, and no row is built.
+    A UCA's hit keeps, for each variable it assigns, the ascending positions
+    of its value in the domain, and None for each variable it leaves free; a UCA
+    whose value is in no domain marks no row and has no hit. The cost is one
+    step per (UCA, assignment) pair plus one per variable and value: no row
+    index, row or context is built.
     """
     variables = model.variables_of(controller)
     if not variables:
@@ -151,50 +169,39 @@ def build_context_table(
     index = _row_index(variables)
     # a table without rows (an empty domain) meets no UCA
     ucas = [u for u in model.ucas_on(action) if u.source_controller == controller] if total else []
-    foreign = _first_foreign_variable(ucas, index)
+    foreign = None  # a scan for the first foreign variable only if some UCA names one
+    if not all(u.context.assignments.keys() <= index.keys() for u in ucas):
+        foreign = _first_foreign_variable(ucas, index)
     if foreign is not None:
         raise AnalysisError(f"foreign variable: {foreign}")
-    hits = [(u.guide.category, u.id, rows) for u in ucas if (rows := _matching_rows(u.context, variables, index))]
+    hits = [(u.guide.category, u.id, positions) for u in ucas if (positions := _allowed(u.context, index))]
     return ContextTable(controller, action, variables, hits)
 
 
-def _row_index(variables: list[ProcessModelVariable]) -> dict[str, tuple[int, dict[str, list[int]]]]:
-    """Per variable id: its stride in row order and every position of each value."""
+def _row_index(variables: list[ProcessModelVariable]) -> dict[str, tuple[int, int, dict[str, tuple[int, ...]]]]:
+    """Per variable id: its column, its stride in row order and every position of each value."""
     index = {}
     stride = 1
-    for var in reversed(variables):
-        positions: dict[str, list[int]] = {}
+    for column, var in reversed(list(enumerate(variables))):
+        positions: dict[str, tuple[int, ...]] = {}
         for position, value in enumerate(var.values):
-            positions.setdefault(value, []).append(position)
-        index[var.id] = (stride, positions)
+            positions[value] = (*positions.get(value, ()), position)
+        index[var.id] = (column, stride, positions)
         stride *= len(var.values)
     return index
 
 
-def _matching_rows(partial: Context, variables: list[ProcessModelVariable], index) -> list[int]:
-    """Ascending indices of the rows that agree with every assignment of `partial`.
-
-    A variable with one position adds a constant; the others multiply the
-    list, so the work is proportional to the rows returned.
-    """
-    fixed = partial.assignments
-    if not fixed.keys() <= index.keys():
-        return []  # foreign variable behind an out-of-domain value: no row agrees
-    base, spread = 0, []
-    for var in variables:
-        stride, positions = index[var.id]
-        if var.id in fixed:
-            offsets = [p * stride for p in positions.get(fixed[var.id], ())]
-        else:
-            offsets = range(0, stride * len(var.values), stride)
-        if len(offsets) == 1:
-            base += offsets[0]
-        else:
-            spread.append(offsets)
-    rows = [base]
-    for offsets in spread:
-        rows = [r + o for r in rows for o in offsets]
-    return rows
+def _allowed(partial: Context, index) -> list[tuple[int, ...] | None] | None:
+    """Per variable, the positions that agree with `partial`, None where it is free; None when no row agrees."""
+    if not partial.assignments.keys() <= index.keys():
+        return None  # foreign variable behind an out-of-domain value: no row agrees
+    allowed: list[tuple[int, ...] | None] = [None] * len(index)
+    for var_id, value in partial.assignments.items():
+        column, _, positions = index[var_id]
+        if value not in positions:
+            return None
+        allowed[column] = positions[value]
+    return allowed
 
 
 def _first_foreign_variable(ucas: list[UnsafeControlAction], index) -> str | None:
@@ -213,7 +220,7 @@ def _first_foreign_variable(ucas: list[UnsafeControlAction], index) -> str | Non
                 if first is None or row < first[0]:
                     first = (row, var_id)
                 break
-            stride, positions = index[var_id]
+            _, stride, positions = index[var_id]
             if value not in positions:
                 break
             row += positions[value][0] * stride

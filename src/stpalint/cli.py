@@ -14,7 +14,6 @@ import gc
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -151,10 +150,16 @@ def _load(inputs: list[str]) -> tuple[ModelIndex, list[Diagnostic]]:
     return parse_index(sources)
 
 
-def _batches(lines: Iterable[str]) -> Iterator[str]:
-    """`lines` joined 1,024 at a time: to an unbuffered stdout, each string written is one system call."""
-    lines = iter(lines)
-    while batch := list(islice(lines, 1024)):
+def _batches(strings: Iterable[str]) -> Iterator[str]:
+    """`strings` joined into pieces of 64 KiB or more but the last: to an unbuffered stdout, each is one system call."""
+    batch, size = [], 0
+    for text in strings:
+        batch.append(text)
+        size += len(text)
+        if size >= 1 << 16:
+            yield "".join(batch)
+            batch, size = [], 0
+    if batch:
         yield "".join(batch)
 
 
@@ -343,7 +348,12 @@ def run(argv: list[str] | None = None) -> int:
                     raise _Unusable(f"cannot write {name}: not a regular file")
             texts = printer.serialize_files(index.model, args.inputs)
             for name in args.inputs:
-                _write(Path(name), texts[name], replace=True)
+                try:  # a canonical file is left alone: it keeps its inode, so its links, xattrs and mtime
+                    canonical = Path(name).read_bytes() == texts[name].encode("utf-8")
+                except OSError:
+                    canonical = False  # the write reports the error
+                if not canonical:
+                    _write(Path(name), texts[name], replace=True)
         else:
             _write(args.output, COMMANDS[args.command][2](index, args))
     except SystemExit as err:  # argparse printed help or a usage error

@@ -83,27 +83,77 @@ def _quote(field: str) -> str:
     return '"' + field.replace('"', '""') + '"' if any(c in field for c in _csv_specials()) else field
 
 
-def context_csv_lines(table: ContextTable) -> Iterator[str]:
-    """Context table as CSV lines: variable columns, then one column per guide category.
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a mask's binary digits as compress selectors
 
-    The cells are filled column by column from the hits; each line joins a
-    product of the quoted domain values with its cells. A hit outside the
-    table raises `ValueError` before the first line.
+
+def _product(columns: list[list], first, combine) -> list:
+    """Per combination of one item of each column, in row order: `first` combined with them in turn."""
+    out = [first]
+    for column in columns:
+        out = [combine(a, b) for a in out for b in column]
+    return out
+
+
+def context_csv_lines(table: ContextTable) -> Iterator[str]:
+    """Context table as CSV: the header line, then one string per leading combination's lines.
+
+    The rows split into groups by their first variables' values, fine enough
+    that at most 64 hits allow a group's values (or at single rows); in a
+    group such a hit is one bit of a row's mask, and each distinct mask gets
+    its cells once. A hit outside the table raises `ValueError` before the
+    first line. README "Cost of `contexts`" gives the steps.
     """
+    variables, hits = table.variables, table.hits
     total = table.checked_size()
-    columns: list[list] = [[None] * total for _ in WORKSHEET_COLUMNS]  # None: no id yet
-    for category, uca_id, rows in table.hits:
-        column = columns[_COLUMN[category._name_]]
-        for i in rows:
-            cell = column[i]
-            column[i] = uca_id if cell is None else f"{cell} {uca_id}"
-    columns = [[cell or "" for cell in column] for column in columns]
-    if any(_quote(uca_id) != uca_id for _, uca_id, _ in table.hits):  # rare, so only then is every cell quoted
-        columns = [list(map(_quote, column)) for column in columns]
-    header = ",".join(map(_quote, [v.label for v in table.variables] + [cat.value for cat, _ in WORKSHEET_COLUMNS]))
-    values = itertools.product(*([_quote(value) + "," for value in v.values] for v in table.variables))
-    lines = map("{}{}\n".format, map("".join, values), map(",".join, zip(*columns)))
-    return itertools.chain([header + "\n"], lines)
+    header = ",".join(map(_quote, [v.label for v in variables] + [cat.value for cat, _ in WORKSHEET_COLUMNS])) + "\n"
+    if not total:
+        return iter([header])
+    groups, g = [("", hits)], 0  # (quoted values of the first g variables, the hits alive there)
+    while g < len(variables) and max(len(alive) for _, alive in groups) > 64:
+        groups = [
+            (text + _quote(value) + ",", [hit for hit in alive if (a := hit[2][g]) is None or p in a])
+            for text, alive in groups
+            for p, value in enumerate(variables[g].values)
+        ]
+        g += 1
+    split, lead = 0, 1
+    while split < g or lead * lead < total:
+        lead *= len(variables[split].values)
+        split += 1
+    quoted = [[_quote(value) + "," for value in var.values] for var in variables]
+    texts = (_product(quoted[g:split], "", str.__add__), _product(quoted[split:], "", str.__add__))
+    blocks = (_group_lines(variables, g, split, text, alive, *texts) for text, alive in groups)
+    return itertools.chain([header], itertools.chain.from_iterable(blocks))
+
+
+def _group_lines(variables, g, split, text, alive, lead_texts, trail_texts) -> Iterator[str]:
+    """One group's lines, one string per leading combination: group, leading and trailing values, then cells."""
+    masks = [[0] * len(var.values) for var in variables[g:]]
+    column_masks = [0] * len(WORKSHEET_COLUMNS)
+    for j, (category, _, positions) in enumerate(alive):
+        bit = 1 << j
+        column_masks[_COLUMN[category._name_]] |= bit
+        for column, allowed in zip(masks, positions[g:]):
+            for p in range(len(column)) if allowed is None else allowed:
+                column[p] |= bit
+    full = (1 << len(alive)) - 1
+    lead_masks = _product(masks[: split - g], full, int.__and__)
+    trail_masks = _product(masks[split - g :], full, int.__and__)
+    row_masks = [list(map(mask.__and__, trail_masks)) for mask in lead_masks]
+    distinct = list(set().union(*row_masks))
+    ids = [uca_id for _, uca_id, _ in alive]
+    columns = []
+    for column_mask in column_masks:
+        subs = list(map(column_mask.__and__, distinct))
+        # one cell per distinct sub-mask: the ids of its set bits, lowest bit first
+        bits = {sub: f"{sub:b}"[::-1].encode().translate(_BITS) for sub in set(subs)}
+        cell = {sub: _quote(" ".join(itertools.compress(ids, selectors))) for sub, selectors in bits.items()}
+        columns.append(map(cell.__getitem__, subs))
+    cells = dict(zip(distinct, map(",".join, zip(*columns))))
+    newline = itertools.repeat("\n")
+    for lead, block in zip(lead_texts, row_masks):
+        lines = zip(itertools.repeat(text + lead), trail_texts, map(cells.__getitem__, block), newline)
+        yield "".join(itertools.chain.from_iterable(lines))
 
 
 def render_context_csv(table: ContextTable) -> str:

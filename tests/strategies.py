@@ -147,8 +147,11 @@ def control_structures(draw) -> StpaModel:
     feedback and control edges between any two of them, dense enough that
     shared paths are common, self-loops included, with via chains that may
     name undeclared ids; UCAs on any edge or on a missing one, some with a
-    source controller other than the edge's source; causal factors with
-    near-duplicate descriptions. Walks stay few enough to list.
+    source controller other than the edge's source; sometimes a clique of two
+    to four sensors and actuators that each feed one UCA's controller and
+    each other, so one feedback element next to the controller reaches
+    another; causal factors with near-duplicate descriptions. Walks stay few
+    enough to list.
     """
     m = StpaModel()
     for i in range(draw(st.integers(1, 7))):
@@ -190,6 +193,15 @@ def control_structures(draw) -> StpaModel:
                 "d",
             )
         )
+    if draw(st.integers(0, 2)) == 0:
+        controller = draw(st.sampled_from(m.ucas)).source_controller
+        clique = [f"K-{k}" for k in range(draw(st.integers(2, 4)))]
+        for member in clique:
+            m.entities.append(Entity(member, draw(st.sampled_from([EntityKind.SENSOR, EntityKind.ACTUATOR])), member))
+        hops = [(a, b) for a in clique for b in [*clique, controller] if a != b]
+        for j, (a, b) in enumerate(draw(st.permutations(hops))):
+            m.edges.append(Edge(f"FK-{j}", EdgeKind.FEEDBACK, "edge", a, b))
+        nodes += clique
 
     for i in range(draw(st.integers(0, 5))):
         m.causal_factors.append(

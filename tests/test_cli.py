@@ -781,6 +781,30 @@ def test_fmt_write_failure_leaves_the_file_unchanged(corpus_copy, tmp_path, monk
     assert sorted(os.listdir(tmp_path)) == sorted(CORPUS_FILES)
 
 
+def test_fmt_leaves_a_canonical_file_alone(corpus_copy, tmp_path):
+    """A file already in canonical form keeps its inode: a hard link stays one, and its mtime stays."""
+    assert run_cli(["fmt", *corpus_copy]) == (0, "", "")
+    canonical = corpus_copy[0]
+    link = tmp_path / "link.stpa"
+    os.link(canonical, link)
+    os.utime(canonical, ns=(10**9, 10**9))
+    before = os.stat(canonical)
+    assert run_cli(["fmt", *corpus_copy]) == (0, "", "")
+    after = os.stat(canonical)
+    assert (after.st_ino, after.st_nlink, after.st_mtime_ns) == (before.st_ino, 2, 10**9)
+    assert os.path.samefile(link, canonical)
+
+
+@pytest.mark.parametrize("prefix, newline", [(b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n")])
+def test_fmt_rewrites_a_canonical_text_with_a_byte_order_mark_or_crlf(corpus_copy, prefix, newline):
+    assert run_cli(["fmt", *corpus_copy]) == (0, "", "")
+    canonical = {name: Path(name).read_bytes() for name in corpus_copy}
+    for name, text in canonical.items():
+        Path(name).write_bytes(prefix + text.replace(b"\n", newline))
+    assert run_cli(["fmt", *corpus_copy]) == (0, "", "")
+    assert {name: Path(name).read_bytes() for name in corpus_copy} == canonical
+
+
 def test_fmt_drops_comments_but_keeps_statements(tmp_path):
     src = tmp_path / "m.stpa"
     src.write_text('# explanatory comment\nloss   L-1    "spaced oddly"\n', encoding="utf-8")

@@ -1,9 +1,10 @@
 """The indexed context table against the row-by-row oracle.
 
 `analysis_oracle` tests every row against every UCA with `context_matches`.
-The indexed `build_context_table` must give the same hits, the same marks in
-the same order, and the same `AnalysisError` message, on any input. Its CSV
-and coverage gaps must equal the old loops over `table.rows`.
+The rows that the positions of each hit of `build_context_table` allow must
+be the oracle's rows of that UCA, its marks must come in the same order, and
+its `AnalysisError` message must be the same, on any input. Its CSV and
+coverage gaps must equal the old loops over `table.rows`.
 """
 
 import math
@@ -36,22 +37,26 @@ HOSTILE = [",", '"', "\n", "\r", " a", ""]  # labels, values and UCA ids that CS
 FOREIGN = ["X", "W-0"]  # an undeclared id and a variable of another controller
 
 
-def outcome(build, model, **kwargs):
-    """The table (so its hits) with the insertion order of every row's marks, or the error message.
+def row_lists(table):
+    """(category, UCA id, ascending rows) per hit: the oracle's hits, derived from positions for a `ContextTable`."""
+    if isinstance(table, ContextTable):
+        return [(category, uca_id, table.hit_rows(positions)) for category, uca_id, positions in table.hits]
+    return table.hits
 
-    The oracle returns its own marks beside its table; the marks of
-    `build_context_table` are derived from its hits, and its rows must carry them.
+
+def outcome(build, model, **kwargs):
+    """The pair, the variables, each hit's rows and the insertion order of every row's marks, or the error message.
+
+    The oracle keeps its own marks; the marks of `build_context_table` are
+    derived from its hits' positions, and its rows must carry them.
     """
     try:
-        result = build(model, CONTROLLER, ACTION, **kwargs)
+        table = build(model, CONTROLLER, ACTION, **kwargs)
     except AnalysisError as err:
         return str(err)
-    if isinstance(result, tuple):
-        table, marks = result
-    else:
-        table, marks = result, result.marks
-        assert [row.marks for row in table.rows] == marks
-    return table, [list(m.items()) for m in marks]
+    if isinstance(table, ContextTable):
+        assert [row.marks for row in table.rows] == table.marks
+    return table.controller, table.action, table.variables, row_lists(table), [list(m.items()) for m in table.marks]
 
 
 def uca(uid, context, category=GuideCategory.NOT_PROVIDED, controller=CONTROLLER, action=ACTION):
@@ -117,7 +122,7 @@ def test_csv_and_gaps_equal_the_row_loop_oracle(inputs):
         table = build_context_table(m, CONTROLLER, ACTION, **kwargs)
     except AnalysisError:
         return  # the error itself is compared with the oracle's above
-    expected, _ = analysis_oracle.build_context_table(m, CONTROLLER, ACTION, **kwargs)
+    expected = analysis_oracle.build_context_table(m, CONTROLLER, ACTION, **kwargs)
     assert render_context_csv(table) == analysis_oracle.render_context_csv(expected)
     for category in GuideCategory:
         assert coverage_gaps(table, category) == analysis_oracle.coverage_gaps(expected, category)
@@ -131,14 +136,15 @@ def test_zero_row_table_csv_is_the_header_only():
 
 
 def test_csv_builds_no_row_context(corpus, monkeypatch):
-    """`build_context_table` and the CSV read only the hits: no marks dict, row view or context."""
+    """The table and its CSV read only the hits' positions: no row index, marks dict, row view or context."""
     planner = planner_model()
-    planner_csv = analysis_oracle.render_context_csv(analysis_oracle.build_context_table(planner, "Planner", "Plan")[0])
+    planner_csv = analysis_oracle.render_context_csv(analysis_oracle.build_context_table(planner, "Planner", "Plan"))
 
     def refuse(*args):
         raise AssertionError("a row was built")
 
     monkeypatch.setattr(analysis, "enumerate_contexts", refuse)
+    monkeypatch.setattr(ContextTable, "hit_rows", refuse)
     monkeypatch.setattr(ContextTable, "marks", property(refuse))
     monkeypatch.setattr(ContextTable, "rows", property(refuse))
     table = build_context_table(corpus, "Operator", "BrakeCmd")
@@ -148,10 +154,13 @@ def test_csv_builds_no_row_context(corpus, monkeypatch):
 
 @pytest.mark.parametrize("rows", [5, 7, 0])
 def test_marks_of_another_length_raise_instead_of_dropping_rows(rows):
-    """Hits made for a table one row longer, at either end, raise: no row is dropped and no index wraps."""
+    """Hits made for a domain one value longer, at either end, or for one variable more or fewer, raise.
+
+    No row is dropped, no index wraps and no position list is cut short.
+    """
     variables = [ProcessModelVariable("A", CONTROLLER, "A", [f"v{i}" for i in range(rows)])]
-    for hit_rows in ([*range(rows), rows], [-1, *range(rows)]):
-        table = ContextTable(CONTROLLER, ACTION, variables, [(GuideCategory.NOT_PROVIDED, "U-1", hit_rows)])
+    for positions in ([(*range(rows), rows)], [(-1, *range(rows))], [None, None], []):
+        table = ContextTable(CONTROLLER, ACTION, variables, [(GuideCategory.NOT_PROVIDED, "U-1", positions)])
         with pytest.raises(ValueError):
             render_context_csv(table)
         with pytest.raises(ValueError):
@@ -213,16 +222,70 @@ def test_row_guard_comes_before_the_duplicate_id_error():
 
 def test_corpus_table_equals_oracle(corpus):
     table = build_context_table(corpus, "Operator", "BrakeCmd")
-    expected, marks = analysis_oracle.build_context_table(corpus, "Operator", "BrakeCmd")
-    assert table == expected
-    assert [list(m.items()) for m in table.marks] == [list(m.items()) for m in marks]
+    expected = analysis_oracle.build_context_table(corpus, "Operator", "BrakeCmd")
+    assert (table.controller, table.action, table.variables) == expected[:3]
+    assert row_lists(table) == expected.hits
+    assert [list(m.items()) for m in table.marks] == [list(m.items()) for m in expected.marks]
 
 
 def test_generated_model_csv_equals_oracle():
     m = planner_model()
     table = build_context_table(m, "Planner", "Plan")
-    expected, marks = analysis_oracle.build_context_table(m, "Planner", "Plan")
+    expected = analysis_oracle.build_context_table(m, "Planner", "Plan")
     assert len(table.rows) == 2**11
-    assert table == expected
-    assert [list(m.items()) for m in table.marks] == [list(m.items()) for m in marks]
+    assert (table.controller, table.action, table.variables) == expected[:3]
+    assert row_lists(table) == expected.hits
+    assert [list(m.items()) for m in table.marks] == [list(m.items()) for m in expected.marks]
     assert render_context_csv(table) == analysis_oracle.render_context_csv(expected)
+
+
+def test_masks_wider_than_a_machine_word_equal_the_oracle():
+    """70 UCAs on one action, so 69 hits: repeated values, an out-of-domain value, an id to quote, every category."""
+    m = StpaModel()
+    for var_id, values in (("A", ["a", "b", "a", "c"]), ("B", ["x", "y", "z"]), ("C", ["p", "q"]), ("D", ["m", "n"])):
+        m.variables.append(ProcessModelVariable(var_id, CONTROLLER, var_id, values))
+    categories = list(GuideCategory)
+    for i in range(70):
+        context = {"A": "abc"[i % 3], "B": "xyz"[i // 3 % 3], "C": "pq"[i % 2], "D": "mn"[i // 7 % 2]}
+        context = {var: value for j, (var, value) in enumerate(context.items()) if i >> j & 1 or i % 11 == j}
+        if i == 13:
+            context["B"] = "w"  # in no domain: U-13 marks no row
+        uid = 'U-40,"quoted"' if i == 40 else f"U-{i}"
+        m.ucas.append(uca(uid, context, categories[i % len(categories)]))
+    table = build_context_table(m, CONTROLLER, ACTION)
+    expected = analysis_oracle.build_context_table(m, CONTROLLER, ACTION)
+    assert len(table.hits) == 69
+    assert outcome(build_context_table, m) == outcome(analysis_oracle.build_context_table, m)
+    assert render_context_csv(table) == analysis_oracle.render_context_csv(expected)
+    assert 'U-40,""quoted""' in render_context_csv(table)
+    for category in GuideCategory:
+        assert coverage_gaps(table, category) == analysis_oracle.coverage_gaps(expected, category)
+
+
+@pytest.mark.parametrize("shape", ["one UCA per row", "more than 64 UCAs on one row"])
+def test_tables_with_many_hits_per_action_equal_the_oracle(shape):
+    """More than 64 hits: the CSV numbers them per group of rows, down to single rows if a row has more."""
+    m = StpaModel()
+    categories = list(GuideCategory)
+    if shape == "one UCA per row":  # 7 binary variables, their 128 rows in another order, and some partial UCAs
+        for j in range(7):
+            m.variables.append(ProcessModelVariable(f"V-{j}", CONTROLLER, f"V-{j}", ["off", "on"]))
+        for i in range(128):
+            row = i * 37 % 128
+            context = {f"V-{j}": "on" if row >> (6 - j) & 1 else "off" for j in range(7)}
+            m.ucas.append(uca(f"U-{row}", context, categories[i % 4]))
+        for i, context in enumerate([{}, {"V-3": "on"}, {"V-0": "off", "V-6": "on"}, {"V-6": "off"}]):
+            m.ucas.append(uca(f"P-{i}", context, categories[i]))
+    else:  # a repeated value, an id to quote, every category
+        m.variables.append(ProcessModelVariable("A", CONTROLLER, "A", ["a", "b", "a"]))
+        m.variables.append(ProcessModelVariable("B", CONTROLLER, "B", ["x", "y"]))
+        for i in range(70):
+            context = [{}, {"A": "a"}, {"B": "y"}, {"A": "a", "B": "y"}][i % 4]  # 70 hits on rows (a, y)
+            m.ucas.append(uca('U,"1"' if i == 1 else f"U-{i}", context, categories[i // 4 % 4]))
+    table = build_context_table(m, CONTROLLER, ACTION)
+    expected = analysis_oracle.build_context_table(m, CONTROLLER, ACTION)
+    assert len(table.hits) > 64
+    assert outcome(build_context_table, m) == outcome(analysis_oracle.build_context_table, m)
+    assert render_context_csv(table) == analysis_oracle.render_context_csv(expected)
+    for category in GuideCategory:
+        assert coverage_gaps(table, category) == analysis_oracle.coverage_gaps(expected, category)

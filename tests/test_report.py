@@ -137,7 +137,7 @@ def test_context_csv_quotes_per_rfc4180():
         "C-1",
         "AC-1",
         [ProcessModelVariable("V-1", "C-1", 'tricky, "label"', ["a,b", "c"])],
-        [(GuideCategory.NOT_PROVIDED, "UCA-1", [0]), (GuideCategory.NOT_PROVIDED, "UCA-2", [0])],
+        [(GuideCategory.NOT_PROVIDED, "UCA-1", [(0,)]), (GuideCategory.NOT_PROVIDED, "UCA-2", [(0,)])],
     )
     text = render_context_csv(table)
     assert text.splitlines()[0].startswith('"tricky, ""label"""')
