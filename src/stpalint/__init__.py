@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "analysis": (
-        "AnalysisError",
         "Conflict",
         "ContextRow",
         "ContextTable",
@@ -27,6 +26,7 @@ _EXPORTS = {
     "corpus": ("load_corpus",),
     "model": (
         "ALLOWED_QUALIFIERS",
+        "AnalysisError",
         "CausalFactor",
         "CfCategory",
         "Context",

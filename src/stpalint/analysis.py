@@ -24,7 +24,6 @@ from .model import (
     ProcessModelVariable,
     Record,
     StpaModel,
-    UnsafeControlAction,
     trace_closure,
 )
 
@@ -120,6 +119,7 @@ def _require_unique_ids(variables: list[ProcessModelVariable]) -> None:
 
 def expand(partial: Context, variables: list[ProcessModelVariable]) -> list[Context]:
     """All concrete contexts over `variables` that match the partial context."""
+    _require_unique_ids(variables)
     by_id = {v.id: v for v in variables}
     for var_id, value in partial.assignments.items():
         var = by_id.get(var_id)
@@ -152,7 +152,10 @@ def build_context_table(
 
     A UCA's hit keeps, for each variable it assigns, the ascending positions
     of its value in the domain, and None for each variable it leaves free; a UCA
-    whose value is in no domain marks no row and has no hit. The cost is one
+    whose value is in no domain marks no row and has no hit. A UCA that names
+    a variable the controller does not own raises `AnalysisError` for the
+    foreign variable a row-by-row, UCA-by-UCA scan would meet first: the one
+    met on the lowest row, and on a tie the earlier UCA's. The cost is one
     step per (UCA, assignment) pair plus one per variable and value: no row
     index, row or context is built.
     """
@@ -169,62 +172,52 @@ def build_context_table(
     index = _row_index(variables)
     # a table without rows (an empty domain) meets no UCA
     ucas = [u for u in model.ucas_on(action) if u.source_controller == controller] if total else []
-    foreign = None  # a scan for the first foreign variable only if some UCA names one
-    if not all(u.context.assignments.keys() <= index.keys() for u in ucas):
-        foreign = _first_foreign_variable(ucas, index)
-    if foreign is not None:
-        raise AnalysisError(f"foreign variable: {foreign}")
-    hits = [(u.guide.category, u.id, positions) for u in ucas if (positions := _allowed(u.context, index))]
+    hits = []
+    first = None  # (row, variable id): the foreign variable a row-by-row, UCA-by-UCA scan meets first
+    for u in ucas:
+        positions, foreign = _allowed(u.context, index)
+        if foreign is not None:
+            # `context_matches` stops at a row's first disagreeing assignment, so a scan meets `foreign` first
+            # on the lowest row that agrees with the assignments before it: their first positions, 0 elsewhere
+            row = 0
+            for var, allowed in zip(variables, positions):
+                row = row * len(var.values) + (0 if allowed is None else allowed[0])
+            if first is None or row < first[0]:
+                first = (row, foreign)
+        elif positions is not None:
+            hits.append((u.guide.category, u.id, positions))
+    if first is not None:
+        raise AnalysisError(f"foreign variable: {first[1]}")
     return ContextTable(controller, action, variables, hits)
 
 
-def _row_index(variables: list[ProcessModelVariable]) -> dict[str, tuple[int, int, dict[str, tuple[int, ...]]]]:
-    """Per variable id: its column, its stride in row order and every position of each value."""
+def _row_index(variables: list[ProcessModelVariable]) -> dict[str, tuple[int, dict[str, tuple[int, ...]]]]:
+    """Per variable id: its column and every position of each value."""
     index = {}
-    stride = 1
-    for column, var in reversed(list(enumerate(variables))):
+    for column, var in enumerate(variables):
         positions: dict[str, tuple[int, ...]] = {}
         for position, value in enumerate(var.values):
             positions[value] = (*positions.get(value, ()), position)
-        index[var.id] = (column, stride, positions)
-        stride *= len(var.values)
+        index[var.id] = (column, positions)
     return index
 
 
-def _allowed(partial: Context, index) -> list[tuple[int, ...] | None] | None:
-    """Per variable, the positions that agree with `partial`, None where it is free; None when no row agrees."""
-    if not partial.assignments.keys() <= index.keys():
-        return None  # foreign variable behind an out-of-domain value: no row agrees
+def _allowed(partial: Context, index) -> tuple[list[tuple[int, ...] | None] | None, str | None]:
+    """Per variable, the positions that agree with `partial` (None where it is free), and None.
+
+    The positions are None when no row agrees. At the first foreign variable,
+    the positions of the assignments before it come back with its id.
+    """
     allowed: list[tuple[int, ...] | None] = [None] * len(index)
     for var_id, value in partial.assignments.items():
-        column, _, positions = index[var_id]
-        if value not in positions:
-            return None
-        allowed[column] = positions[value]
-    return allowed
-
-
-def _first_foreign_variable(ucas: list[UnsafeControlAction], index) -> str | None:
-    """The foreign variable a row-by-row, UCA-by-UCA scan would meet first.
-
-    `context_matches` stops at the first assignment a row disagrees with, so
-    it meets a foreign variable only on rows that agree with every assignment
-    before it. The lowest such row puts each of those variables at the first
-    position of its value and every other variable at position 0.
-    """
-    first = None  # (row, variable id)
-    for uca in ucas:
-        row = 0
-        for var_id, value in uca.context.assignments.items():
-            if var_id not in index:
-                if first is None or row < first[0]:
-                    first = (row, var_id)
-                break
-            _, stride, positions = index[var_id]
-            if value not in positions:
-                break
-            row += positions[value][0] * stride
-    return None if first is None else first[1]
+        entry = index.get(var_id)
+        if entry is None:
+            return allowed, var_id
+        positions = entry[1].get(value)
+        if positions is None:
+            return None, None
+        allowed[entry[0]] = positions
+    return allowed, None
 
 
 def coverage_gaps(table: ContextTable, category: GuideCategory) -> list[Context]:

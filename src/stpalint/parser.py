@@ -45,6 +45,7 @@ from .model import (
     Loss,
     ModelIndex,
     ProcessModelVariable,
+    Record,
     SourceSpan,
     StpaModel,
     SystemConstraint,
@@ -54,32 +55,26 @@ from .model import (
 )
 
 
-# `Field` and `Statement` are plain classes: building a `NamedTuple` class
-# costs about 0.3 ms at every start
+class Field(Record, defaults={"keyword": None}):
+    """A slot that fills one field of the statement's record class.
 
-
-class Field:
-    """A slot that fills one field of the statement's record class."""
+    `shape` is a key of `_FileParser.READ`, what the slot's tokens look
+    like; `what` is what the "expected ..." message for the slot names;
+    `keyword` is the word that introduces an optional slot.
+    """
 
     __slots__ = ("name", "shape", "what", "keyword")
 
-    def __init__(self, name: str, shape: str, what: str, keyword: str | None = None):
-        self.name = name
-        self.shape = shape  # a key of `_FileParser.READ`: what the slot's tokens look like
-        self.what = what  # what the "expected ..." message for the slot names
-        self.keyword = keyword  # the word that introduces an optional slot
 
+class Statement(Record):
+    """The syntax of one statement keyword and the declaration it makes.
 
-class Statement:
-    """The syntax of one statement keyword and the declaration it makes."""
+    `section` is the `StpaModel` list the declaration goes to, `fixed` the
+    fields that the keyword alone decides, and `slots` the `Field`s, literal
+    words and "=" in source order.
+    """
 
     __slots__ = ("section", "cls", "fixed", "slots")
-
-    def __init__(self, section: str, cls: type, fixed: dict, slots: tuple):
-        self.section = section  # the `StpaModel` list the declaration goes to
-        self.cls = cls
-        self.fixed = fixed  # the fields that the keyword alone decides
-        self.slots = slots  # `Field`s, literal words and "=", in source order
 
 
 # Slot shapes: "id"; "string"; "ids", `[a, b]`, maybe empty; "strings",

@@ -187,21 +187,21 @@ def render_trace_matrix(model: StpaModel | ModelIndex) -> str:
     per link plus one per cell written.
     """
     index = indexed(model)
-    model = index.model
+    model, ids = index.model, index.ids
     hazard_ids, uca_ids = [hz.id for hz in model.hazards], [u.id for u in model.ucas]
     loss_hazards: dict[str, list[str]] = {}
-    for hz in index.ids["hazards"].values():
+    for hz in ids["hazards"].values():
         for loss_id in hz.leads_to:
             loss_hazards.setdefault(loss_id, []).append(hz.id)
-    cfs, scs = model.causal_factors, model.constraints
     lines = ["# Traceability", ""]
-    for title, row_ids, col_ids, links in (
-        ("Hazards to losses", hazard_ids, [loss.id for loss in model.losses], loss_hazards),
-        ("Hazards to unsafe control actions", hazard_ids, uca_ids, {u.id: u.hazards for u in model.ucas}),
-        ("Unsafe control actions to causal factors", uca_ids, [cf.id for cf in cfs], {cf.id: cf.ucas for cf in cfs}),
-        ("Hazards to constraints", hazard_ids, [sc.id for sc in scs], {sc.id: sc.mitigates for sc in scs}),
+    for title, row_ids, section, field in (
+        ("Hazards to losses", hazard_ids, "losses", None),
+        ("Hazards to unsafe control actions", hazard_ids, "ucas", "hazards"),
+        ("Unsafe control actions to causal factors", uca_ids, "causal_factors", "ucas"),
+        ("Hazards to constraints", hazard_ids, "constraints", "mitigates"),
     ):
-        lines += _matrix(title, row_ids, col_ids, links)
+        links = loss_hazards if field is None else {i: getattr(d, field) for i, d in ids[section].items()}
+        lines += _matrix(title, row_ids, [d.id for d in getattr(model, section)], links)
     return "\n".join(lines)
 
 
@@ -298,18 +298,13 @@ def render_checklist(items: list[ChecklistItem], uca_id: str) -> str:
 
 
 def render_stats(model: StpaModel) -> str:
-    from .analysis import stats
+    from .analysis import _COUNTS, stats
 
     s = stats(model)
     lines = ["# Model summary", ""]
-    lines.append(f"- losses: {s.losses}")
-    lines.append(f"- hazards: {s.hazards}")
-    lines.append(f"- constraints: {s.constraints}")
-    lines.append(f"- edges: {s.edges}")
-    lines.append(f"- variables: {s.variables}")
-    lines.append(f"- unsafe control actions: {s.ucas}")
-    lines.append(f"- causal factors: {s.causal_factors}")
-    lines.append(f"- controller constraints: {s.controller_constraints}")
+    for name in _COUNTS:
+        label = "unsafe control actions" if name == "ucas" else name.replace("_", " ")
+        lines.append(f"- {label}: {getattr(s, name)}")
     for heading, counts in (
         ("Entities by kind", s.entities_by_kind),
         ("Unsafe control actions by action and guide category", s.ucas_by_action_guide),

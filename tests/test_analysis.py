@@ -88,6 +88,24 @@ def test_expand_value_outside_domain_raises():
         expand(Context({"A": "3"}), [var("A", ["1", "2"])])
 
 
+def test_expand_duplicate_variable_id_raises():
+    # no value of the first declaration is lost, and no context is listed twice: the id is refused, as by its siblings
+    for partial in (Context(), Context({"A": "c"}), Context({"A": "a"})):
+        with pytest.raises(AnalysisError, match="^duplicate variable id A$"):
+            expand(partial, [var("A", ["a", "b"]), var("A", ["c", "d"])])
+
+
+def test_detect_conflicts_duplicate_variable_id_raises():
+    from stpalint import GuideWord, UnsafeControlAction
+
+    m = tiny_model()
+    m.variables.append(ProcessModelVariable("V-1", "C-1", "State again", ["up", "down"]))
+    guide = GuideWord(GuideCategory.PROVIDED_UNSAFE)
+    m.ucas.append(UnsafeControlAction("UCA-2", "AC-1", "C-1", guide, Context(), ["H-1"], "acting at all"))
+    with pytest.raises(AnalysisError, match="^duplicate variable id V-1$"):
+        detect_conflicts(m, "AC-1")
+
+
 # -- context tables -----------------------------------------------------------
 
 

@@ -6,6 +6,11 @@ the run, and the best of three runs counts. A linear cost gives a ratio of
 about 8 and a quadratic one up to 64, so each ratio must stay under 16 (the
 doubling test of Sedgewick and Wayne, *Algorithms*, 4th ed., section 1.4).
 A shape enters here once its command is linear on it.
+
+Where a cost can be counted, it is counted exactly: the adjacency lookups
+that `validate_cfs` and `open_loop` make on an index whose `preds` and
+`succs` count them. A count sees no work done inside C, which is why the
+timed shapes stay.
 """
 
 import gc
@@ -13,7 +18,8 @@ import time
 
 import pytest
 
-from stpalint import cli
+from stpalint import causal, cli
+from stpalint.parser import parse_index
 
 RUNS = 3
 LIMIT = 16
@@ -101,6 +107,13 @@ def lattice(n: int, width: int = 4, controllers: int = 1) -> str:
     return "".join(parts)
 
 
+def busy_chain(n: int) -> str:
+    """`chain(n)` with n UCAs on its one action, `U-i` wrong-timing for odd i (`U-1` is the chain's own)."""
+    guides = ["NotProvided", "WrongTiming qualifier = TooLate"]
+    more = (f'uca U-{i} action = A guide = {guides[i % 2]} hazards [H-1] "u {i}"\n' for i in range(n) if i != 1)
+    return chain(n) + "".join(more)
+
+
 def hazards(n: int) -> str:
     """n hazards and 10n UCAs, each citing three of them."""
     parts = ['loss L-1 "loss"\ncontroller C "C"\nprocess Plant "Plant"\naction A "act" from C to Plant\n']
@@ -139,6 +152,9 @@ SHAPES = {
     "wide-fmt": (wide, ["fmt"], 200),
     "wide-checklist": (wide, ["checklist", "--uca", "U-0-1"], 200),
     "wide-trace-json": (wide, ["trace", "--format", "json"], 200),
+    "wide-graph": (wide, ["graph"], 200),
+    "wide-worksheet": (wide, ["worksheet", "--action", "Act-0"], 200),
+    "wide-stats-json": (wide, ["stats", "--format", "json"], 200),
     "lattice": (lattice, ["check"], 50),
     "hazards": (hazards, ["stats"], 200),
     "one-uca-per-row": (one_uca_per_row, ["contexts", "--controller", "C", "--action", "A"], 512),
@@ -178,3 +194,43 @@ def test_eight_times_the_model_costs_less_than_sixteen_times_the_time(shape, tmp
     assert codes[0] == codes[1] and (argv == ["check"] or codes[0] == 0), (shape, codes)
     ratio = times[1] / times[0]
     assert ratio < LIMIT, f"{shape}: {times[0]:.4f} s at n = {n}, {times[1]:.4f} s at 8n, ratio {ratio:.1f}"
+
+
+class CountingMap(dict):
+    """A dict that counts its `get` calls and `in` tests: one per node a search enters or tests."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def lookups(text: str) -> int:
+    """The adjacency lookups of `validate_cfs` and `open_loop` on a fresh index of `text`."""
+    index, _ = parse_index([("m.stpa", text)])
+    index.preds, index.succs = CountingMap(index.preds), CountingMap(index.succs)
+    causal.validate_cfs(index)
+    causal.open_loop(index)
+    return index.preds.lookups + index.succs.lookups
+
+
+# shape -> (generator, n) for the exact counts
+COUNTED = {
+    "fan-in": (fan_in, 200),
+    "chain": (busy_chain, 200),
+    "lattice": (lattice, 20),
+    "wide": (wide, 50),
+}
+
+
+@pytest.mark.parametrize("shape", COUNTED)
+def test_eight_times_the_model_costs_at_most_eight_and_a_half_times_the_lookups(shape):
+    """Counts are exact, so the bound can be tight: a linear cost gives 8 plus what a constant adds."""
+    generate, n = COUNTED[shape]
+    small, large = lookups(generate(n)), lookups(generate(8 * n))
+    assert 0 < small and large <= 8.5 * small, f"{shape}: {small} lookups at n = {n}, {large} at 8n"

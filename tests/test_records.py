@@ -12,7 +12,7 @@ import inspect
 
 import pytest
 
-from stpalint import analysis, causal
+from stpalint import analysis, causal, parser
 from stpalint.model import (
     CausalFactor,
     CfCategory,
@@ -74,6 +74,8 @@ def samples():
         analysis.ModelStats(losses=1, entities_by_kind={"controller": 1}),
         causal.PathWalk(uca="U-1", direction=causal.PathDirection.FEEDBACK_PATH, elements=["P", "S", "C"]),
         causal.ChecklistItem(category=CfCategory.CONTROL_ALGORITHM, located_at="C", prompt="p"),
+        parser.Field(name="leads_to", shape="ids", what="identifier", keyword="leads_to"),
+        parser.Statement(section="losses", cls=Loss, fixed={}, slots=(parser.Field("id", "id", "loss id"),)),
     ]
 
 
@@ -245,6 +247,8 @@ CONSTRUCTORS = {
     ),
     causal.PathWalk: (("uca", "direction", "elements"), {}),
     causal.ChecklistItem: (("category", "located_at", "prompt"), {}),
+    parser.Field: (("name", "shape", "what"), {"keyword": None}),
+    parser.Statement: (("section", "cls", "fixed", "slots"), {}),
 }
 
 

@@ -135,7 +135,7 @@ def test_each_report_command_loads_only_the_analyses_it_runs(argv, tmp_path):
 
 
 def test_package_exports_resolve_to_their_home_modules():
-    listed, loaded_by_import, mismatched, star = run_child("""
+    listed, loaded_by_import, loaded_by_error, mismatched, elsewhere, star = run_child("""
         import importlib
         import sys
 
@@ -143,18 +143,29 @@ def test_package_exports_resolve_to_their_home_modules():
 
         listed = [name for name in stpalint.__all__ if name not in dir(stpalint)]
         loaded_by_import = sorted(name for name in sys.modules if name.startswith("stpalint."))
+        stpalint.AnalysisError
+        loaded_by_error = sorted(name for name in sys.modules if name.startswith("stpalint."))
         mismatched = [
             name
             for name in stpalint.__all__
             if getattr(stpalint, name) is not getattr(importlib.import_module("stpalint." + stpalint._HOME[name]), name)
         ]
+        # a name defined in one module and imported into another is listed under the first
+        elsewhere = [
+            name
+            for name in stpalint.__all__
+            if getattr(getattr(stpalint, name), "__module__", None) not in (None, "stpalint." + stpalint._HOME[name])
+        ]
         namespace = {}
         exec("from stpalint import *", namespace)
-        print((listed, loaded_by_import, mismatched, sorted(set(stpalint.__all__) - set(namespace))))
+        star = sorted(set(stpalint.__all__) - set(namespace))
+        print((listed, loaded_by_import, loaded_by_error, mismatched, elsewhere, star))
     """)
     assert listed == []  # dir() lists every export before its first use
     assert loaded_by_import == []  # `import stpalint` loads no submodule
+    assert loaded_by_error == ["stpalint.model"]  # `AnalysisError` lives in `model`
     assert mismatched == []
+    assert elsewhere == []
     assert star == []
 
 
