@@ -17,6 +17,7 @@ import math
 from collections import Counter
 
 from .model import (
+    _KINDS,
     AnalysisError,
     Context,
     EntityKind,
@@ -88,7 +89,7 @@ class Conflict(Record):
 
 
 # ModelStats' fields: the size of each model section but `entities`, then the breakdowns
-_COUNTS = ("losses", "hazards", "constraints", "edges", "variables", "ucas", "causal_factors", "controller_constraints")
+_COUNTS = tuple(section for section in _KINDS if section != "entities")
 _BREAKDOWNS = ("entities_by_kind", "ucas_by_guide", "ucas_by_action_guide", "ucas_per_hazard", "cfs_by_category")
 
 
@@ -162,7 +163,9 @@ def build_context_table(
     variables = model.variables_of(controller)
     if not variables:
         raise AnalysisError(f"no process model: controller {controller} owns no variables")
-    total = math.prod(len(var.values) for var in variables)
+    hits = []
+    table = ContextTable(controller, action, variables, hits)
+    total = table.checked_size()
     if total > max_rows:
         raise AnalysisError(
             f"context table for {controller}/{action} would have {total} rows "
@@ -172,23 +175,20 @@ def build_context_table(
     index = _row_index(variables)
     # a table without rows (an empty domain) meets no UCA
     ucas = [u for u in model.ucas_on(action) if u.source_controller == controller] if total else []
-    hits = []
     first = None  # (row, variable id): the foreign variable a row-by-row, UCA-by-UCA scan meets first
     for u in ucas:
         positions, foreign = _allowed(u.context, index)
         if foreign is not None:
             # `context_matches` stops at a row's first disagreeing assignment, so a scan meets `foreign` first
             # on the lowest row that agrees with the assignments before it: their first positions, 0 elsewhere
-            row = 0
-            for var, allowed in zip(variables, positions):
-                row = row * len(var.values) + (0 if allowed is None else allowed[0])
+            row = table.hit_rows([(0,) if a is None else a[:1] for a in positions])[0]
             if first is None or row < first[0]:
                 first = (row, foreign)
         elif positions is not None:
             hits.append((u.guide.category, u.id, positions))
     if first is not None:
         raise AnalysisError(f"foreign variable: {first[1]}")
-    return ContextTable(controller, action, variables, hits)
+    return table
 
 
 def _row_index(variables: list[ProcessModelVariable]) -> dict[str, tuple[int, dict[str, tuple[int, ...]]]]:

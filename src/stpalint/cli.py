@@ -202,6 +202,14 @@ def _write(output: Path | None, text: str | Iterable[str], replace: bool = False
         raise _Unusable(f"cannot write {'<stdout>' if output is None else output}: {reason}") from None
 
 
+def _same_file(a: Path, b: str) -> bool:
+    """Whether `a` and `b` name one file, through symlinks and hard links; False if either cannot be found."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def _max_rows(args, default: int) -> int:
     if args.max_rows is not None:
         return args.max_rows
@@ -355,6 +363,8 @@ def run(argv: list[str] | None = None) -> int:
                 if not canonical:
                     _write(Path(name), texts[name], replace=True)
         else:
+            if args.output is not None and any(_same_file(args.output, name) for name in args.inputs):
+                raise _Unusable(f"cannot write {args.output}: it is an input file")
             _write(args.output, COMMANDS[args.command][2](index, args))
     except SystemExit as err:  # argparse printed help or a usage error
         return err.code if isinstance(err.code, int) else EXIT_USAGE

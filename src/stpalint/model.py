@@ -314,7 +314,7 @@ class StpaModel(Record, defaults=dict.fromkeys(_KINDS, list)):
     __slots__ = tuple(_KINDS)
 
     def uca_ids(self) -> dict[str, UnsafeControlAction]:
-        return {d.id: d for d in self.ucas}
+        return ModelIndex(self).ids["ucas"]
 
     def variables_of(self, controller: str) -> list[ProcessModelVariable]:
         """Process-model variables owned by a controller, declaration order."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .model import Diagnostic, StpaModel, resolve
+from .model import _KINDS, Diagnostic, StpaModel, resolve
 from .parser import ABSENT, STATEMENTS, Statement, quote
 
 HEADER = "# stpa model (canonical format)"
@@ -68,13 +68,12 @@ def _line_writer(keyword: str, row: Statement):
 
 # (record class, fixed `kind` or None) -> its row's line writer; entities and edges have one row per kind
 _LINES = {(row.cls, row.fixed.get("kind")): _line_writer(keyword, row) for keyword, row in STATEMENTS.items()}
-_SECTIONS = dict.fromkeys(row.section for row in STATEMENTS.values())
 
 
 def _render(sections: dict[str, list]) -> str:
     """The text of the declarations that `sections` lists under each `StpaModel` section name."""
     lines = [HEADER]
-    for section in _SECTIONS:
+    for section in _KINDS:
         decls = sections.get(section)
         if decls:
             lines.append("")
@@ -92,7 +91,7 @@ def serialize(model: StpaModel, *, check: bool = True) -> str:
         diags = resolve(model)
         if diags:
             raise UnresolvedModelError(diags)
-    return _render({section: getattr(model, section) for section in _SECTIONS})
+    return _render({section: getattr(model, section) for section in _KINDS})
 
 
 def serialize_files(model: StpaModel, paths: list[str]) -> dict[str, str]:
@@ -102,7 +101,7 @@ def serialize_files(model: StpaModel, paths: list[str]) -> dict[str, str]:
     in place with its text.
     """
     files: dict[str, dict[str, list]] = {path: {} for path in paths}
-    for section in _SECTIONS:
+    for section in _KINDS:
         for decl in getattr(model, section):
             if decl.span is not None and (sections := files.get(decl.span.file)) is not None:
                 sections.setdefault(section, []).append(decl)

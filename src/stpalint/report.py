@@ -106,10 +106,8 @@ def context_csv_lines(table: ContextTable) -> Iterator[str]:
     variables, hits = table.variables, table.hits
     total = table.checked_size()
     header = ",".join(map(_quote, [v.label for v in variables] + [cat.value for cat, _ in WORKSHEET_COLUMNS])) + "\n"
-    if not total:
-        return iter([header])
     groups, g = [("", hits)], 0  # (quoted values of the first g variables, the hits alive there)
-    while g < len(variables) and max(len(alive) for _, alive in groups) > 64:
+    while g < len(variables) and max((len(alive) for _, alive in groups), default=0) > 64:
         groups = [
             (text + _quote(value) + ",", [hit for hit in alive if (a := hit[2][g]) is None or p in a])
             for text, alive in groups
@@ -161,13 +159,15 @@ def render_context_csv(table: ContextTable) -> str:
     return "".join(context_csv_lines(table))
 
 
-def _matrix(title: str, row_ids: list[str], col_ids: list[str], links: dict[str, list[str]]) -> list[str]:
-    """One Markdown matrix: an `x` in each row whose id `links` lists for the column's id."""
-    positions: dict[str, list[int]] = {row_id: [] for row_id in row_ids}
+def _matrix(title: str, row_ids: list[str], col_ids: list[str], links: Iterable[tuple[str, str]]) -> list[str]:
+    """One Markdown matrix: an `x` in each cell whose (row id, column id) pair `links` yields."""
+    columns: dict[str, list[int]] = {}
     for j, col_id in enumerate(col_ids, 1):  # cell 0 of a row holds its id
-        for row_id in links.get(col_id, ()):
-            if row_id in positions:
-                positions[row_id].append(j)
+        columns.setdefault(col_id, []).append(j)
+    positions: dict[str, list[int]] = {row_id: [] for row_id in row_ids}
+    for row_id, col_id in links:
+        if row_id in positions:
+            positions[row_id] += columns.get(col_id, ())
     blank = [""] * len(col_ids)
 
     def rows() -> Iterator[list[str]]:
@@ -189,18 +189,18 @@ def render_trace_matrix(model: StpaModel | ModelIndex) -> str:
     index = indexed(model)
     model, ids = index.model, index.ids
     hazard_ids, uca_ids = [hz.id for hz in model.hazards], [u.id for u in model.ucas]
-    loss_hazards: dict[str, list[str]] = {}
-    for hz in ids["hazards"].values():
-        for loss_id in hz.leads_to:
-            loss_hazards.setdefault(loss_id, []).append(hz.id)
+
+    def cited(section: str, field: str) -> Iterator[tuple[str, str]]:
+        """(id named in `field`, declaration id) per link of each last declaration of `section`."""
+        return ((i, d.id) for d in ids[section].values() for i in getattr(d, field))
+
     lines = ["# Traceability", ""]
-    for title, row_ids, section, field in (
-        ("Hazards to losses", hazard_ids, "losses", None),
-        ("Hazards to unsafe control actions", hazard_ids, "ucas", "hazards"),
-        ("Unsafe control actions to causal factors", uca_ids, "causal_factors", "ucas"),
-        ("Hazards to constraints", hazard_ids, "constraints", "mitigates"),
+    for title, row_ids, section, links in (
+        ("Hazards to losses", hazard_ids, "losses", ((h.id, i) for h in ids["hazards"].values() for i in h.leads_to)),
+        ("Hazards to unsafe control actions", hazard_ids, "ucas", cited("ucas", "hazards")),
+        ("Unsafe control actions to causal factors", uca_ids, "causal_factors", cited("causal_factors", "ucas")),
+        ("Hazards to constraints", hazard_ids, "constraints", cited("constraints", "mitigates")),
     ):
-        links = loss_hazards if field is None else {i: getattr(d, field) for i, d in ids[section].items()}
         lines += _matrix(title, row_ids, [d.id for d in getattr(model, section)], links)
     return "\n".join(lines)
 

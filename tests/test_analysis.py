@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stpalint import (
     AnalysisError,
@@ -18,8 +20,9 @@ from stpalint import (
     stats,
     trace_closure,
 )
-from stpalint.model import CausalFactor, CfCategory, Entity, EntityKind, Hazard, Loss
+from stpalint.model import CausalFactor, CfCategory, Entity, EntityKind, Hazard, Loss, StpaModel
 
+import strategies
 from conftest import tiny_model
 
 
@@ -328,3 +331,35 @@ def test_stats_corpus_counts(corpus):
 def test_stats_per_hazard_counts(corpus):
     s = stats(corpus)
     assert s.ucas_per_hazard == {"H-1": 8, "H-2": 5, "H-3": 5, "H-4": 4}
+
+
+def brute_force_stats(m):
+    """Each field of `stats(m)` as a list of (key, value) pairs, nested breakdowns too, counted item by item."""
+
+    def first_seen(values):
+        return [(v, values.count(v)) for v in dict.fromkeys(values)]
+
+    kinds = [e.kind.value for e in m.entities]
+    guides = [u.guide.category.value for u in m.ucas]
+    actions = dict.fromkeys(u.action for u in m.ucas)
+    by_action = [(a, first_seen([u.guide.category.value for u in m.ucas if u.action == a])) for a in actions]
+    return {
+        **{section: len(getattr(m, section)) for section in StpaModel.__slots__ if section != "entities"},
+        "entities_by_kind": [(k.value, kinds.count(k.value)) for k in EntityKind if k.value in kinds],
+        "ucas_by_guide": [(c.value, guides.count(c.value)) for c in GuideCategory if c.value in guides],
+        "ucas_by_action_guide": by_action,
+        "ucas_per_hazard": list({hz.id: sum(hz.id in u.hazards for u in m.ucas) for hz in m.hazards}.items()),
+        "cfs_by_category": first_seen([cf.category.value for cf in m.causal_factors]),
+    }
+
+
+def ordered(value):
+    """`value` with every dict turned into its list of (key, value) pairs, so that `==` compares key order too."""
+    return [(k, ordered(v)) for k, v in value.items()] if isinstance(value, dict) else value
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(strategies.models(), strategies.control_structures(), strategies.hostile_models()))
+def test_stats_match_the_item_by_item_oracle(model):
+    s = stats(model)
+    assert {name: ordered(getattr(s, name)) for name in analysis.ModelStats.__slots__} == brute_force_stats(model)

@@ -250,6 +250,20 @@ def test_output_in_a_missing_directory_exits_3(corpus_args, tmp_path):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("link", ["plain", "symlink", "hard link"])
+def test_output_onto_an_input_exits_3_and_leaves_it_unchanged(corpus_copy, tmp_path, link):
+    model = Path(corpus_copy[3])
+    target = {"plain": model, "symlink": tmp_path / "link.md", "hard link": tmp_path / "hard.md"}[link]
+    if link == "symlink":
+        target.symlink_to(model)
+    elif link == "hard link":
+        os.link(model, target)
+    before = model.read_bytes()
+    code, out, err = run_cli(["stats", "--output", str(target), *corpus_copy])
+    assert (code, out, err) == (3, "", f"stpalint: cannot write {target}: it is an input file\n")
+    assert model.read_bytes() == before
+
+
 # -- reading the command line -------------------------------------------------
 
 

@@ -133,6 +133,13 @@ def test_zero_row_table_csv_is_the_header_only():
     assert table.hits == []
     assert table.marks == []
     assert render_context_csv(table) == '"tricky, ""label""\n",NotProvided,ProvidedUnsafe,WrongTiming,WrongDuration\n'
+    # a hand-built table: more free hits than one mask holds, the empty domain at each place
+    for empty in range(3):
+        variables = [ProcessModelVariable(v, CONTROLLER, v, ["a", "b"]) for v in "ABC"]
+        variables[empty].values = []
+        hits = [(GuideCategory.NOT_PROVIDED, f"U-{i}", [None] * 3) for i in range(70)]
+        table = ContextTable(CONTROLLER, ACTION, variables, hits)
+        assert render_context_csv(table) == "A,B,C,NotProvided,ProvidedUnsafe,WrongTiming,WrongDuration\n"
 
 
 def test_csv_builds_no_row_context(corpus, monkeypatch):

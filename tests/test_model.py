@@ -24,7 +24,7 @@ from stpalint import (
     qualifier_allowed,
     resolve,
 )
-from stpalint.model import CausalFactor, CfCategory
+from stpalint.model import CausalFactor, CfCategory, ModelIndex
 
 from conftest import tiny_model
 from strategies import hostile_models
@@ -212,3 +212,12 @@ def test_a_duplicated_id_resolves_to_its_last_declaration():
 @given(hostile_models())
 def test_resolve_matches_the_oracle_on_hostile_models(model):
     assert resolve(model) == resolve_oracle.resolve(model)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hostile_models())
+def test_uca_ids_is_the_index_map_of_last_declarations(model):
+    ucas = ModelIndex(model).ids["ucas"]
+    by_id = model.uca_ids()
+    assert list(by_id) == list(ucas)
+    assert all(by_id[i] is u for i, u in ucas.items())

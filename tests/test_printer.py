@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from stpalint import StpaModel, UnresolvedModelError, parse, serialize
+from stpalint import StpaModel, UnresolvedModelError, analysis, parse, serialize
+from stpalint.model import _KINDS, ControllerConstraint
+from stpalint.parser import STATEMENTS
 from stpalint.printer import quote, serialize_file
+from stpalint.report import render_stats
 
 from conftest import REPO_ROOT, tiny_model
 from strategies import models
@@ -51,6 +54,18 @@ def test_round_trip_preserves_declaration_order():
         "variable",
         "uca",
     ]
+
+
+def test_fmt_sections_and_stats_counts_follow_the_model_section_order(corpus):
+    m = StpaModel(**{name: list(getattr(corpus, name)) for name in StpaModel.__slots__})
+    m.controller_constraints.append(ControllerConstraint("CC-1", "UCA-1", "brake on time"))
+    assert all(getattr(m, section) for section in _KINDS)
+    words = [line.split()[0] for line in serialize(m).splitlines() if line and not line.startswith("#")]
+    assert list(dict.fromkeys(STATEMENTS[word].section for word in words)) == list(_KINDS)
+    counts = [section for section in _KINDS if section != "entities"]
+    assert list(analysis.ModelStats.__slots__[: len(counts)]) == counts
+    labels = [line[2:].split(":")[0] for line in render_stats(m).splitlines()[2 : 2 + len(counts)]]
+    assert ["ucas" if label == "unsafe control actions" else label.replace(" ", "_") for label in labels] == counts
 
 
 def test_serialize_refuses_unresolved_model():
