@@ -163,23 +163,27 @@ def _batches(strings: Iterable[str]) -> Iterator[str]:
         yield "".join(batch)
 
 
-def _write(output: Path | None, text: str | Iterable[str], replace: bool = False) -> None:
-    """Write `text`, or the strings it yields, to stdout, or to `output`.
+def _write(output: Path | None, text: str | Iterable[str]) -> None:
+    """Write `text`, or the strings it yields, to stdout or to `output`, losing no file's text if the write fails.
 
-    With `replace`, the text goes to a temporary file beside the file that
-    `output` names (through any symlinks), takes over its permission bits
-    and then replaces it, so a failed write leaves the file unchanged.
+    An existing regular file (through symlinks) is replaced by a complete temporary file beside it with its
+    permission bits; a new file is removed if its write fails; anything else, such as a FIFO, is written in place.
     """
     chunks = [text] if isinstance(text, str) else _batches(text)
     try:
         if output is None:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
-        elif not replace:
-            with output.open("w", encoding="utf-8") as f:
-                f.writelines(chunks)
+        elif not output.is_file():
+            new = not os.path.lexists(output)
+            try:
+                with output.open("w", encoding="utf-8") as f:
+                    f.writelines(chunks)
+            except BaseException:
+                if new:
+                    output.unlink(missing_ok=True)
+                raise
         else:
-            import shutil
             import tempfile
 
             target = output.resolve()
@@ -187,7 +191,7 @@ def _write(output: Path | None, text: str | Iterable[str], replace: bool = False
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as f:
                     f.writelines(chunks)
-                shutil.copymode(target, tmp)
+                os.chmod(tmp, os.stat(target).st_mode & 0o7777)  # its permission bits
                 os.replace(tmp, target)
             except BaseException:
                 os.unlink(tmp)
@@ -351,7 +355,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "fmt":
             from . import printer
 
-            for name in args.inputs:  # a FIFO or a device would be replaced by a regular file
+            for name in args.inputs:  # a FIFO or a device would be written in place
                 if not Path(name).is_file():
                     raise _Unusable(f"cannot write {name}: not a regular file")
             texts = printer.serialize_files(index.model, args.inputs)
@@ -361,7 +365,7 @@ def run(argv: list[str] | None = None) -> int:
                 except OSError:
                     canonical = False  # the write reports the error
                 if not canonical:
-                    _write(Path(name), texts[name], replace=True)
+                    _write(Path(name), texts[name])
         else:
             if args.output is not None and any(_same_file(args.output, name) for name in args.inputs):
                 raise _Unusable(f"cannot write {args.output}: it is an input file")

@@ -11,14 +11,16 @@ token is the word itself, a string: a large model has tens of thousands of
 tokens, and the parser tells a token's kind by its first character. Only
 the declaration spans and the diagnostics need a token's line and columns,
 so `_FileParser.place` works them out on demand from the index of each
-line's first token. The first token of a line starts after its leading
-blanks and the last ends before its trailing ones; any other token, and any
-token on a line that holds a comment, an unexpected character or an
-unclosed string, is found by matching its line again.
+line's first token. On a line of tokens and blanks alone, the first token
+starts after the leading blanks and the last ends before the trailing ones,
+so a statement that is such a line whole takes its span from one search of
+that index. Any other token, and any token on a line that holds a comment,
+an unexpected character or an unclosed string, is found by matching its
+line again.
 
 The syntax of the statements is defined only by `STATEMENTS`, one row per
-keyword: the parser reads a statement by walking its row's slots, and
-`printer` writes a declaration from the same slots.
+keyword: the parser reads a statement by the steps `_STEPS` builds once
+from its row's slots, and `printer` writes a declaration from the same slots.
 """
 
 from __future__ import annotations
@@ -148,8 +150,10 @@ _QUOTE = str.maketrans({char: "\\" + letter for letter, char in ESCAPES.items()}
 
 
 def quote(text: str) -> str:
-    """`text` as a string literal that reads back as `text`."""
-    return '"' + text.translate(_QUOTE) + '"'
+    """`text` as a string literal that reads back as `text`; only text with a character to escape is translated."""
+    if '"' in text or "\\" in text or "\n" in text or "\t" in text or "\r" in text:
+        text = text.translate(_QUOTE)
+    return '"' + text + '"'
 
 
 # One alternative per word of a line, tried in this order: a comment; a
@@ -288,9 +292,7 @@ class _FileParser:
         firsts = self.firsts
         k = bisect_right(firsts, i) - 1
         line = self.lines[k]
-        if k not in self.odd:
-            # on a line of tokens and blanks alone, the first token starts
-            # after the leading blanks and the last ends before the trailing ones
+        if k not in self.odd:  # see the module docstring
             if i == firsts[k]:
                 col = len(line) - len(line.lstrip(_BLANKS)) + 1
                 return k + 1, col, col + len(self.tokens[i]) - 1
@@ -307,6 +309,12 @@ class _FileParser:
 
     def span(self, first: int, last: int) -> SourceSpan:
         """From the first character of token `first` to the last of token `last`."""
+        firsts = self.firsts
+        k = bisect_right(firsts, first) - 1
+        if firsts[k] == first and firsts[k + 1] == last + 1 and k not in self.odd:  # a whole line, tokens and blanks
+            line = self.lines[k]
+            col, end_col = len(line) - len(line.lstrip(_BLANKS)) + 1, len(line.rstrip(_BLANKS))
+            return tuple.__new__(SourceSpan, (self.path, k + 1, col, k + 1, end_col))  # without its Python `__new__`
         line, col, _ = self.place(first)
         end_line, _, end_col = self.place(last)
         return SourceSpan(self.path, line, col, end_line, end_col)
@@ -328,22 +336,26 @@ class _FileParser:
         word = self.tokens[i]
         if word[0] != '"':
             self.fail(i, f"expected {what} string")
-        return _string(word), i + 1
+        return (word[1:-1] if word[-1] == '"' and "\\" not in word else _string(word)), i + 1
 
-    def read_list(self, i: int, what: str, read, open_: str, close: str, empty: bool = False) -> tuple[list, int]:
-        """Comma-separated items that `read` reads, between `open_` and `close`; at least one unless `empty`."""
+    def read_list(self, i: int, what: str, open_: str = "[", close: str = "]", read=None) -> tuple[list, int]:
+        """Comma-separated items between `open_` and `close`: ids, maybe none, or one or more that `read` reads."""
         tokens = self.tokens
         if tokens[i] != open_:
             self.fail(i, f"expected {open_!r}")
-        i += 1
         items = []
-        if not (empty and tokens[i] == close):
-            while True:
-                item, i = read(i, what)
-                items.append(item)
-                if tokens[i] != ",":
-                    break
-                i += 1
+        if read is None and tokens[i + 1] == close:
+            return items, i + 2
+        while True:
+            if read is not None:
+                item, i = read(i + 1, what)
+            elif (item := tokens[i + 1])[0] in _NOT_ID:
+                self.fail(i + 1, f"expected {what}")
+            else:
+                i += 2
+            items.append(item)
+            if tokens[i] != ",":
+                break
         if tokens[i] != close:
             self.fail(i, f"expected {close!r}")
         return items, i + 1
@@ -398,9 +410,9 @@ class _FileParser:
     READ = {
         "id": read_id,
         "string": read_string,
-        "ids": lambda self, i, what: self.read_list(i, what, self.read_id, "[", "]", empty=True),
-        "strings": lambda self, i, what: self.read_list(i, what, self.read_string, "[", "]"),
-        "values": lambda self, i, what: self.read_list(i, what, self.read_string, "{", "}"),
+        "ids": read_list,
+        "strings": lambda self, i, what: self.read_list(i, what, "[", "]", self.read_string),
+        "values": lambda self, i, what: self.read_list(i, what, "{", "}", self.read_string),
         "category": lambda self, i, what: self.read_enum(i, what, CfCategory),
         "guide": read_guide,
         "context": read_context,
@@ -438,25 +450,39 @@ class _FileParser:
         self.pos = i
 
     def statement(self, model: StpaModel) -> None:
-        """Read the statement at a keyword by walking the keyword's `STATEMENTS` row."""
+        """Read the statement at a keyword by taking the steps of the keyword's `STATEMENTS` row."""
         tokens = self.tokens
         start = self.pos
-        row = STATEMENTS[tokens[start]]
-        fields = dict(row.fixed)
+        section, cls, fixed, steps = _STEPS[tokens[start]]
+        values = fixed.copy()
         i = start + 1
-        for slot in row.slots:
-            if slot.__class__ is str:
-                if tokens[i] != slot:
-                    self.fail(i, "expected '='" if slot == "=" else f"expected keyword {slot!r}")
+        for at, read, what, keyword, absent in steps:
+            if read is None:  # the literal word `what`
+                if tokens[i] != what:
+                    self.fail(i, "expected '='" if what == "=" else f"expected keyword {what!r}")
                 i += 1
-            elif slot.keyword is None:
-                fields[slot.name], i = self.READ[slot.shape](self, i, slot.what)
-            elif tokens[i] == slot.keyword:
-                fields[slot.name], i = self.READ[slot.shape](self, i + 1, slot.what)
+            elif keyword is None:
+                values[at], i = read(self, i, what)
+            elif tokens[i] == keyword:
+                values[at], i = read(self, i + 1, what)
             else:
-                fields[slot.name] = ABSENT[slot.shape]()
+                values[at] = absent()
         self.pos = i
-        getattr(model, row.section).append(row.cls(**fields, span=self.span(start, i - 1)))
+        getattr(model, section).append(cls(*values, self.span(start, i - 1)))
+
+
+# keyword -> (section, record class, the record's fields in `__slots__` order but `span`, with the fixed
+# ones filled in, and one step per slot): a step is (None, None, word, None, None) for a literal word and
+# (field index, `READ` method of its shape, what, keyword, absent factory) for a `Field`
+_STEPS = {
+    keyword: (row.section, row.cls, [row.fixed.get(name) for name in row.cls.__slots__[:-1]], [
+        (None, None, slot, None, None) if slot.__class__ is str
+        else (row.cls.__slots__.index(slot.name), _FileParser.READ[slot.shape], slot.what, slot.keyword,
+              ABSENT.get(slot.shape))
+        for slot in row.slots
+    ])
+    for keyword, row in STATEMENTS.items()
+}
 
 
 def read_source(path) -> str:

@@ -2,7 +2,8 @@
 
 `tokenize` is the original tokenizer: it walks the text one character at a
 time and tracks line, column and whether a token is the first on its line as
-it goes. It keeps its own token type and escape table.
+it goes. It keeps its own token type and escape table, and `quote` escapes
+a string with that table one character at a time.
 
 `parse`, `serialize` and `serialize_file` are the original statement parser
 and printer, with one `if` branch per statement kind in each. `parse` reads
@@ -38,9 +39,15 @@ from stpalint.model import (
     UnsafeControlAction,
     resolve,
 )
-from stpalint.printer import HEADER, quote
+from stpalint.printer import HEADER
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+
+def quote(text: str) -> str:
+    """`text` as a string literal, escaped one character at a time by `_ESCAPES` read backwards."""
+    letters = {char: letter for letter, char in _ESCAPES.items()}
+    return '"' + "".join("\\" + letters[char] if char in letters else char for char in text) + '"'
 
 
 @dataclass

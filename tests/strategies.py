@@ -32,7 +32,7 @@ def replace(decl, **changes):
 # Escapable controls are included on purpose so round-trips cover them.
 _chars = st.one_of(
     st.characters(blacklist_categories=("Cs", "Cc")),
-    st.sampled_from('\n\t"\\µκ'),
+    st.sampled_from('\n\t\r"\\µκ'),
 )
 texts = st.text(alphabet=_chars, min_size=1, max_size=15)
 labels = st.text(alphabet=_chars, min_size=1, max_size=10)

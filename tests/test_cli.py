@@ -568,6 +568,8 @@ def test_stdout_that_cannot_encode_the_report_exits_3(argv, corpus_args, monkeyp
 
 def test_output_file_that_cannot_encode_the_report_exits_3(corpus_args, tmp_path, monkeypatch):
     out = tmp_path / "out.md"
+    out.write_bytes(b"my notes")
+    new = tmp_path / "new.md"
 
     def parse_with_surrogate(sources):
         # no UTF-8 input decodes to a lone surrogate, which UTF-8 cannot encode, so only code can put one in a model
@@ -579,6 +581,35 @@ def test_output_file_that_cannot_encode_the_report_exits_3(corpus_args, tmp_path
     code, _, err = run_cli(["worksheet", "--action", "BrakeCmd", "--output", str(out), *corpus_args])
     assert code == 3
     assert err == f"stpalint: cannot write {out}: the utf-8 encoding cannot represent '\\udcff'\n"
+    assert out.read_bytes() == b"my notes"
+    code, _, err = run_cli(["worksheet", "--action", "BrakeCmd", "--output", str(new), *corpus_args])
+    assert code == 3
+    assert err == f"stpalint: cannot write {new}: the utf-8 encoding cannot represent '\\udcff'\n"
+    assert sorted(tmp_path.iterdir()) == [out]  # no new file, and no temporary one
+
+
+def test_output_replaces_a_regular_file_through_a_symlink(corpus_args, tmp_path):
+    target = tmp_path / "notes.dot"
+    target.write_text("old", encoding="utf-8")
+    os.chmod(target, 0o640)
+    link = tmp_path / "link.dot"
+    link.symlink_to(target)
+    assert run_cli(["graph", "--output", str(link), *corpus_args]) == (0, "", "")
+    assert target.read_bytes() == (GOLDEN_DIR / "graph.dot").read_bytes()
+    assert link.is_symlink() and os.stat(target).st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.dot", "notes.dot"]
+
+
+def test_output_onto_a_fifo_is_written_in_place(corpus_args, tmp_path):
+    fifo = tmp_path / "graph.dot"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(["graph", "--output", str(fifo), *corpus_args]) == (0, "", "")
+    reader.join(timeout=10)
+    assert got == [(GOLDEN_DIR / "graph.dot").read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 ACTION_MODEL = """\

@@ -19,6 +19,10 @@ def reparse(model):
 
 def test_quote_escapes():
     assert quote('a "b"\n\t\\') == '"a \\"b\\"\\n\\t\\\\"'
+    assert quote("\r\n") == '"\\r\\n"'
+    assert quote('"a\rb\\') == '"\\"a\\rb\\\\"'
+    assert quote("plain µ") == '"plain µ"'
+    assert quote("") == '""'
 
 
 def test_serialize_empty_model():

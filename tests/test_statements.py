@@ -85,6 +85,12 @@ def assert_parse_matches_oracle(source_files):
 @example([("f0.stpa", 'cf CF-1 category = Bogus at C for [U] "d"\nloss L-1 "ok"')])
 @example([("f0.stpa", 'uca U action = A guide = WrongTiming qualifier = Bogus hazards [H-1] "d"')])
 @example([("f0.stpa", 'action A "a" from C to P via [] signals []\nvariable V of C "v" {}')])
+# the span of a statement that is a whole line, and of each case that is not
+@example([("f0.stpa", '\t\tloss L-1 "a" \t \nloss L-2 "b"')])
+@example([("f0.stpa", 'loss L-1 "a"  # a note\nloss L-2 "b"')])
+@example([("f0.stpa", 'loss L-1\n  "a"\nloss L-2 "b"')])
+@example([("f0.stpa", 'loss L-1 "a" loss L-2 "b"\n')])
+@example([("f0.stpa", 'loss L-1 "a"\r\nhazard H-1 "h" leads_to [L-1]\r\n')])
 def test_parse_matches_oracle(source_files):
     assert_parse_matches_oracle(source_files)
 
