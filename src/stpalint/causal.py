@@ -343,10 +343,17 @@ def checklist(model: StpaModel | ModelIndex, uca: UnsafeControlAction) -> list[C
 
 
 _PUNCTUATION = re.compile(r"[^\w\s]|_")  # keeps what str.isalnum or str.isspace accepts
+# the same rule on ASCII text, with the lowercasing, as one `bytes.translate`
+_ASCII_LOWER = bytes(range(256)).lower()
+_ASCII_PUNCTUATION = "".join(_PUNCTUATION.findall(bytes(range(128)).decode())).encode()
 
 
 def _normalize(text: str) -> str:
-    return " ".join(_PUNCTUATION.sub("", text.lower()).split())
+    if text.isascii():  # decoded before the split: `str.split` splits at \x1c-\x1f, `bytes.split` does not
+        text = text.encode().translate(_ASCII_LOWER, _ASCII_PUNCTUATION).decode()
+    else:
+        text = _PUNCTUATION.sub("", text.lower())
+    return " ".join(text.split())
 
 
 def validate_cfs(model: StpaModel | ModelIndex) -> list[Diagnostic]:
@@ -360,18 +367,17 @@ def validate_cfs(model: StpaModel | ModelIndex) -> list[Diagnostic]:
     model, ucas_by_id = index.model, index.ids["ucas"]
     diags: list[Diagnostic] = []
 
+    # each cited UCA's on-path set, looked up once, the memos built in order of first citation
+    cited = dict.fromkeys(ref for cf in model.causal_factors for ref in cf.ucas if ref in ucas_by_id)
+    on_paths = {ref: on_path(index, ucas_by_id[ref]) for ref in cited}
+    edges = index.ids["edges"]
     for cf in model.causal_factors:
-        sets = [on_path(index, ucas_by_id[ref]) for ref in cf.ucas if ref in ucas_by_id]
-        if not sets:
-            continue
+        sets = [on_paths[ref] for ref in cf.ucas if ref in on_paths]
         located = cf.located_at
-        edge = index.ids["edges"].get(located)
-        ok = any(located in ids for ids in sets) or (
-            edge is not None
-            and any(edge.source in ids for ids in sets)
-            and any(edge.target in ids for ids in sets)
-        )
-        if not ok:
+        if not sets or located in sets[0] or any(located in ids for ids in sets):  # most cite one UCA
+            continue
+        edge = edges.get(located)
+        if edge is None or not (any(edge.source in ids for ids in sets) and any(edge.target in ids for ids in sets)):
             message = f"causal factor off-path: {cf.id} is located at {located}, which is on no walk of its ucas"
             diags.append(diagnostic("cf/off-path", message, span_of(cf)))
 
@@ -391,8 +397,6 @@ def validate_cfs(model: StpaModel | ModelIndex) -> list[Diagnostic]:
                 )
             )
 
-    # lists, not sets: `in` compares identities and never calls the
-    # Python-level `Enum.__hash__`
     declared: dict[str, list[CfCategory]] = {}
     for cf in model.causal_factors:
         for ref in cf.ucas:
@@ -402,6 +406,6 @@ def validate_cfs(model: StpaModel | ModelIndex) -> list[Diagnostic]:
         for category in categories(index, uca):
             if category in covered:
                 continue
-            message = f"uca {uca.id} has no causal factor in category {category.value}"
+            message = f"uca {uca.id} has no causal factor in category {category._value_}"
             diags.append(diagnostic("cf/unaddressed-category", message, span_of(uca)))
     return diags

@@ -28,7 +28,12 @@ class AnalysisError(ValueError):
     """Precondition violation in an analysis operation."""
 
 
+# The members of each enum here are singletons that compare by identity, so
+# they hash by it, in C, and not through the Python-level `Enum.__hash__`.
+
+
 class EntityKind(Enum):
+    __hash__ = object.__hash__
     CONTROLLER = "controller"
     SENSOR = "sensor"
     ACTUATOR = "actuator"
@@ -37,11 +42,13 @@ class EntityKind(Enum):
 
 
 class EdgeKind(Enum):
+    __hash__ = object.__hash__
     CONTROL_ACTION = "action"
     FEEDBACK = "feedback"
 
 
 class GuideCategory(Enum):
+    __hash__ = object.__hash__
     NOT_PROVIDED = "NotProvided"
     PROVIDED_UNSAFE = "ProvidedUnsafe"
     WRONG_TIMING = "WrongTiming"
@@ -49,6 +56,7 @@ class GuideCategory(Enum):
 
 
 class GuideQualifier(Enum):
+    __hash__ = object.__hash__
     TOO_EARLY = "TooEarly"
     TOO_LATE = "TooLate"
     OUT_OF_ORDER = "OutOfOrder"
@@ -92,6 +100,7 @@ def qualifier_allowed(category: GuideCategory, qualifier: GuideQualifier | None)
 
 
 class CfCategory(Enum):
+    __hash__ = object.__hash__
     MENTAL_MODEL_CONTENT = "MentalModelContent"
     MENTAL_MODEL_UPDATE = "MentalModelUpdate"
     CONTROL_ALGORITHM = "ControlAlgorithm"
@@ -107,6 +116,7 @@ class CfCategory(Enum):
 
 
 class Severity(Enum):
+    __hash__ = object.__hash__
     ERROR = "error"
     WARNING = "warning"
     INFO = "info"
@@ -190,7 +200,7 @@ class Diagnostic(Record, compare_span=True, defaults={"related": list}):
 
     def format(self) -> str:
         s = self.span
-        return f"{s.file}:{s.line_start}:{s.col_start}: {self.severity.value}[{self.rule}]: {self.message}"
+        return f"{s.file}:{s.line_start}:{s.col_start}: {self.severity._value_}[{self.rule}]: {self.message}"
 
 
 # Each rule id and its severity: the one place that decides how grave a

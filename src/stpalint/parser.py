@@ -16,7 +16,7 @@ starts after the leading blanks and the last ends before the trailing ones,
 so a statement that is such a line whole takes its span from one search of
 that index. Any other token, and any token on a line that holds a comment,
 an unexpected character or an unclosed string, is found by matching its
-line again.
+line again, once per line.
 
 The syntax of the statements is defined only by `STATEMENTS`, one row per
 keyword: the parser reads a statement by the steps `_STEPS` builds once
@@ -284,6 +284,7 @@ class _FileParser:
         tokens, self.firsts, self.lines, self.odd = _split(path, text, diags)
         self.tokens = tokens + [_END]
         self.pos = 0
+        self.columns: dict[int, list[tuple[int, int]]] = {}  # line -> its tokens' first and last columns
 
     # -- token places -------------------------------------------------------
 
@@ -299,8 +300,10 @@ class _FileParser:
             if i == firsts[k + 1] - 1:
                 end_col = len(line.rstrip(_BLANKS))
                 return k + 1, end_col - len(self.tokens[i]) + 1, end_col
-        m = [m for m in _WORD.finditer(line) if _is_token(m[0])][i - firsts[k]]
-        return k + 1, m.start() + 1, m.end()
+        columns = self.columns.get(k)
+        if columns is None:  # each line is matched again at most once
+            columns = self.columns[k] = [(m.start() + 1, m.end()) for m in _WORD.finditer(line) if _is_token(m[0])]
+        return (k + 1, *columns[i - firsts[k]])
 
     def starts_line(self, i: int) -> bool:
         """Whether token `i` is the first token on its line."""

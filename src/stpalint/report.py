@@ -61,8 +61,7 @@ def render_worksheet(model: StpaModel | ModelIndex, action: str) -> str:
     return "\n".join(lines)
 
 
-# keyed by member name, so no hit calls the Python-level `Enum.__hash__`
-_COLUMN = {cat._name_: i for i, (cat, _) in enumerate(WORKSHEET_COLUMNS)}
+_COLUMN = {cat: i for i, (cat, _) in enumerate(WORKSHEET_COLUMNS)}
 
 
 @cache
@@ -130,7 +129,7 @@ def _group_lines(variables, g, split, text, alive, lead_texts, trail_texts) -> I
     column_masks = [0] * len(WORKSHEET_COLUMNS)
     for j, (category, _, positions) in enumerate(alive):
         bit = 1 << j
-        column_masks[_COLUMN[category._name_]] |= bit
+        column_masks[_COLUMN[category]] |= bit
         for column, allowed in zip(masks, positions[g:]):
             for p in range(len(column)) if allowed is None else allowed:
                 column[p] |= bit

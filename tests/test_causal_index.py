@@ -6,6 +6,7 @@ indexed code must give the same results, in the same order, without listing
 walks, and `causal.walk_paths` must list the oracle's walks and diagnostics.
 """
 
+import itertools
 import sys
 
 import pytest
@@ -81,6 +82,13 @@ def test_corpus_matches_the_oracle(corpus):
 @given(st.text())
 def test_normalize_matches_the_per_character_version(text):
     assert _normalize(text) == causal_oracle.normalize(text)
+
+
+def test_normalize_matches_the_regex_rule_on_every_pair_of_ascii_characters_between_words():
+    """Each text is ASCII, so it takes the `bytes.translate` path, where `\\x1c`-`\\x1f` must still split words."""
+    for a, b in itertools.product(map(chr, range(128)), repeat=2):
+        text = f"Ab{a}{b}Cd"
+        assert _normalize(text) == " ".join(causal._PUNCTUATION.sub("", text.lower()).split()), (a, b)
 
 
 def test_normalize_keeps_exactly_alnum_and_space_characters():

@@ -141,6 +141,11 @@ def one_uca_per_row(n: int) -> str:
     return "".join(parts)
 
 
+def one_line(n: int) -> str:
+    """n loss statements on one line."""
+    return " ".join(f'loss L-{i} "loss {i}"' for i in range(n)) + "\n"
+
+
 # shape -> (generator, argv before the input file, n)
 SHAPES = {
     "fan-in": (fan_in, ["check"], 2500),
@@ -148,6 +153,7 @@ SHAPES = {
     "via": (via, ["check"], 2000),
     "many-cfs": (many_cfs, ["check"], 1500),
     "redeclared": (redeclared, ["check"], 3000),
+    "one-line": (one_line, ["check"], 2000),
     "wide": (wide, ["check"], 100),
     "wide-fmt": (wide, ["fmt"], 200),
     "wide-checklist": (wide, ["checklist", "--uca", "U-0-1"], 200),

@@ -25,6 +25,7 @@ from stpalint import (
     resolve,
 )
 from stpalint.model import CausalFactor, CfCategory, ModelIndex
+from stpalint.parser import _MEMBERS
 
 from conftest import tiny_model
 from strategies import hostile_models
@@ -53,6 +54,40 @@ def test_not_provided_rejects_every_qualifier():
 def test_qualifier_sets_are_disjoint_across_categories():
     for a, b in itertools.combinations(GuideCategory, 2):
         assert not (ALLOWED_QUALIFIERS[a] & ALLOWED_QUALIFIERS[b])
+
+
+MODEL_ENUMS = (EntityKind, EdgeKind, GuideCategory, GuideQualifier, CfCategory, Severity)
+
+
+def test_model_enum_members_hash_as_objects():
+    for enum in MODEL_ENUMS:
+        for member in enum:
+            assert hash(member) == object.__hash__(member)
+
+
+def test_model_enum_members_as_set_items_and_dict_keys():
+    for enum in MODEL_ENUMS:
+        members = list(enum)
+        by_member = {member: member._name_ for member in members}
+        assert len(set(members)) == len(by_member) == len(members) > 1
+        for member in members:
+            assert member in set(members) and member in frozenset(members)
+            assert by_member[member] == member._name_ and enum(member.value) is member
+    for enum, by_value in _MEMBERS.items():
+        assert by_value == {member.value: member for member in enum}
+        assert all(by_value[member.value] is member for member in enum)
+
+
+def test_allowed_qualifiers_by_name():
+    allowed = {
+        "NOT_PROVIDED": set(),
+        "PROVIDED_UNSAFE": {"INSUFFICIENT", "EXCESSIVE", "INSUFFICIENT_OR_EXCESSIVE"},
+        "WRONG_TIMING": {"TOO_EARLY", "TOO_LATE", "OUT_OF_ORDER"},
+        "WRONG_DURATION": {"STOPPED_TOO_SOON", "APPLIED_TOO_LONG"},
+    }
+    assert {c._name_: {q._name_ for q in qs} for c, qs in ALLOWED_QUALIFIERS.items()} == allowed
+    for category, qualifier in itertools.product(GuideCategory, GuideQualifier):
+        assert qualifier_allowed(category, qualifier) == (qualifier._name_ in allowed[category._name_])
 
 
 def test_context_matches_empty_partial_matches_everything():
