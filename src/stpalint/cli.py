@@ -261,32 +261,34 @@ def _contexts(index: ModelIndex, args) -> Iterable[str]:
     return report.context_csv_lines(table)
 
 
-def _worksheet(index: ModelIndex, args) -> str:
-    from . import report
-
+def _worksheet(index: ModelIndex, args):
     _control_action(index, args.action)
     if args.format == "json":
-        return report.to_json({"action": args.action, "ucas": index.model.ucas_on(args.action)})
+        return {"action": args.action, "ucas": index.model.ucas_on(args.action)}
+    from . import report
+
     return report.render_worksheet(index, args.action)
 
 
-def _trace(index: ModelIndex, args) -> str:
+def _trace(index: ModelIndex, args):
+    if args.format == "json":
+        return index.model
     from . import report
 
-    if args.format == "json":
-        return report.to_json(index.model)
-    return report.render_trace_matrix(index)
+    return report.trace_matrix_lines(index)
 
 
-def _checklist(index: ModelIndex, args) -> str:
-    from . import causal, report
+def _checklist(index: ModelIndex, args):
+    from . import causal
 
     uca = index.ids["ucas"].get(args.uca)
     if uca is None:
         raise _Unusable(f"unknown uca {args.uca}")
     items = causal.checklist(index, uca)
     if args.format == "json":
-        return report.to_json({"uca": args.uca, "items": items})
+        return {"uca": args.uca, "items": items}
+    from . import report
+
     return report.render_checklist(items, args.uca)
 
 
@@ -296,11 +298,13 @@ def _graph(index: ModelIndex, args) -> str:
     return report.render_graph(index.model)
 
 
-def _stats(index: ModelIndex, args) -> str:
-    from . import analysis, report
+def _stats(index: ModelIndex, args):
+    from . import analysis
 
     if args.format == "json":
-        return report.to_json(analysis.stats(index.model))
+        return analysis.stats(index.model)
+    from . import report
+
     return report.render_stats(index.model)
 
 
@@ -313,8 +317,10 @@ _OUTPUT = ("--output", Path, None, None)
 # kind is bool for a flag, str, Path, _positive_int, or a tuple of the
 # choices; a default of ... makes it required. Every command also takes one
 # or more input files. A report takes the model's index and the arguments,
-# returns the text, or its lines, for stdout or --output, and imports
-# `report`, `analysis` and `causal` only as far as it runs them. `check` and `fmt` have no report: `run` runs them itself.
+# returns the text, or its pieces, for stdout or --output, and imports
+# `report`, `analysis` and `causal` only as far as it runs them; with
+# `--format json` it returns the record or dict that `run` writes through
+# `jsondoc`. `check` and `fmt` have no report: `run` runs them itself.
 # `build_parser` builds argparse's parser from this table, and `_read_argv`
 # reads a well-formed command line by the table alone.
 COMMANDS = {
@@ -369,7 +375,12 @@ def run(argv: list[str] | None = None) -> int:
         else:
             if args.output is not None and any(_same_file(args.output, name) for name in args.inputs):
                 raise _Unusable(f"cannot write {args.output}: it is an input file")
-            _write(args.output, COMMANDS[args.command][2](index, args))
+            text = COMMANDS[args.command][2](index, args)
+            if getattr(args, "format", None) == "json":
+                from .jsondoc import document
+
+                text = document(text)
+            _write(args.output, text)
     except SystemExit as err:  # argparse printed help or a usage error
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     except _Unusable as err:

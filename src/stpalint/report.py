@@ -1,4 +1,4 @@
-"""Renderers: UCA worksheets, context-table CSV, traceability matrices, DOT graphs, JSON.
+"""Renderers: UCA worksheets, context-table CSV, traceability matrices, DOT graphs; `jsondoc` writes JSON.
 
 Every renderer is a pure function of the model and byte-deterministic, so
 all outputs are golden-file testable.
@@ -8,18 +8,14 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from enum import Enum
 from functools import cache
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .model import Context, EdgeKind, EntityKind, GuideCategory, ModelIndex, Record, StpaModel, indexed
+from .model import EdgeKind, EntityKind, GuideCategory, ModelIndex, StpaModel, indexed
 
 if TYPE_CHECKING:  # `graph`, `worksheet` and `trace` load neither module
     from .analysis import ContextTable
     from .causal import ChecklistItem
-
-SCHEMA_VERSION = 1
 
 WORKSHEET_COLUMNS = [
     (GuideCategory.NOT_PROVIDED, "Not providing causes hazards"),
@@ -158,8 +154,9 @@ def render_context_csv(table: ContextTable) -> str:
     return "".join(context_csv_lines(table))
 
 
-def _matrix(title: str, row_ids: list[str], col_ids: list[str], links: Iterable[tuple[str, str]]) -> list[str]:
-    """One Markdown matrix: an `x` in each cell whose (row id, column id) pair `links` yields."""
+def _matrix(title: str, row_ids: list[str], col_ids: list[str], links: Iterable[tuple[str, str]]) -> Iterator[str]:
+    """One Markdown matrix after a blank line, a string per line with its line end: an `x` in each cell whose
+    (row id, column id) pair `links` yields."""
     columns: dict[str, list[int]] = {}
     for j, col_id in enumerate(col_ids, 1):  # cell 0 of a row holds its id
         columns.setdefault(col_id, []).append(j)
@@ -168,22 +165,19 @@ def _matrix(title: str, row_ids: list[str], col_ids: list[str], links: Iterable[
         if row_id in positions:
             positions[row_id] += columns.get(col_id, ())
     blank = [""] * len(col_ids)
-
-    def rows() -> Iterator[list[str]]:
-        for row_id in row_ids:
-            cells = [row_id, *blank]
-            for j in positions[row_id]:
-                cells[j] = "x"
-            yield cells
-
-    return [f"## {title}", "", *_md_table(["", *col_ids], rows()), ""]
+    yield f"\n## {title}\n\n" + "".join(f"{line}\n" for line in _md_table(["", *col_ids], []))
+    for row_id in row_ids:
+        cells = [row_id, *blank]
+        for j in positions[row_id]:
+            cells[j] = "x"
+        yield _md_row(cells) + "\n"
 
 
-def render_trace_matrix(model: StpaModel | ModelIndex) -> str:
-    """Markdown traceability matrices across all four analysis steps.
+def trace_matrix_lines(model: StpaModel | ModelIndex) -> Iterator[str]:
+    """Markdown traceability matrices across all four analysis steps, a string per line with its line end.
 
     A repeated id links as its last declaration does. The cost is one step
-    per link plus one per cell written.
+    per link plus one per cell written; one row is held at a time.
     """
     index = indexed(model)
     model, ids = index.model, index.ids
@@ -193,15 +187,19 @@ def render_trace_matrix(model: StpaModel | ModelIndex) -> str:
         """(id named in `field`, declaration id) per link of each last declaration of `section`."""
         return ((i, d.id) for d in ids[section].values() for i in getattr(d, field))
 
-    lines = ["# Traceability", ""]
+    yield "# Traceability\n"
     for title, row_ids, section, links in (
         ("Hazards to losses", hazard_ids, "losses", ((h.id, i) for h in ids["hazards"].values() for i in h.leads_to)),
         ("Hazards to unsafe control actions", hazard_ids, "ucas", cited("ucas", "hazards")),
         ("Unsafe control actions to causal factors", uca_ids, "causal_factors", cited("causal_factors", "ucas")),
         ("Hazards to constraints", hazard_ids, "constraints", cited("constraints", "mitigates")),
     ):
-        lines += _matrix(title, row_ids, [d.id for d in getattr(model, section)], links)
-    return "\n".join(lines)
+        yield from _matrix(title, row_ids, [d.id for d in getattr(model, section)], links)
+
+
+def render_trace_matrix(model: StpaModel | ModelIndex) -> str:
+    """The text of `trace_matrix_lines`."""
+    return "".join(trace_matrix_lines(model))
 
 
 _NODE_STYLE = {
@@ -235,52 +233,11 @@ def render_graph(model: StpaModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _converter(cls: type):
-    """The function `_plain` applies to a value of type `cls`; None for a value that stays as it is.
-
-    A record class lists its fields in `__slots__`, a `NamedTuple` value
-    type (whose `__slots__` is empty) in `_fields`.
-    """
-    if issubclass(cls, list):
-        return lambda value: [_plain(v) for v in value]
-    if issubclass(cls, dict):
-        return lambda value: {k: _plain(v) for k, v in value.items()}
-    if issubclass(cls, Enum):
-        return attrgetter("_value_")
-    if issubclass(cls, Context):
-        return lambda value: dict(value.assignments)
-    names = cls.__slots__ if issubclass(cls, Record) else getattr(cls, "_fields", None)
-    if names is None:
-        return None
-    derived = [name for name, attr in vars(cls).items() if isinstance(attr, property)]
-    fields = [(name, attrgetter(name)) for name in (*(name for name in names if name != "span"), *derived)]
-    return lambda value: {name: _plain(get(value)) for name, get in fields}
-
-
-# type -> its `_converter`: a dict lookup per value costs less than a `functools.cache` call
-_CONVERTERS: dict[type, object] = {}
-
-
-def _plain(value):
-    """JSON-ready copy of a model value.
-
-    Records become dicts field by field, without spans, followed by
-    their derived properties; enums become their values and contexts their
-    assignments. The conversion is looked up once per type.
-    """
-    cls = value.__class__
-    try:
-        convert = _CONVERTERS[cls]
-    except KeyError:
-        convert = _CONVERTERS[cls] = _converter(cls)
-    return value if convert is None else convert(value)
-
-
 def to_json(value) -> str:
-    """The text of a `--format json` document: the schema version, then the fields of `value`."""
-    import json
+    """The text of a `--format json` document: the schema version, then the fields of `value` (`jsondoc`)."""
+    from .jsondoc import document
 
-    return json.dumps({"stpa_schema": SCHEMA_VERSION, **_plain(value)}, ensure_ascii=False, indent=2) + "\n"
+    return "".join(document(value))
 
 
 def render_json(model: StpaModel) -> str:

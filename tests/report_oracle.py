@@ -9,11 +9,20 @@ is compared with.
 `render_worksheet` is the original one too: it writes the table row by row,
 indexing each column by depth. It is the oracle for
 `stpalint.report.render_worksheet`, which zips its columns.
+
+`_converter` and `_plain` are the original JSON conversion: a plain-dict
+copy of a value, which `to_json` hands to `json.dumps`. They are the oracle
+for `stpalint.jsondoc`, which writes the same text from the records in one
+pass.
 """
 
 from __future__ import annotations
 
-from stpalint.model import GuideCategory, StpaModel
+import json
+from enum import Enum
+from operator import attrgetter
+
+from stpalint.model import Context, GuideCategory, Record, StpaModel
 from stpalint.report import WORKSHEET_COLUMNS, _md_escape, _md_row
 
 
@@ -90,3 +99,49 @@ def render_worksheet(model: StpaModel, action: str) -> str:
             lines.append(_md_row(row))
         lines.append("")
     return "\n".join(lines)
+
+
+def _converter(cls: type):
+    """The function `_plain` applies to a value of type `cls`; None for a value that stays as it is.
+
+    A record class lists its fields in `__slots__`, a `NamedTuple` value
+    type (whose `__slots__` is empty) in `_fields`.
+    """
+    if issubclass(cls, list):
+        return lambda value: [_plain(v) for v in value]
+    if issubclass(cls, dict):
+        return lambda value: {k: _plain(v) for k, v in value.items()}
+    if issubclass(cls, Enum):
+        return attrgetter("_value_")
+    if issubclass(cls, Context):
+        return lambda value: dict(value.assignments)
+    names = cls.__slots__ if issubclass(cls, Record) else getattr(cls, "_fields", None)
+    if names is None:
+        return None
+    derived = [name for name, attr in vars(cls).items() if isinstance(attr, property)]
+    fields = [(name, attrgetter(name)) for name in (*(name for name in names if name != "span"), *derived)]
+    return lambda value: {name: _plain(get(value)) for name, get in fields}
+
+
+# type -> its `_converter`: a dict lookup per value costs less than a `functools.cache` call
+_CONVERTERS: dict[type, object] = {}
+
+
+def _plain(value):
+    """JSON-ready copy of a model value.
+
+    Records become dicts field by field, without spans, followed by
+    their derived properties; enums become their values and contexts their
+    assignments. The conversion is looked up once per type.
+    """
+    cls = value.__class__
+    try:
+        convert = _CONVERTERS[cls]
+    except KeyError:
+        convert = _CONVERTERS[cls] = _converter(cls)
+    return value if convert is None else convert(value)
+
+
+def to_json(value) -> str:
+    """The `--format json` document of `value` as `json.dumps` writes the plain copy."""
+    return json.dumps({"stpa_schema": 1, **_plain(value)}, ensure_ascii=False, indent=2) + "\n"

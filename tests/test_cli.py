@@ -567,6 +567,18 @@ def test_stdout_that_cannot_encode_the_report_exits_3(argv, corpus_args, monkeyp
 
 
 def test_output_file_that_cannot_encode_the_report_exits_3(corpus_args, tmp_path, monkeypatch):
+    assert_unencodable_output_exits_3(["worksheet", "--action", "BrakeCmd"], corpus_args, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "argv", [["worksheet", "--action", "BrakeCmd", "--format", "json"], ["trace", "--format", "json"]], ids=" ".join
+)
+def test_output_file_that_cannot_encode_a_streamed_json_document_exits_3(argv, corpus_args, tmp_path, monkeypatch):
+    assert_unencodable_output_exits_3(argv, corpus_args, tmp_path, monkeypatch)
+
+
+def assert_unencodable_output_exits_3(argv, corpus_args, tmp_path, monkeypatch):
+    """`argv` on a model whose first UCA holds a lone surrogate exits 3, keeps an `--output` file, makes none."""
     out = tmp_path / "out.md"
     out.write_bytes(b"my notes")
     new = tmp_path / "new.md"
@@ -578,11 +590,11 @@ def test_output_file_that_cannot_encode_the_report_exits_3(corpus_args, tmp_path
         return index, diags
 
     monkeypatch.setattr(cli, "parse_index", parse_with_surrogate)
-    code, _, err = run_cli(["worksheet", "--action", "BrakeCmd", "--output", str(out), *corpus_args])
+    code, _, err = run_cli([*argv, "--output", str(out), *corpus_args])
     assert code == 3
     assert err == f"stpalint: cannot write {out}: the utf-8 encoding cannot represent '\\udcff'\n"
     assert out.read_bytes() == b"my notes"
-    code, _, err = run_cli(["worksheet", "--action", "BrakeCmd", "--output", str(new), *corpus_args])
+    code, _, err = run_cli([*argv, "--output", str(new), *corpus_args])
     assert code == 3
     assert err == f"stpalint: cannot write {new}: the utf-8 encoding cannot represent '\\udcff'\n"
     assert sorted(tmp_path.iterdir()) == [out]  # no new file, and no temporary one

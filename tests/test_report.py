@@ -4,9 +4,11 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpalint import StpaModel, build_context_table, checklist, stats
+import pytest
+
+from stpalint import StpaModel, build_context_table, checklist, jsondoc, stats
 from stpalint.analysis import ContextTable
-from stpalint.model import GuideCategory, GuideWord, ProcessModelVariable, UnsafeControlAction
+from stpalint.model import Context, GuideCategory, GuideWord, ProcessModelVariable, UnsafeControlAction
 from stpalint.report import (
     WORKSHEET_COLUMNS,
     render_checklist,
@@ -250,6 +252,77 @@ def test_json_mirrors_model(corpus):
 def test_json_is_parseable_and_deterministic(corpus):
     assert render_json(corpus) == render_json(corpus)
     json.loads(render_json(corpus))
+
+
+def json_documents(model):
+    """The values of the four `--format json` documents on `model`: trace, stats, checklists and worksheets."""
+    yield model
+    yield stats(model)
+    for uca in model.ucas[:3]:
+        yield {"uca": uca.id, "items": checklist(model, uca)}
+    for action in dict.fromkeys([*(e.id for e in model.edges), *(u.action for u in model.ucas), "Unknown-action"]):
+        yield {"action": action, "ucas": model.ucas_on(action)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(strategies.models(), strategies.control_structures(), strategies.hostile_models()))
+def test_json_matches_the_plain_copy_oracle(model):
+    for value in json_documents(model):
+        assert to_json(value) == report_oracle.to_json(value)
+
+
+# every ASCII character, the Unicode line ends that json leaves as they are,
+# a character outside the BMP and a lone surrogate
+EVERY_ESCAPE = "".join(map(chr, range(0x80))) + "\x85\u2028\u2029\U0001f600\udcff"
+
+
+def test_json_escapes_every_character_as_json_does():
+    m = tiny_model()
+    m.ucas[0].description = EVERY_ESCAPE
+    m.entities[0].label = EVERY_ESCAPE[::-1]
+    m.hazards[0].id = m.ucas[0].hazards[0] = 'H"\\\x01\x7f\u2028'  # a stats key
+    m.variables[0].values = [EVERY_ESCAPE, "off"]
+    m.ucas[0].context = Context({"V-1": EVERY_ESCAPE})
+    for value in json_documents(m):
+        assert to_json(value) == report_oracle.to_json(value)
+    assert json.loads(to_json(m))["ucas"][0]["description"] == EVERY_ESCAPE
+
+
+def test_json_quote_matches_json_on_each_character():
+    from json.encoder import encode_basestring, py_encode_basestring
+
+    for char in [*map(chr, range(0x100)), "\u2028", "\u2029", "\U0001f600", "\ud800", "\udcff"]:
+        assert jsondoc.quote(char) == encode_basestring(char) == py_encode_basestring(char), hex(ord(char))
+        assert jsondoc.quote(f"a{char}b") == encode_basestring(f"a{char}b")
+
+
+def test_json_writes_empty_lists_an_empty_context_and_a_missing_qualifier_as_json_does():
+    for value in json_documents(StpaModel()):
+        assert to_json(value) == report_oracle.to_json(value)
+    assert to_json(StpaModel()).count(": []") == len(StpaModel.__slots__)
+    m = tiny_model()
+    m.ucas[0].context = Context()
+    m.edges[0].via = []
+    text = to_json(m)
+    assert text == report_oracle.to_json(m)
+    assert '"context": {},' in text and '"via": [],' in text
+    assert '"qualifier": null' in text
+
+
+def test_json_document_streams_one_piece_per_top_level_list_element(corpus):
+    pieces = list(jsondoc.document(corpus))
+    assert len(pieces) == sum(len(getattr(corpus, section)) for section in StpaModel.__slots__) + 1
+    assert "".join(pieces) == to_json(corpus) == report_oracle.to_json(corpus)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"x": 1.5}, {"x": object()}, {1: "a"}, {"x": ("a", "b")}, 7],
+    ids=["float", "object", "int-key", "tuple", "int"],
+)
+def test_json_raises_type_error_for_a_type_it_does_not_know(value):
+    with pytest.raises(TypeError):
+        to_json(value)
 
 
 # -- stats --------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from stpalint.corpus import CORPUS_FILES, corpus_paths
 
 from conftest import REPO_ROOT
+from test_complexity import wide
 
 
 def child(code, *argv, flags=()):
@@ -48,6 +49,7 @@ LOADED_BY_RUN = """
 
     WATCHED = (
         "stpalint.report",
+        "stpalint.jsondoc",
         "stpalint.printer",
         "stpalint.corpus",
         "stpalint.analysis",
@@ -109,18 +111,22 @@ def test_fmt_loads_the_printer_but_not_report(tmp_path):
     assert loaded == ["stpalint.printer"]  # not `report`, the analyses, `dataclasses` or `inspect`
 
 
-# report command -> the analysis modules, and `json` and `csv`, that it
-# loads besides `report`; none loads `dataclasses` or `inspect`, `graph`,
-# `worksheet` and `trace` run neither analysis module, and only a JSON
-# format loads `json` and only `contexts` loads `csv`
+# report command -> the renderer, the analysis modules, and `csv`, that it
+# loads; none loads `dataclasses` or `inspect`. A `--format json` document
+# comes from `jsondoc`, which loads neither `report` nor `json`; `graph`,
+# `worksheet` and `trace` run neither analysis module, and only `contexts`
+# loads `csv`
 REPORT_LOADS = {
-    ("graph",): [],
-    ("worksheet", "--action", "BrakeCmd"): [],
-    ("trace",): [],
-    ("trace", "--format", "json"): ["json"],
-    ("stats",): ["stpalint.analysis"],
-    ("checklist", "--uca", "UCA-1"): ["stpalint.causal"],
-    ("contexts", "--controller", "Operator", "--action", "BrakeCmd"): ["csv", "stpalint.analysis"],
+    ("graph",): ["stpalint.report"],
+    ("worksheet", "--action", "BrakeCmd"): ["stpalint.report"],
+    ("worksheet", "--action", "BrakeCmd", "--format", "json"): ["stpalint.jsondoc"],
+    ("trace",): ["stpalint.report"],
+    ("trace", "--format", "json"): ["stpalint.jsondoc"],
+    ("stats",): ["stpalint.analysis", "stpalint.report"],
+    ("stats", "--format", "json"): ["stpalint.analysis", "stpalint.jsondoc"],
+    ("checklist", "--uca", "UCA-1"): ["stpalint.causal", "stpalint.report"],
+    ("checklist", "--uca", "UCA-1", "--format", "json"): ["stpalint.causal", "stpalint.jsondoc"],
+    ("contexts", "--controller", "Operator", "--action", "BrakeCmd"): ["csv", "stpalint.analysis", "stpalint.report"],
 }
 
 
@@ -128,8 +134,7 @@ REPORT_LOADS = {
 def test_each_report_command_loads_only_the_analyses_it_runs(argv, tmp_path):
     code, loaded = run_child(LOADED_BY_RUN, *argv, "--output", str(tmp_path / "out"), *map(str, corpus_paths()))
     assert code == 0
-    assert "stpalint.report" in loaded
-    watched = ("stpalint.analysis", "stpalint.causal", "json", "csv")
+    watched = ("stpalint.report", "stpalint.jsondoc", "stpalint.analysis", "stpalint.causal", "json", "csv")
     assert [name for name in loaded if name in watched] == REPORT_LOADS[argv]
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
@@ -226,6 +231,36 @@ def test_contexts_writes_its_table_to_stdout_in_few_writes():
     """)
     assert (lines, code) == (2**11 + 1, 0)
     assert writes <= 3
+
+
+def test_trace_json_writes_its_document_to_stdout_in_few_writes(tmp_path):
+    # about 2,000 top-level list elements, each one piece of the document: one
+    # write per piece would be 2,000 system calls to an unbuffered stdout
+    path = tmp_path / "wide.stpa"
+    path.write_text(wide(200), encoding="utf-8")
+    writes, size, pieces, code = run_child("""
+        import io
+        import json
+        import sys
+
+        from stpalint import cli
+
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        sys.stdout = out = CountingStdout()
+        code = cli.run(["trace", "--format", "json", sys.argv[1]])
+        sys.stdout = sys.__stdout__
+        document = json.loads(out.getvalue())
+        pieces = sum(len(value) for value in document.values() if isinstance(value, list))
+        print((out.writes, len(out.getvalue()), pieces, code))
+    """, str(path))
+    assert code == 0 and pieces > 2000
+    assert writes <= size // 2**16 + 1
 
 
 # Runs the CLI through RUN, with an exit hook that prints whether the heap
