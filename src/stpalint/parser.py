@@ -10,13 +10,12 @@ The tokenizer splits each line into its words with one `findall`, and each
 token is the word itself, a string: a large model has tens of thousands of
 tokens, and the parser tells a token's kind by its first character. Only
 the declaration spans and the diagnostics need a token's line and columns,
-so `_FileParser.place` works them out on demand from the index of each
-line's first token. On a line of tokens and blanks alone, the first token
-starts after the leading blanks and the last ends before the trailing ones,
-so a statement that is such a line whole takes its span from one search of
-that index. Any other token, and any token on a line that holds a comment,
-an unexpected character or an unclosed string, is found by matching its
-line again, once per line.
+and `_FileParser.place` reads them from the columns of its line's tokens.
+`_split` keeps those of each line it matches to report a comment, an
+unexpected character or an unclosed string; `place` matches any other line
+on demand, at most once. A statement that is a whole line of tokens and
+blanks alone runs from after the leading blanks to before the trailing
+ones, so its span takes one search of the index of each line's first token.
 
 The syntax of the statements is defined only by `STATEMENTS`, one row per
 keyword: the parser reads a statement by the steps `_STEPS` builds once
@@ -222,18 +221,19 @@ def _found(word: Token) -> str:
     return f", found {word!r}"
 
 
-def _split(path: str, text: str, diags: list[Diagnostic]) -> tuple[list[Token], list[int], list[str], set[int]]:
+def _split(path: str, text: str, diags: list[Diagnostic]) -> tuple[list[Token], list[int], list[str], dict[int, list]]:
     """Split `text` into tokens, reporting bad strings and characters to `diags`.
 
     Also returns the index of each line's first token followed by the
-    number of tokens, the lines, and the lines that hold a comment, an
-    unexpected character or a string without its closing quote.
+    number of tokens, the lines, and the first and last columns of the
+    tokens of each line that holds a comment, an unexpected character or a
+    string without its closing quote: the lines this matches to report them.
     """
     lines = text.split("\n")
     findall = _WORD.findall
     tokens: list[Token] = []
     firsts: list[int] = []
-    odd: list[int] = []
+    columns: dict[int, list[tuple[int, int]]] = {}  # line -> its tokens' first and last columns
     for k, line in enumerate(lines):
         firsts.append(len(tokens))
         words = findall(line)
@@ -241,9 +241,9 @@ def _split(path: str, text: str, diags: list[Diagnostic]) -> tuple[list[Token], 
             last = words[-1]
             if last[0] == "#":
                 words.pop()
-                odd.append(k)
+                columns[k] = []
             elif last[0] == '"' and _open(last):
-                odd.append(k)
+                columns[k] = []
             tokens += words
     firsts.append(len(tokens))
     if not all(map(_is_token, set(map(itemgetter(0), tokens)))):
@@ -255,21 +255,22 @@ def _split(path: str, text: str, diags: list[Diagnostic]) -> tuple[list[Token], 
             firsts[k] = len(kept)
             kept += filter(_is_token, words)
             if len(kept) - firsts[k] < len(words):
-                odd.append(k)
+                columns[k] = []
         firsts[-1] = len(kept)
         tokens = kept
-        odd = sorted(set(odd))
-    for k in odd:
+    for k in sorted(columns):  # in line order: the unexpected-character pass adds its lines last
         for m in _WORD.finditer(lines[k]):
             word = m[0]
-            if word[0] == '"':
-                if _open(word):
-                    span = SourceSpan(path, k + 1, m.start() + 1, k + 1, m.end())
+            col, end_col = m.start() + 1, m.end()
+            if _is_token(word):
+                columns[k].append((col, end_col))
+                if word[0] == '"' and _open(word):
+                    span = SourceSpan(path, k + 1, col, k + 1, end_col)
                     diags.append(diagnostic("parse/unterminated-string", "unterminated string literal", span))
-            elif word[0] != "#" and not _is_token(word):
-                span = SourceSpan(path, k + 1, m.start() + 1, k + 1, m.start() + 1)
+            elif word[0] != "#":
+                span = SourceSpan(path, k + 1, col, k + 1, col)
                 diags.append(diagnostic("parse/unexpected-character", f"unexpected character {word!r}", span))
-    return tokens, firsts, lines, set(odd)
+    return tokens, firsts, lines, columns
 
 
 def tokenize(path: str, text: str, diags: list[Diagnostic]) -> list[Token]:
@@ -281,10 +282,9 @@ class _FileParser:
     def __init__(self, path: str, text: str, diags: list[Diagnostic]):
         self.path = path
         self.diags = diags
-        tokens, self.firsts, self.lines, self.odd = _split(path, text, diags)
+        tokens, self.firsts, self.lines, self.columns = _split(path, text, diags)
         self.tokens = tokens + [_END]
         self.pos = 0
-        self.columns: dict[int, list[tuple[int, int]]] = {}  # line -> its tokens' first and last columns
 
     # -- token places -------------------------------------------------------
 
@@ -292,17 +292,9 @@ class _FileParser:
         """The line of token `i` and the columns of its first and last characters."""
         firsts = self.firsts
         k = bisect_right(firsts, i) - 1
-        line = self.lines[k]
-        if k not in self.odd:  # see the module docstring
-            if i == firsts[k]:
-                col = len(line) - len(line.lstrip(_BLANKS)) + 1
-                return k + 1, col, col + len(self.tokens[i]) - 1
-            if i == firsts[k + 1] - 1:
-                end_col = len(line.rstrip(_BLANKS))
-                return k + 1, end_col - len(self.tokens[i]) + 1, end_col
         columns = self.columns.get(k)
-        if columns is None:  # each line is matched again at most once
-            columns = self.columns[k] = [(m.start() + 1, m.end()) for m in _WORD.finditer(line) if _is_token(m[0])]
+        if columns is None:  # a line of tokens and blanks alone, which `_split` did not match
+            columns = self.columns[k] = [(m.start() + 1, m.end()) for m in _WORD.finditer(self.lines[k])]
         return (k + 1, *columns[i - firsts[k]])
 
     def starts_line(self, i: int) -> bool:
@@ -314,7 +306,7 @@ class _FileParser:
         """From the first character of token `first` to the last of token `last`."""
         firsts = self.firsts
         k = bisect_right(firsts, first) - 1
-        if firsts[k] == first and firsts[k + 1] == last + 1 and k not in self.odd:  # a whole line, tokens and blanks
+        if firsts[k] == first and firsts[k + 1] == last + 1 and k not in self.columns:  # a whole plain line
             line = self.lines[k]
             col, end_col = len(line) - len(line.lstrip(_BLANKS)) + 1, len(line.rstrip(_BLANKS))
             return tuple.__new__(SourceSpan, (self.path, k + 1, col, k + 1, end_col))  # without its Python `__new__`

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -111,3 +112,27 @@ def lex(text, path="test.stpa"):
         value = parser._string(word) if kind == "string" else word
         tokens.append((kind, value, *reader.place(i), reader.starts_line(i)))
     return tokens, diags
+
+
+# a string, closed or not, or a run of other characters but blanks
+_CHUNK = re.compile(r'"[^"\\]*(?:\\.?[^"\\]*)*"?|[^ \t\r"]+')
+
+
+def split_statements(text: str) -> str:
+    """`text` with each statement broken over lines at token boundaries, and comments after half of the lines.
+
+    A line that is blank or starts with `#` is kept. Any other line is cut
+    into its strings and the runs of other characters between blanks, and
+    written three of those to a line, indented after the first; every other
+    line written ends in `  # note`. A valid model reads back the same.
+    """
+    out: list[str] = []
+    for line in text.split("\n"):
+        if not line.strip() or line.lstrip().startswith("#"):
+            out.append(line)
+            continue
+        chunks = _CHUNK.findall(line)
+        for j in range(0, len(chunks), 3):
+            piece = ("    " if j else "") + " ".join(chunks[j : j + 3])
+            out.append(piece + "  # note" if len(out) % 2 else piece)
+    return "\n".join(out)

@@ -249,6 +249,13 @@ def test_resolve_matches_the_oracle_on_hostile_models(model):
     assert resolve(model) == resolve_oracle.resolve(model)
 
 
+def test_an_empty_hazard_description_matches_the_oracle():
+    m = tiny_model()
+    m.hazards[0].description = ""
+    assert rules(resolve(m)) == ["resolve/empty-description"]
+    assert resolve(m) == resolve_oracle.resolve(m)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(hostile_models())
 def test_uca_ids_is_the_index_map_of_last_declarations(model):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import parser_oracle
+from conftest import split_statements
 from stpalint import parser, printer
 from stpalint.corpus import corpus_dir
 from stpalint.model import SourceSpan, StpaModel
@@ -91,6 +92,20 @@ def assert_parse_matches_oracle(source_files):
 @example([("f0.stpa", 'loss L-1\n  "a"\nloss L-2 "b"')])
 @example([("f0.stpa", 'loss L-1 "a" loss L-2 "b"\n')])
 @example([("f0.stpa", 'loss L-1 "a"\r\nhazard H-1 "h" leads_to [L-1]\r\n')])
+# each way a token is placed: by the columns `_split` keeps of a line with a
+# comment, an unexpected character or an unclosed string (reported in line
+# order), by those `place` finds for a plain line, and by the whole-line span
+@example([("f0.stpa", 'loss L-1\n  @ "a"  # c\nloss L-2 "b"')])
+@example([("f0.stpa", split_statements('hazard H-1 "h" leads_to L-1 x'))])
+@example([("f0.stpa", 'loss L-1 "a" uca U action = A guide = NotProvided context { V = "a" V = "b" } hazards [] "d"')])
+@example([("f0.stpa", split_statements('controller_constraint CC-1 from U "d'))])
+@example([("f0.stpa", 'loss L-1 @ "a"\nloss L-2 "b')])
+@example([("f0.stpa", 'uca U action = A guide = NotProvided context { V = "a" V = "b"\n} hazards [] "d"')])
+# the parse faults that a random text may not reach
+@example([("f0.stpa", 'loss L-1 "l"\nhazard H-1 "h" leads_to [L-1, "x"]')])
+@example([("f0.stpa", 'uca U action = A guide = WrongTiming qualifier TooEarly hazards [H-1] "d"')])
+@example([("f0.stpa", 'uca U action = A guide = NotProvided context [ ] hazards [H-1] "d"')])
+@example([("f0.stpa", 'uca U action = A guide = NotProvided context { V = "a" ] hazards [H-1] "d"')])
 def test_parse_matches_oracle(source_files):
     assert_parse_matches_oracle(source_files)
 

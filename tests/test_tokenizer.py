@@ -80,3 +80,31 @@ def test_identifier_classes_on_every_code_point():
     ]
     bad_continue = [c for c in chars if (word.match("a" + c).end() == 2) != (c.isalnum() or c in "_-")]
     assert bad_start == [] and bad_continue == []
+
+
+class _CountingWord:
+    """`parser._WORD`, keeping each line its `finditer` matches."""
+
+    def __init__(self, word):
+        self.word = word
+        self.findall = word.findall
+        self.lines = []
+
+    def finditer(self, line):
+        self.lines.append(line)
+        return self.word.finditer(line)
+
+
+def test_each_line_is_matched_once_to_place_its_tokens(monkeypatch):
+    lines = ['loss L-1 "a"  # note', "loss @ L-2", '  "b" loss L-3 "c', "", 'hazard H-1 "h"', "  leads_to [L-1]"]
+    word = _CountingWord(parser._WORD)
+    monkeypatch.setattr(parser, "_WORD", word)
+    reader = parser._FileParser("t.stpa", "\n".join(lines), [])
+    # the lines with a comment, an unexpected character or an unclosed string
+    assert word.lines == lines[:3]
+    reader.span(9, 11)  # a whole plain line
+    assert word.lines == lines[:3]
+    for _ in range(2):
+        for i in range(len(reader.tokens) - 1):
+            reader.place(i)
+    assert word.lines == lines[:3] + lines[4:]
