@@ -261,24 +261,18 @@ def _merge_contexts(a: Context, b: Context) -> Context | None:
 
 
 def stats(model: StpaModel) -> ModelStats:
-    """Summary counts used by reports and the CLI."""
-    result = ModelStats(*(len(getattr(model, section)) for section in _COUNTS))
-    for kind in EntityKind:
-        count = sum(1 for e in model.entities if e.kind is kind)
-        if count:
-            result.entities_by_kind[kind.value] = count
-    for category in GuideCategory:
-        count = sum(1 for u in model.ucas if u.guide.category is category)
-        if count:
-            result.ucas_by_guide[category.value] = count
-    for uca in model.ucas:
-        per_action = result.ucas_by_action_guide.setdefault(uca.action, {})
-        key = uca.guide.category.value
-        per_action[key] = per_action.get(key, 0) + 1
+    """Summary counts used by reports and the CLI: each breakdown is one `Counter` over its list."""
+    kinds = Counter(e.kind for e in model.entities)
+    guides = Counter(u.guide.category for u in model.ucas)
+    by_action_guide: dict[str, dict[str, int]] = {}
+    for (action, guide), count in Counter((u.action, u.guide.category.value) for u in model.ucas).items():
+        by_action_guide.setdefault(action, {})[guide] = count
     cited = Counter(ref for u in model.ucas for ref in set(u.hazards))  # a UCA counts once per hazard
-    for hz in model.hazards:
-        result.ucas_per_hazard[hz.id] = cited[hz.id]
-    for cf in model.causal_factors:
-        key = cf.category.value
-        result.cfs_by_category[key] = result.cfs_by_category.get(key, 0) + 1
-    return result
+    return ModelStats(
+        *(len(getattr(model, section)) for section in _COUNTS),
+        {kind.value: kinds[kind] for kind in EntityKind if kind in kinds},  # kinds and guides in enum order
+        {category.value: guides[category] for category in GuideCategory if category in guides},
+        by_action_guide,
+        {hz.id: cited[hz.id] for hz in model.hazards},
+        dict(Counter(cf.category.value for cf in model.causal_factors)),
+    )

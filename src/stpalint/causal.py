@@ -367,11 +367,15 @@ def validate_cfs(model: StpaModel | ModelIndex) -> list[Diagnostic]:
     model, ucas_by_id = index.model, index.ids["ucas"]
     diags: list[Diagnostic] = []
 
-    # each cited UCA's on-path set, looked up once, the memos built in order of first citation
-    cited = dict.fromkeys(ref for cf in model.causal_factors for ref in cf.ucas if ref in ucas_by_id)
-    on_paths = {ref: on_path(index, ucas_by_id[ref]) for ref in cited}
-    edges = index.ids["edges"]
+    declared: dict[str, list[CfCategory]] = {}  # each cited id's categories, in order of first citation
     for cf in model.causal_factors:
+        for ref in cf.ucas:
+            declared.setdefault(ref, []).append(cf.category)
+    on_paths = {ref: on_path(index, ucas_by_id[ref]) for ref in declared if ref in ucas_by_id}  # memos in that order
+    edges = index.ids["edges"]
+    groups: dict[tuple[CfCategory, str, str], list[CausalFactor]] = {}
+    for cf in model.causal_factors:
+        groups.setdefault((cf.category, cf.located_at, _normalize(cf.description)), []).append(cf)
         sets = [on_paths[ref] for ref in cf.ucas if ref in on_paths]
         located = cf.located_at
         if not sets or located in sets[0] or any(located in ids for ids in sets):  # most cite one UCA
@@ -381,9 +385,6 @@ def validate_cfs(model: StpaModel | ModelIndex) -> list[Diagnostic]:
             message = f"causal factor off-path: {cf.id} is located at {located}, which is on no walk of its ucas"
             diags.append(diagnostic("cf/off-path", message, span_of(cf)))
 
-    groups: dict[tuple[CfCategory, str, str], list[CausalFactor]] = {}
-    for cf in model.causal_factors:
-        groups.setdefault((cf.category, cf.located_at, _normalize(cf.description)), []).append(cf)
     for (_, located, _), members in groups.items():
         for dup in members[1:]:
             first = members[0]
@@ -397,10 +398,6 @@ def validate_cfs(model: StpaModel | ModelIndex) -> list[Diagnostic]:
                 )
             )
 
-    declared: dict[str, list[CfCategory]] = {}
-    for cf in model.causal_factors:
-        for ref in cf.ucas:
-            declared.setdefault(ref, []).append(cf.category)
     for uca in model.ucas:
         covered = declared.get(uca.id, ())
         for category in categories(index, uca):

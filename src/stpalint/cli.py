@@ -163,17 +163,21 @@ def _batches(strings: Iterable[str]) -> Iterator[str]:
         yield "".join(batch)
 
 
-def _write(output: Path | None, text: str | Iterable[str]) -> None:
+def _write(output: Path | None, text: str | Iterable[str], rewrite: bool = False) -> None:
     """Write `text`, or the strings it yields, to stdout or to `output`, losing no file's text if the write fails.
 
-    An existing regular file (through symlinks) is replaced by a complete temporary file beside it with its
-    permission bits; a new file is removed if its write fails; anything else, such as a FIFO, is written in place.
+    An `output` that is the file of stdout or stderr is written through that stream, so the text around it stays,
+    unless `rewrite` says it is an input that `fmt` rewrites; an existing regular file (through symlinks) is
+    replaced by a complete temporary file beside it with its permission bits; a new file is removed if its write
+    fails; anything else, such as a FIFO, is written in place.
     """
     chunks = [text] if isinstance(text, str) else _batches(text)
+    streams = {} if rewrite else {"/dev/stdout": sys.stdout, "/dev/stderr": sys.stderr}
+    stream = sys.stdout if output is None else next((streams[n] for n in streams if _same_file(output, n)), None)
     try:
-        if output is None:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
+        if stream is not None:
+            stream.writelines(chunks)
+            stream.flush()
         elif not output.is_file():
             new = not os.path.lexists(output)
             try:
@@ -197,8 +201,8 @@ def _write(output: Path | None, text: str | Iterable[str]) -> None:
                 os.unlink(tmp)
                 raise
     except (OSError, UnicodeEncodeError) as err:
-        if output is None:
-            _silence(sys.stdout)
+        if stream is not None:
+            _silence(stream)
         if isinstance(err, UnicodeEncodeError):
             reason = f"the {err.encoding} encoding cannot represent {err.object[err.start:err.end]!r}"
         else:
@@ -371,7 +375,7 @@ def run(argv: list[str] | None = None) -> int:
                 except OSError:
                     canonical = False  # the write reports the error
                 if not canonical:
-                    _write(Path(name), texts[name])
+                    _write(Path(name), texts[name], rewrite=True)
         else:
             if args.output is not None and any(_same_file(args.output, name) for name in args.inputs):
                 raise _Unusable(f"cannot write {args.output}: it is an input file")

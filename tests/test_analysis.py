@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stpalint import (
@@ -20,7 +20,17 @@ from stpalint import (
     stats,
     trace_closure,
 )
-from stpalint.model import CausalFactor, CfCategory, Entity, EntityKind, Hazard, Loss, StpaModel
+from stpalint.model import (
+    CausalFactor,
+    CfCategory,
+    Entity,
+    EntityKind,
+    GuideWord,
+    Hazard,
+    Loss,
+    StpaModel,
+    UnsafeControlAction,
+)
 
 import strategies
 from conftest import tiny_model
@@ -360,6 +370,23 @@ def ordered(value):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(strategies.models(), strategies.control_structures(), strategies.hostile_models()))
+# a UCA that lists H-1 twice counts once for it, and H-1 declared twice keeps its first place; the entities
+# come in reverse kind order, which the breakdown does not keep, and the causal factors in reverse category
+# order, which it keeps
+@example(
+    StpaModel(
+        hazards=[Hazard("H-1", "h", ["L-1"]), Hazard("H-2", "h", ["L-1"]), Hazard("H-1", "again", ["L-1"])],
+        entities=[Entity("P", EntityKind.CONTROLLED_PROCESS, "P"), Entity("C", EntityKind.CONTROLLER, "C")],
+        ucas=[
+            UnsafeControlAction("U-1", "A", "C", GuideWord(GuideCategory.NOT_PROVIDED), Context(), ["H-1", "H-1"], "u"),
+        ],
+        causal_factors=[
+            CausalFactor("CF-1", CfCategory.TIMING_DELAY, "C", ["U-1"], "d"),
+            CausalFactor("CF-2", CfCategory.MENTAL_MODEL_CONTENT, "C", ["U-1"], "e"),
+            CausalFactor("CF-3", CfCategory.TIMING_DELAY, "C", ["U-1"], "f"),
+        ],
+    )
+)
 def test_stats_match_the_item_by_item_oracle(model):
     s = stats(model)
     assert {name: ordered(getattr(s, name)) for name in analysis.ModelStats.__slots__} == brute_force_stats(model)

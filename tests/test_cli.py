@@ -624,6 +624,40 @@ def test_output_onto_a_fifo_is_written_in_place(corpus_args, tmp_path):
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("stream, mode", [("stdout", "wb"), ("stdout", "ab"), ("stderr", "wb")])
+def test_output_onto_stdout_or_stderr_keeps_the_text_around_the_report(corpus_args, tmp_path, stream, mode):
+    # as `{ echo header; stpalint stats ... --output /dev/stdout; echo footer; } > out.md`, or `>>`, or `2>`
+    out = tmp_path / "out.md"
+    out.write_bytes(b"old\n")
+    with open(out, mode, buffering=0) as f:  # unbuffered: each write lands at the offset the child left
+        f.write(b"header\n")
+        pipes = (f, subprocess.PIPE) if stream == "stdout" else (subprocess.PIPE, f)
+        proc = run_cli_process(["stats", "--output", f"/dev/{stream}", *corpus_args], *pipes)
+        f.write(b"footer\n")
+    kept = b"old\n" if mode == "ab" else b""
+    assert (proc.returncode, proc.stdout or b"", proc.stderr or b"") == (0, b"", b"")
+    assert out.read_bytes() == kept + b"header\n" + (GOLDEN_DIR / "stats.md").read_bytes() + b"footer\n"
+
+
+def test_fmt_replaces_an_input_that_stdout_appends_to(tmp_path):
+    # `stpalint fmt m.stpa >> m.stpa` rewrites the input; it does not append the canonical text to it
+    src = tmp_path / "m.stpa"
+    src.write_text('loss L-1   "a"\n', encoding="utf-8")
+    with open(src, "ab") as f:
+        proc = run_cli_process(["fmt", str(src)], f)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert src.read_text(encoding="utf-8") == serialize(parse([("m.stpa", 'loss L-1 "a"\n')])[0])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_output_onto_stdout_on_a_full_device_exits_3(corpus_args):
+    with open("/dev/full", "w") as full:
+        proc = run_cli_process(["stats", "--output", "/dev/stdout", *corpus_args], full)
+    assert proc.returncode == 3
+    assert proc.stderr == b"stpalint: cannot write /dev/stdout: No space left on device\n"
+
+
 ACTION_MODEL = """\
 controller C "C"
 controller D "D"
