@@ -166,15 +166,18 @@ def _batches(strings: Iterable[str]) -> Iterator[str]:
 def _write(output: Path | None, text: str | Iterable[str], rewrite: bool = False) -> None:
     """Write `text`, or the strings it yields, to stdout or to `output`, losing no file's text if the write fails.
 
-    An `output` that is the file of stdout or stderr is written through that stream, so the text around it stays,
-    unless `rewrite` says it is an input that `fmt` rewrites; an existing regular file (through symlinks) is
-    replaced by a complete temporary file beside it with its permission bits; a new file is removed if its write
-    fails; anything else, such as a FIFO, is written in place.
+    An `output` that is the file of stdout or stderr is written through that stream, and one that names an open
+    descriptor (`/dev/fd/N`) through that descriptor, so the text around it stays, unless `rewrite` says it is an
+    input that `fmt` rewrites; an existing regular file (through symlinks) is replaced by a complete temporary file
+    beside it with its permission bits; a new file is removed if its write fails; anything else, such as a FIFO,
+    is written in place.
     """
     chunks = [text] if isinstance(text, str) else _batches(text)
     streams = {} if rewrite else {"/dev/stdout": sys.stdout, "/dev/stderr": sys.stderr}
     stream = sys.stdout if output is None else next((streams[n] for n in streams if _same_file(output, n)), None)
     try:
+        if stream is None and not rewrite and str(output.parent) in ("/dev/fd", "/proc/self/fd") and output.exists():
+            stream = open(int(output.name), "w", encoding="utf-8", closefd=False)  # the open descriptor it names
         if stream is not None:
             stream.writelines(chunks)
             stream.flush()

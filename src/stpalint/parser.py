@@ -7,25 +7,30 @@ never fabricates declarations; every declaration in the output carries the
 span of its source statement.
 
 The tokenizer splits each line into its words with one `findall`, and each
-token is the word itself, a string: a large model has tens of thousands of
-tokens, and the parser tells a token's kind by its first character. Only
-the declaration spans and the diagnostics need a token's line and columns,
-and `_FileParser.place` reads them from the columns of its line's tokens.
-`_split` keeps those of each line it matches to report a comment, an
-unexpected character or an unclosed string; `place` matches any other line
-on demand, at most once. A statement that is a whole line of tokens and
-blanks alone runs from after the leading blanks to before the trailing
-ones, so its span takes one search of the index of each line's first token.
+token is the word itself, a string: the parser tells a token's kind by its
+first character. Only spans and diagnostics need a token's line and
+columns, and `place` reads them from the columns of its line's tokens, which
+`_split` keeps for a line it matches to report a comment, an unexpected
+character or an unclosed string, and `place` finds for any other line at
+most once. A statement that is a whole line of tokens and blanks alone runs
+from after the leading blanks to before the trailing ones: one search.
 
 The syntax of the statements is defined only by `STATEMENTS`, one row per
 keyword: the parser reads a statement by the steps `_STEPS` builds once
 from its row's slots, and `printer` writes a declaration from the same slots.
+`canonical` builds from them the pattern of a line as `printer` writes
+it, compiled once the input has opened more than `FAST_LINES` lines with
+its keyword. Such a fast line is one token, its keyword, and a record
+straight from the match, kept if the reader alone would read the line as
+one statement: no statement before it reads its keyword, and the next
+token is a keyword or there is none. Else the file is read again, alone.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from functools import cache
 from operator import itemgetter
 from typing import NoReturn
 
@@ -221,21 +226,30 @@ def _found(word: Token) -> str:
     return f", found {word!r}"
 
 
-def _split(path: str, text: str, diags: list[Diagnostic]) -> tuple[list[Token], list[int], list[str], dict[int, list]]:
+def _split(path: str, text: str, diags: list[Diagnostic], opened: dict[str, int] | None = None) -> tuple:
     """Split `text` into tokens, reporting bad strings and characters to `diags`.
 
     Also returns the index of each line's first token followed by the
     number of tokens, the lines, and the first and last columns of the
     tokens of each line that holds a comment, an unexpected character or a
     string without its closing quote: the lines this matches to report them.
+    Given `opened`, the count of the input's lines so far by keyword, the
+    last value maps the token of each fast line to its section and record.
     """
     lines = text.split("\n")
     findall = _WORD.findall
     tokens: list[Token] = []
     firsts: list[int] = []
     columns: dict[int, list[tuple[int, int]]] = {}  # line -> its tokens' first and last columns
+    fast: dict[int, tuple] = {}
     for k, line in enumerate(lines):
         firsts.append(len(tokens))
+        if opened is not None and (head := line[: line.find(" ")]) in STATEMENTS:
+            opened[head] = n = opened.get(head, 0) + 1
+            if n > FAST_LINES and (entry := _line_reader(head)(path, k, line)) is not None:
+                fast[len(tokens)] = entry
+                tokens.append(head)
+                continue
         words = findall(line)
         if words:
             last = words[-1]
@@ -252,6 +266,8 @@ def _split(path: str, text: str, diags: list[Diagnostic]) -> tuple[list[Token], 
         kept: list[Token] = []
         for k in range(len(lines)):
             words = tokens[firsts[k] : firsts[k + 1]]
+            if words and firsts[k] in fast:  # a fast line: its keyword moves back
+                fast[len(kept)] = fast.pop(firsts[k])
             firsts[k] = len(kept)
             kept += filter(_is_token, words)
             if len(kept) - firsts[k] < len(words):
@@ -270,7 +286,7 @@ def _split(path: str, text: str, diags: list[Diagnostic]) -> tuple[list[Token], 
             elif word[0] != "#":
                 span = SourceSpan(path, k + 1, col, k + 1, col)
                 diags.append(diagnostic("parse/unexpected-character", f"unexpected character {word!r}", span))
-    return tokens, firsts, lines, columns
+    return tokens, firsts, lines, columns, fast
 
 
 def tokenize(path: str, text: str, diags: list[Diagnostic]) -> list[Token]:
@@ -279,10 +295,10 @@ def tokenize(path: str, text: str, diags: list[Diagnostic]) -> list[Token]:
 
 
 class _FileParser:
-    def __init__(self, path: str, text: str, diags: list[Diagnostic]):
+    def __init__(self, path: str, text: str, diags: list[Diagnostic], opened: dict[str, int] | None = None):
         self.path = path
         self.diags = diags
-        tokens, self.firsts, self.lines, self.columns = _split(path, text, diags)
+        tokens, self.firsts, self.lines, self.columns, self.fast = _split(path, text, diags, opened)
         self.tokens = tokens + [_END]
         self.pos = 0
 
@@ -303,10 +319,10 @@ class _FileParser:
         return firsts[bisect_right(firsts, i) - 1] == i
 
     def span(self, first: int, last: int) -> SourceSpan:
-        """From the first character of token `first` to the last of token `last`."""
+        """From the first character of token `first` to the last of token `last`; a whole plain line in one search."""
         firsts = self.firsts
         k = bisect_right(firsts, first) - 1
-        if firsts[k] == first and firsts[k + 1] == last + 1 and k not in self.columns:  # a whole plain line
+        if firsts[k] == first and firsts[k + 1] == last + 1 and k not in self.columns and first not in self.fast:
             line = self.lines[k]
             col, end_col = len(line) - len(line.lstrip(_BLANKS)) + 1, len(line.rstrip(_BLANKS))
             return tuple.__new__(SourceSpan, (self.path, k + 1, col, k + 1, end_col))  # without its Python `__new__`
@@ -415,10 +431,17 @@ class _FileParser:
 
     # -- statements ---------------------------------------------------------
 
-    def parse_into(self, model: StpaModel) -> None:
-        tokens = self.tokens
+    def parse_into(self, model: StpaModel) -> bool:
+        """Read the statements into `model`; False, part read, if the reader alone would not read a fast line as one."""
+        tokens, fast = self.tokens, self.fast
         end = len(tokens) - 1  # the index of `_END`
+        if any(tokens[i + 1] not in STATEMENTS and i + 1 < end for i in fast):
+            return False
         while (start := self.pos) < end:
+            if (entry := fast.get(start)) is not None:
+                getattr(model, entry[0]).append(entry[1])
+                self.pos += 1
+                continue
             if tokens[start] not in STATEMENTS:
                 message = "expected a declaration keyword" + _found(tokens[start])
                 self.diags.append(diagnostic("parse/unknown-keyword", message, self.span(start, start)))
@@ -435,6 +458,9 @@ class _FileParser:
                     span = SourceSpan(self.path, line, col, line, col)
                 self.diags.append(diagnostic("parse/syntax", err.message, span))
                 self.recover()
+            if fast and any(map(fast.__contains__, range(start + 1, self.pos))):
+                return False
+        return True
 
     def recover(self) -> None:
         """Skip to the next top-level keyword that starts a line."""
@@ -479,6 +505,20 @@ _STEPS = {
     for keyword, row in STATEMENTS.items()
 }
 
+# A keyword's line pattern is compiled once the input has opened more lines
+# with it than this: compiling the `uca` pattern takes about 0.3 ms, and each
+# line it reads instead of the tokenizer and the steps saves about 5 us
+# (Python 3.11 on a 2-vCPU host), so it pays for itself at about 60 lines.
+FAST_LINES = 60
+
+
+@cache
+def _line_reader(keyword: str):
+    """`canonical.line_reader(keyword)`: only an input that opens more than `FAST_LINES` lines with one imports it."""
+    from .canonical import line_reader
+
+    return line_reader(keyword)
+
 
 def read_source(path) -> str:
     """The text of the file `path` decoded as UTF-8, without one leading byte-order mark.
@@ -504,8 +544,14 @@ def parse_index(source_files: list[tuple[str, str]]) -> tuple[ModelIndex, list[D
     """`parse`, returning the model's index, which every later phase of a command reads."""
     diags: list[Diagnostic] = []
     model = StpaModel()
+    opened: dict[str, int] = {}
+    lists = [diags, *map(model.__getattribute__, StpaModel.__slots__)]
     for path, text in source_files:
-        _FileParser(path, text, diags).parse_into(model)
+        marks = list(map(len, lists))
+        if not _FileParser(path, text, diags, opened).parse_into(model):
+            for items, mark in zip(lists, marks):  # read the whole file again, by the reader alone
+                del items[mark:]
+            _FileParser(path, text, diags).parse_into(model)
     index = ModelIndex(model)
     for uca in model.ucas:  # a UCA's action edge may be declared in any file
         edge = index.ids["edges"].get(uca.action)

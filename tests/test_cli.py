@@ -640,6 +640,18 @@ def test_output_onto_stdout_or_stderr_keeps_the_text_around_the_report(corpus_ar
     assert out.read_bytes() == kept + b"header\n" + (GOLDEN_DIR / "stats.md").read_bytes() + b"footer\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/fd/0") or not shutil.which("sh"), reason="no /dev/fd or no sh")
+def test_output_onto_an_open_descriptor_keeps_the_text_around_the_report(corpus_args, tmp_path):
+    # `{ echo header >&3; stpalint stats ... --output /dev/fd/3; echo footer >&3; } 3> out.md`, in a fresh shell
+    out = tmp_path / "out.md"
+    script = '{ echo header >&3; "$@" --output /dev/fd/3; echo footer >&3; } 3> "$OUT"'
+    env = {**os.environ, "OUT": str(out), "PYTHONPATH": str(REPO_ROOT / "src")}
+    argv = [sys.executable, "-m", "stpalint.cli", "stats", *corpus_args]
+    proc = subprocess.run(["sh", "-c", script, "sh", *argv], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert out.read_bytes() == b"header\n" + (GOLDEN_DIR / "stats.md").read_bytes() + b"footer\n"
+
+
 def test_fmt_replaces_an_input_that_stdout_appends_to(tmp_path):
     # `stpalint fmt m.stpa >> m.stpa` rewrites the input; it does not append the canonical text to it
     src = tmp_path / "m.stpa"

@@ -141,6 +141,20 @@ def one_uca_per_row(n: int) -> str:
     return "".join(parts)
 
 
+def alternating(n: int) -> str:
+    """n canonical UCAs, each followed by a feedback edge split over two lines.
+
+    The first line of each edge is a whole canonical statement, so once the
+    edge pattern compiles, its fast line is followed by the `via` line and the
+    file is read again by the reader alone: once, not once per edge.
+    """
+    parts = [HEAD, 'sensor S "Sensor"\n']
+    for i in range(n):
+        parts.append(f'uca U-{i} action = A guide = NotProvided hazards [H-1] "u {i}"\n')
+        parts.append(f'feedback F-{i} "sense {i}" from Plant to C\n    via [S]\n')
+    return "".join(parts)
+
+
 def one_line(n: int) -> str:
     """n loss statements on one line."""
     return " ".join(f'loss L-{i} "loss {i}"' for i in range(n)) + "\n"
@@ -154,6 +168,7 @@ SHAPES = {
     "many-cfs": (many_cfs, ["check"], 1500),
     "redeclared": (redeclared, ["check"], 3000),
     "one-line": (one_line, ["check"], 2000),
+    "alternating": (alternating, ["check"], 500),
     "wide": (wide, ["check"], 100),
     "wide-fmt": (wide, ["fmt"], 200),
     "wide-checklist": (wide, ["checklist", "--uca", "U-0-1"], 200),

@@ -48,6 +48,7 @@ LOADED_BY_RUN = """
     import sys
 
     WATCHED = (
+        "stpalint.canonical",
         "stpalint.report",
         "stpalint.jsondoc",
         "stpalint.printer",
@@ -70,7 +71,16 @@ LOADED_BY_RUN = """
 def test_check_loads_no_report_printer_corpus_json_or_csv():
     code, loaded = run_child(LOADED_BY_RUN, "check", *map(str, corpus_paths()))
     assert code in (0, 1)
-    assert loaded == ["stpalint.causal"]  # not `analysis`, `dataclasses` or `inspect`
+    assert loaded == ["stpalint.causal"]  # not `analysis`, `dataclasses`, `inspect` or the line patterns
+
+
+def test_only_an_input_with_many_lines_of_a_keyword_loads_the_line_patterns(tmp_path):
+    # `wide(200)` opens 400 lines with `uca` and 400 with `cf`; the corpus at most 30 with any keyword
+    path = tmp_path / "wide.stpa"
+    path.write_text(wide(200), encoding="utf-8")
+    code, loaded = run_child(LOADED_BY_RUN, "check", str(path))
+    assert code in (0, 1)
+    assert loaded == ["stpalint.canonical", "stpalint.causal"]
 
 
 @pytest.mark.parametrize("command", [["check"], ["stats", "--format", "json"]], ids=" ".join)

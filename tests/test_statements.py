@@ -4,8 +4,12 @@
 `stpalint.parser` and `stpalint.printer` read and write every kind from the
 rows of `STATEMENTS`. On any text they must give the same model, the same
 spans and the same diagnostics, notes included; on any model, the same text.
+So must the parser with a line pattern for every keyword and without any.
 """
 
+import math
+
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -130,3 +134,68 @@ def test_printer_matches_oracle(model, random):
     expected = {name: parser_oracle.serialize_file(model, name) for name in names}
     assert {name: printer.serialize_file(model, name) for name in names} == expected
     assert printer.serialize_files(model, names) == expected
+
+
+def read(source_files, fast_lines):
+    """The records, spans and diagnostics, notes included, of `parser.parse` with `FAST_LINES` set to `fast_lines`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "FAST_LINES", fast_lines)
+        model, diags = parser.parse(source_files)
+    return model, spans(model), diags, [(d.format(), d.related) for d in diags]
+
+
+def assert_fast_path_matches_reader(source_files):
+    assert read(source_files, 0) == read(source_files, math.inf)
+
+
+def fast_lines_kept(text):
+    """How many lines of `text` are fast with a pattern for every keyword, and whether they are kept."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "FAST_LINES", 0)
+        reader = parser._FileParser("f0.stpa", text, [], {})
+        return len(reader.fast), reader.parse_into(StpaModel())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models())
+def test_fast_path_matches_reader_on_printed_models(model):
+    text = printer.serialize(model)
+    assert_fast_path_matches_reader([("f0.stpa", text)])
+    assert_fast_path_matches_reader([("f0.stpa", split_statements(text))])
+    # every statement line but one with an escape in a string is fast, and kept
+    statements = [line for line in text.split("\n") if line and not line.startswith("#")]
+    assert fast_lines_kept(text) == (sum("\\" not in line for line in statements), True)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sources)
+def test_fast_path_matches_reader(source_files):
+    assert_fast_path_matches_reader(source_files)
+
+
+LOSS = 'loss L-1 "l"\n'
+CF = 'cf CF-1 category = SensorOperation at S for [U] "d"\n'
+
+# text -> the fast lines of it and whether they are kept
+PINNED = {
+    LOSS + '"x"\nloss L-2 "b"\n': (2, False),  # a stray string after a fast line
+    'feedback F "f" from P to C\nvia [X]\n': (1, False),  # the rest of a fast edge line
+    'hazard H-1 "h" leads_to [\n' + CF: (1, False),  # a statement that reads past a fast line
+    "cf CF-2 category =\n" + LOSS: (1, False),  # one that reads its keyword as an unknown category
+    'hazard H-1 "h" leads_to\n' + CF: (1, True),  # one that fails at its keyword, as the reader alone does
+    LOSS + 'hazard H-1 "h" leads_to': (1, True),  # one that fails at the end of the file after it
+    LOSS + "@\n" + CF: (2, True),  # an unexpected character, which moves the tokens after it
+    LOSS + 'uca U action = A guide = NotProvided context { V = "a" V = "b" } hazards [H-1] "d"\n': (1, True),
+    LOSS + 'uca U action = A guide = WrongTiming qualifier = Bogus hazards [H-1] "d"\n': (1, True),
+    LOSS + 'cf CF-1 category = Bogus at S for [U] "d"\n': (1, True),
+    LOSS + 'loss L-2 "a \\" b"\n': (1, True),
+    LOSS + 'loss L-2 "a"  # note\n' + CF: (2, True),
+    LOSS + 'loss L-2\n  "a"\n' + CF: (2, True),
+    'loss L-1 "a" loss L-2 "b"\n' + LOSS + "\n\n" + CF: (2, True),
+}
+
+
+@pytest.mark.parametrize("text", PINNED)
+def test_fast_path_matches_reader_on_pinned_lines(text):
+    assert fast_lines_kept(text) == PINNED[text]
+    assert_fast_path_matches_reader([("f0.stpa", text)])
